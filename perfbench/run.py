@@ -9,10 +9,11 @@ The benchmark starts a fresh workload process (worker.py) several times with
 ``--setup-only`` and once more for the measured run; ``setup_s`` is the
 median time from process start to readiness.  The measured process then
 sends requests in a closed loop with one client for ``--seconds``, going
-round its input set.  Every time is scaled by the machine speed that
-calibrate.py measures next to it, so the figures read as on a machine of
-fixed speed.  A distinct request's latency is the median over its attempts;
-throughput, median and tail are taken over the distinct requests.  With
+round its input set, and at least once through all of it.  Every time is
+scaled by the machine speed that calibrate.py measures next to it, so the
+figures read as on a machine of fixed speed.  A distinct request's latency is the median over its attempts;
+throughput, median and tail are taken over the distinct requests.
+``attempted`` and ``failed`` count each member of the input set once.  With
 ``--trace 1`` the loop runs twice, without and then with per-layer spans,
 and the per-layer metrics and the trace overhead are reported instead.
 
@@ -105,6 +106,21 @@ def per_request(phase: dict) -> list[tuple[float, int, int]]:
         group[0].append(scaled)
         group[2] = max(group[2], failed)
     return [(statistics.median(lats), members, failed) for lats, members, failed in groups.values()]
+
+
+def outcomes(phases: list[dict]) -> tuple[int, int, int]:
+    """Members, failed members and failures no known defect explains, over the input set.
+
+    Each distinct request counts once, with its most failures on any attempt
+    of any phase; the first phase sends every request, so the counts depend
+    on the seed alone, not on how many requests fit in the run.
+    """
+    worst: dict[int, tuple[int, int, int]] = {}
+    for phase in phases:
+        for index, _, _, members, failed, known in phase["attempts"]:
+            _, most, unexplained = worst.get(index, (members, 0, 0))
+            worst[index] = (members, max(most, failed), max(unexplained, failed - known))
+    return tuple(sum(column) for column in zip(*worst.values()))
 
 
 def items_per_s(phase: dict) -> float:
@@ -218,10 +234,7 @@ def main() -> int:
             pass
 
     phases = result["phases"]
-    attempts = [a for p in phases for a in p["attempts"]]
-    attempted = sum(a[3] for a in attempts)
-    failed = sum(a[4] for a in attempts)
-    unexpected = failed - sum(a[5] for a in attempts)
+    attempted, failed, unexpected = outcomes(phases)
     if args.trace:
         metrics = per_layer(result, statistics.median(imports))
     else:

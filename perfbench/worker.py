@@ -49,6 +49,10 @@ def blas_threads() -> int | None:
 def run_phase(wl, seconds, speed, tracer=None):
     """Send requests until ``seconds`` have passed, finishing the current cycle.
 
+    The first phase of a run goes on until every request has been sent, so
+    each run checks the whole input set and its failures depend on the seed
+    alone.  A request's input properties are tallied on its first visit.
+
     Returns one ``[request index, latency s, scaled latency s, members,
     failed, known failed]`` record per attempt, and the count of exceptions
     by type.  ``speed`` (a calibrate.Speed) samples the calibration loop
@@ -80,11 +84,13 @@ def run_phase(wl, seconds, speed, tracer=None):
                 if name not in errors:
                     traceback.print_exception(exc, file=sys.stderr)
                 errors[name] = errors.get(name, 0) + 1
+            wl.tally.counting = index not in wl.seen
+            wl.seen.add(index)
             outcomes = wl.check(req, out, exc)
             failed = sum(1 for ok, _ in outcomes if not ok)
             known = sum(1 for ok, is_known in outcomes if not ok and is_known)
             attempts.append([index, latency, speed.scale(latency), len(outcomes), failed, known])
-        if time.perf_counter() >= deadline:
+        if time.perf_counter() >= deadline and len(wl.seen) == len(wl.requests):
             break
     return {"attempts": attempts, "errors": errors, "scale": speed.overall()}
 
@@ -119,6 +125,7 @@ def main() -> int:
     try:
         wl = workloads.WORKLOADS[args.workload](np.random.default_rng(args.seed), args.scale, ROOT, workdir)
         wl.position = 0
+        wl.seen = set()
         wl.run(wl.requests[getattr(wl, "warm_up", 0)])  # first-call costs inside numpy and scipy
         print("READY " + json.dumps({"import_ms": import_ms}), flush=True)
         if args.setup_only:

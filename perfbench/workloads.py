@@ -11,7 +11,9 @@ run incorrect.  ``probe`` is the calibrate.py probe that tracks the
 machine's speed for this kind of request.
 
 Requests are taken in order, wrapping round, and a run stops only at the end
-of a cycle of ``cycle`` requests, so every run has the same mix of members.
+of a cycle of ``cycle`` requests, once every request has been sent at least
+once, so every run checks the same members.  The input sets are sized so
+that one pass fits in a run of 20 seconds.
 
 All calls into the package go through module attributes (for example
 ``quadflow.evolution.center_path``) so the per-layer spans of spans.py see
@@ -122,15 +124,19 @@ class Tally:
         self.members = 0
         self.counts: dict[str, int] = {}
         self.largest: dict[str, float] = {}
+        self.counting = True  # off while a request is checked again
 
     def flag(self, **flags):
         """Count one member and which of the named properties it has."""
+        if not self.counting:
+            return
         self.members += 1
         for key, on in flags.items():
             self.counts[key] = self.counts.get(key, 0) + bool(on)
 
     def high(self, key, value):
-        self.largest[key] = max(self.largest.get(key, value), float(value))
+        if self.counting:
+            self.largest[key] = max(self.largest.get(key, value), float(value))
 
     def report(self) -> dict:
         shares = {f"{k}_share": c / self.members for k, c in self.counts.items()}
@@ -217,22 +223,25 @@ class Sweep:
 
 
 class KernelCalculus:
-    """Random strictly positive shifted generators, one- and two-mode, in pairs.
+    """Random strictly positive shifted generators, one- and two-mode.
 
     A generator R - i P with P real positive definite has a strictly
     positive time-1 flow.  A member's timed pipeline makes the kernel round
     trip and builds the composed kernel three ways: the composition law, the
     kernel integral (kernel_compose) and the sharp product; the check
-    compares them at seeded points.
+    compares them at seeded points.  A request holds three one-mode and three
+    two-mode members, so requests cost alike and the median and tail stay
+    steady.
     """
 
     name = "kernel_calculus"
     probe = calibrate.LOOP
-    cycle = 2
+    cycle = 1
+    batch = 6
 
     def __init__(self, rng, scale, root, workdir):
         count = 300 if scale == "full" else 4
-        self.requests = []
+        members = []
         for i in range(count):
             n = 1 + i % 2
             hess = []
@@ -242,11 +251,22 @@ class KernelCalculus:
                 hess.append((r + r.T) / 2.0 - 1j * (a @ a.T / (2 * n) + 0.2 * np.eye(2 * n)))
             shifts = [0.5 * complex_normal(rng, 2 * n) for _ in range(2)]
             points = rng.standard_normal((2, 4, n))
-            self.requests.append((n, hess, shifts, points))
+            members.append((n, hess, shifts, points))
+        self.requests = [members[i : i + self.batch] for i in range(0, count, self.batch)]
         self.tally = Tally()
 
     def run(self, req):
-        _, (h1, h2), (v1, v2), _ = req
+        out = []
+        for member in req:
+            try:
+                out.append(self._run_one(member))
+            except Exception as err:  # a member that raises fails alone, not its whole request
+                out.append(err)
+        return out
+
+    @staticmethod
+    def _run_one(member):
+        _, (h1, h2), (v1, v2), _ = member
         form = quadflow.symplectic.QuadraticForm
         ev, kn, sy = quadflow.evolution, quadflow.kernels, quadflow.symbols
         s1, s2 = ev.EvolutionSpec(form(h1), v1), ev.EvolutionSpec(form(h2), v2)
@@ -268,10 +288,15 @@ class KernelCalculus:
         }
 
     def check(self, req, out, exc):
-        n, _, _, (x, y) = req
-        self.tally.flag(two_mode=n == 2)
         if exc is not None:
-            return [(False, False)]
+            return [(False, False)] * len(req)
+        return [self._check_one(member, result) for member, result in zip(req, out)]
+
+    def _check_one(self, member, out):
+        n, _, _, (x, y) = member
+        self.tally.flag(two_mode=n == 2)
+        if isinstance(out, Exception):
+            return False, False
         ref = out["k12"](x, y)
         ok = (
             min(abs(out["c"] - 1.0), abs(out["c"] + 1.0)) <= 1e-8
@@ -280,7 +305,7 @@ class KernelCalculus:
             and near_rel(out["factor"] * out["k3"](x, y), ref, 1e-8, sign_free=True)
             and near_rel(out["k_sharp"](x, y), ref, 1e-8, sign_free=True)
         )
-        return [(ok, False)]
+        return ok, False
 
 
 class Oracle:
@@ -289,9 +314,10 @@ class Oracle:
     A cycle is one two-mode heat kernel on the minimum 64-point grid, one
     two-mode heat kernel on the automatic grid (larger than the address-space
     cap), each a request of its own, then six requests of ten one-mode
-    members on the automatic grid: eight heat kernels (s down to 0.02), one
-    rotated and one shifted rotated member.  Batches of ten keep the median
-    and tail steady; single one-mode members vary tenfold in cost.
+    members on the automatic grid: six heat kernels (s down to 0.02), two
+    rotated and two shifted rotated members.  Batches of ten keep the median
+    and tail steady; single one-mode members vary tenfold in cost, the
+    rotated ones most, and so each batch holds four of them.
     """
 
     name = "oracle"
@@ -300,13 +326,16 @@ class Oracle:
     warm_up = 2  # one-mode members; the two-mode ones would dominate set-up time
 
     def __init__(self, rng, scale, root, workdir):
-        cycles = 6 if scale == "full" else 1
-        heat_s = iter(log_strata(rng, 48 * cycles, 0.02, 4.0))
+        cycles = 4 if scale == "full" else 1
+        # each batch takes one heat draw from each sixth of the s range, so
+        # every batch holds the same spread of s, under-resolved members too
+        heat_s = np.sort(log_strata(rng, 36 * cycles, 0.02, 4.0)).reshape(6, -1)
+        heat_s = iter(rng.permuted(heat_s, axis=1).T.ravel())
         grid64_s = strata(rng, cycles, 0.5, 2.0)
         auto_s = strata(rng, cycles, 0.5, 2.0)
-        th = strata(rng, 12 * cycles, -1.2, 1.2)
-        t1 = strata(rng, 12 * cycles, -3.0, 3.0)
-        t2 = compact_t2(th, t1, strata(rng, 12 * cycles, 0.05, 1.5))
+        th = strata(rng, 24 * cycles, -1.2, 1.2)
+        t1 = strata(rng, 24 * cycles, -3.0, 3.0)
+        t2 = compact_t2(th, t1, strata(rng, 24 * cycles, 0.05, 1.5))
         rotated = iter(zip(th, t1, t2))
         self.requests = []
         for c in range(cycles):
@@ -315,11 +344,11 @@ class Oracle:
                                        np.exp(-s), models.heat_trace(s) ** 2)])
             for _ in range(6):
                 batch = []
-                for _ in range(8):
+                for _ in range(6):
                     s = next(heat_s)
                     batch.append(("heat1", models.heat_generator(s).hess, None,
                                   np.exp(-s / 2.0), models.heat_trace(s)))
-                for kind in ("rotated", "shifted"):
+                for kind in ("rotated", "shifted") * 2:
                     model = next(rotated)
                     v = 0.5 * complex_normal(rng, 2) if kind == "shifted" else np.zeros(2)
                     batch.append((kind, rotated_hessian(*model), v, models.rho_norm_shifted(*model, v), None))
@@ -379,7 +408,7 @@ class Oracle:
 class Cli:
     """Cold-start ``python -m quadflow.cli`` runs, one at a time.
 
-    A cycle runs each subcommand once; each subcommand has four input
+    A cycle runs each subcommand once; each subcommand has three input
     variants drawn from the seed.  The first output of each input is its
     reference: later runs must be byte-identical, and values must agree with
     the ``models`` closed forms.
@@ -417,7 +446,7 @@ class Cli:
             return "--v=" + ",".join(repr(float(x)) for x in (v[0].real, v[0].imag, v[1].real, v[1].imag))
 
         self.requests = []
-        for variant in range(4):
+        for variant in range(3):
             def spec_path(name, hess, v=None, variant=variant):
                 return spec_file(f"{name}{variant}", hess, v)
 
