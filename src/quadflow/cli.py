@@ -107,8 +107,11 @@ def _write_output(text: str, path: str | None) -> None:
 def _complex_array(node, shape_hint: str):
     if not isinstance(node, dict) or "re" not in node:
         raise ValueError(f"{shape_hint} must be an object with 're' (and optional 'im')")
-    re = np.asarray(node["re"], dtype=float)
-    im = np.asarray(node.get("im", np.zeros_like(re)), dtype=float)
+    try:
+        re = np.asarray(node["re"], dtype=float)
+        im = np.asarray(node.get("im", np.zeros_like(re)), dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{shape_hint}: 're' and 'im' must be numeric arrays") from exc
     if re.shape != im.shape:
         raise ValueError(f"{shape_hint}: 're' and 'im' shapes differ")
     return re + 1j * im
@@ -123,7 +126,10 @@ def _complex_scalar(node, name: str) -> complex:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: the top level must be a JSON object")
+    return data
 
 
 def _parse_quadratic(data) -> tuple[QuadraticForm, np.ndarray | None]:
@@ -420,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except QuadflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

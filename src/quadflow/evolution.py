@@ -28,6 +28,7 @@ from .symplectic import (
     QuadraticForm,
     bar_inverse,
     canonical_log,
+    cayley,
     flow,
     inverse,
     standard_j,
@@ -262,9 +263,7 @@ def _mehler_williamson(k: CanonicalTransform) -> np.ndarray:
     Hamilton matrix is 2 (-i) (1+K)^{-1} (1-K) with spectrum {+-i mu_j}.
     Returns the mu_j, ascending.
     """
-    m = k.matrix
-    eye = np.eye(2 * k.n)
-    h1 = -2j * np.linalg.solve(eye + m, eye - m)
+    h1 = -2j * cayley(k.matrix)
     eigs = np.linalg.eigvals(h1)
     if np.max(np.abs(eigs.real)) > 1e-8 * (1.0 + np.max(np.abs(eigs))):
         raise QuadflowError("reduced spectrum is not purely imaginary")

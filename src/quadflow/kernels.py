@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import TOLERANCES
 from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
-from .symplectic import CanonicalTransform, QuadraticForm, canonical_log
+from .symplectic import (CanonicalTransform, QuadraticForm, canonical_log, gauss_logdet,
+                         herm_max_eig, symmetrize)
 
 
 @dataclass(eq=False)
@@ -46,10 +46,7 @@ class GaussianKernel:
             m = getattr(self, name)
             if m.shape != (n, n):
                 raise ValueError(f"{name} must be {n} x {n}")
-            scale = max(np.linalg.norm(m), 1.0)
-            if np.linalg.norm(m - m.T) > TOLERANCES["sym"] * scale:
-                raise ValueError(f"{name} must be symmetric")
-            setattr(self, name, (m + m.T) / 2.0)
+            setattr(self, name, symmetrize(m, name))
         if self.pxy.shape != (n, n):
             raise ValueError(f"pxy must be {n} x {n}")
         self.lx = np.asarray(self.lx, dtype=complex).reshape(n)
@@ -101,14 +98,12 @@ def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     n = sym.n
     tol = TOLERANCES["definite"]
     g_xi = sym.g[n:, n:]
-    if np.max(np.linalg.eigvalsh(g_xi.real)) >= -tol:
+    if herm_max_eig(g_xi) >= -tol:
         raise SymbolConvergenceError("momentum-block integral diverges for this symbol")
-    if not formal:
-        herm = (sym.g + sym.g.conj().T) / 2.0
-        if np.max(np.linalg.eigvalsh(herm)) >= -tol:
-            raise SymbolConvergenceError(
-                "symbol lacks Gaussian decay; pass formal=True to quantize anyway"
-            )
+    if not formal and herm_max_eig(sym.g) >= -tol:
+        raise SymbolConvergenceError(
+            "symbol lacks Gaussian decay; pass formal=True to quantize anyway"
+        )
     g_ww = sym.g[:n, :n]
     s = -np.linalg.inv(g_xi)
     p = 2.0 * sym.g[n:, :n]
@@ -125,7 +120,7 @@ def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     py = base - 0.5j * s_lxi
     e0 = 0.25 * l_xi @ s_lxi
     # Gaussian momentum integral: pi^{n/2} det(-G_xi)^{-1/2}, principal branch
-    det_factor = np.exp(-0.5 * np.trace(scipy.linalg.logm(-g_xi)))
+    det_factor = np.exp(-0.5 * gauss_logdet(-g_xi))
     amplitude = sym.c * (2.0 ** -n) * (np.pi ** (-n / 2.0)) * det_factor
     return GaussianKernel(
         amplitude=amplitude,
@@ -254,7 +249,7 @@ def kernel_compose(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     w = np.linalg.inv(mid)
     lmid = k1.ly + k2.lx
     p1xy, p2yx = k1.pxy, k2.pxy.T
-    det_factor = np.exp(-0.5 * np.trace(scipy.linalg.logm(-0.5j * mid)))
+    det_factor = np.exp(-0.5 * gauss_logdet(-0.5j * mid))
     amplitude = k1.amplitude * k2.amplitude * (np.pi ** (n / 2.0)) * det_factor
     return GaussianKernel(
         amplitude=amplitude,

@@ -58,7 +58,8 @@ def rho_norm(theta: float, t1: float, t2: float) -> float:
     return float((a - np.sqrt(a * a - 1.0)) ** 0.25)
 
 
-def _a1_entries(theta: float, t1: float, t2: float) -> np.ndarray:
+def rho_a1_matrix(theta: float, t1: float, t2: float) -> np.ndarray:
+    """Closed-form matrix sending Im v to the right-center offset, a1 = Re v + A1 Im v."""
     ct, st = np.cos(theta), np.sin(theta)
     sh2, ch2 = np.sinh(t2), np.cosh(t2)
     s1, c1 = np.sin(t1), np.cos(t1)
@@ -70,14 +71,9 @@ def _a1_entries(theta: float, t1: float, t2: float) -> np.ndarray:
     return np.array([[diag, off_plus], [off_minus, anti_diag]]) / a0
 
 
-def rho_a1_matrix(theta: float, t1: float, t2: float) -> np.ndarray:
-    """Closed-form matrix sending Im v to the right-center offset, a1 = Re v + A1 Im v."""
-    return _a1_entries(theta, t1, t2)
-
-
 def rho_a2_matrix(theta: float, t1: float, t2: float) -> np.ndarray:
     """Left-center companion, a2 = Re v - A2 Im v; A2(t1, t2, theta) = A1(-t1, t2, -theta)."""
-    return _a1_entries(-theta, -t1, t2)
+    return rho_a1_matrix(-theta, -t1, t2)
 
 
 def rho_a_matrix(theta: float, t1: float, t2: float) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .symplectic import CanonicalTransform, QuadraticForm, bar_inverse, flow, standard_j
+from .symplectic import CanonicalTransform, QuadraticForm, cayley, flow, herm_max_eig, standard_j
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,9 @@ def positivity_matrix(k: CanonicalTransform) -> np.ndarray:
 
 
 def strict_positivity(k: CanonicalTransform) -> PositivityReport:
-    """Certify strict positivity of K and cache the margin on the instance."""
+    """Certify strict positivity of K."""
     tol = TOLERANCES["positivity"]
     margin = float(np.min(np.linalg.eigvalsh(positivity_matrix(k))))
-    k.margin = margin
     return PositivityReport(
         margin=margin,
         is_strict=margin > tol,
@@ -61,17 +60,10 @@ def mehler_integrable(k: CanonicalTransform) -> bool:
     eigs = np.linalg.eigvals(m)
     if np.min(np.abs(eigs + 1.0)) <= TOLERANCES["spectral"]:
         return False
-    j = standard_j(k.n)
-    g = 1j * j @ np.linalg.solve(np.eye(2 * k.n) + m, np.eye(2 * k.n) - m)
-    herm = (g + g.conj().T) / 2.0
-    return bool(np.max(np.linalg.eigvalsh(herm)) < -TOLERANCES["positivity"])
+    g = 1j * standard_j(k.n) @ cayley(m)
+    return herm_max_eig(g) < -TOLERANCES["positivity"]
 
 
 def compactness_check(q: QuadraticForm) -> bool:
     """True when the time-1 flow of q is strictly positive."""
     return strict_positivity(flow(q, 1.0)).is_strict
-
-
-def conjugate_pair_transform(k: CanonicalTransform) -> CanonicalTransform:
-    """The companion transform conj(K)^{-1} entering norms and decompositions."""
-    return bar_inverse(k)

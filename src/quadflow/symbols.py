@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .config import TOLERANCES
 from .errors import SymbolConvergenceError
@@ -20,8 +19,11 @@ from .positivity import mehler_integrable
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
+    cayley,
     flow,
+    gauss_logdet,
     hamilton_matrix,
+    herm_max_eig,
     inverse,
     standard_j,
     symplectic_form,
@@ -30,17 +32,11 @@ from .symplectic import (
 
 @dataclass(eq=False)
 class GaussianSymbol:
-    """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n).
-
-    ambiguous_sign marks values carrying the unresolved overall sign of a
-    square root; consumers must resolve it against a reference point before
-    pointwise comparisons.
-    """
+    """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n)."""
 
     c: complex
     g: np.ndarray
     l: np.ndarray
-    ambiguous_sign: bool = False
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=complex)
@@ -62,7 +58,9 @@ class GaussianSymbol:
 def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
     """Closed-form Weyl symbol of the quantized time-1 flow of q.
 
-    c = (det cosh(H_q/2))^{-1/2} up to sign, G = -i J tanh(H_q/2), l = 0.
+    c = prod_j sech(lambda_j/2) over the eigenvalue pairs +-lambda_j of H_q,
+    the square root of det cosh(H_q/2)^{-1} continuous in time, with no sign
+    freedom; G = -i J tanh(H_q/2), l = 0.
     Certified mode requires the symbol to be integrable (flow spectrum away
     from -1 and Gaussian decay); formal=True skips only that certification
     and still demands the cosh factor be invertible.
@@ -70,7 +68,6 @@ def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
     h = hamilton_matrix(q)
     k = flow(q, 1.0)
     n = q.n
-    eye = np.eye(2 * n)
     eigs_h = np.linalg.eigvals(h / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
         raise SymbolConvergenceError("cosh factor vanishes; no closed-form symbol")
@@ -79,23 +76,17 @@ def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
             "symbol is not integrable for this flow; pass formal=True to "
             "compute it anyway"
         )
-    t = np.linalg.solve(k.matrix + eye, k.matrix - eye)
-    g = -1j * standard_j(n) @ t
-    # det cosh(H/2) is a perfect square over the +- eigenvalue pairs; the
-    # principal square root below is one of the two valid signs
+    g = 1j * standard_j(n) @ cayley(k.matrix)
+    # cosh is even, so a +-lambda_j pair adds one log twice: c = prod_j sech(lambda_j/2)
+    # as long as both rounded cosh values of a pair fall on one side of the log cut
     c = np.exp(-0.5 * np.sum(np.log(np.cosh(eigs_h))))
-    return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * n), ambiguous_sign=True)
+    return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * n))
 
 
 def symbol_transform(sym: GaussianSymbol) -> np.ndarray:
     """Recover tanh(H_q/2) from a centered symbol: T = -i J^{-1} ... = i J G."""
     # G = -i J T  =>  T = -i J G  (J^2 = -1)
     return -1j * standard_j(sym.n) @ sym.g
-
-
-def _herm_max_eig(m: np.ndarray) -> float:
-    herm = (m + m.conj().T) / 2.0
-    return float(np.max(np.linalg.eigvalsh(herm)))
 
 
 def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
@@ -111,7 +102,7 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
     n = a.n
     tol = TOLERANCES["definite"]
     for sym, name in ((a, "left"), (b, "right")):
-        if _herm_max_eig(sym.g) >= -tol:
+        if herm_max_eig(sym.g) >= -tol:
             raise SymbolConvergenceError(
                 f"{name} symbol lacks Gaussian decay; sharp product integral diverges"
             )
@@ -122,22 +113,18 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
     m_inv = np.linalg.inv(m)
     # integral of exp(zeta.M zeta + L.zeta) over R^{4n}:
     #   pi^{2n} det(-M)^{-1/2} exp(-L.(M^{-1} L)/4)
-    logdet = np.trace(scipy.linalg.logm(-m))
+    logdet = gauss_logdet(-m)
     g = a.g + b.g - 0.25 * p.T @ m_inv @ p
     l = a.l + b.l - 0.5 * p.T @ m_inv @ l0
     c = a.c * b.c * np.exp(-0.5 * logdet) * np.exp(-0.25 * l0 @ m_inv @ l0)
-    return GaussianSymbol(
-        c=complex(c), g=g, l=l,
-        ambiguous_sign=a.ambiguous_sign or b.ambiguous_sign,
-    )
+    return GaussianSymbol(c=complex(c), g=g, l=l)
 
 
 def two_sided_shift(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of (shift by v) . a^w . (shift by v)^{-1}, i.e. a(z - v)."""
     v = np.asarray(v, dtype=complex).reshape(2 * a.n)
     c = a.c * np.exp(v @ a.g @ v - a.l @ v)
-    return GaussianSymbol(c=c, g=a.g, l=a.l - 2.0 * a.g @ v,
-                          ambiguous_sign=a.ambiguous_sign)
+    return GaussianSymbol(c=c, g=a.g, l=a.l - 2.0 * a.g @ v)
 
 
 def shift_left(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
@@ -146,7 +133,7 @@ def shift_left(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     j = standard_j(a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
     l = a.l - a.g @ v - 1j * (j @ v)
-    return GaussianSymbol(c=c, g=a.g, l=l, ambiguous_sign=a.ambiguous_sign)
+    return GaussianSymbol(c=c, g=a.g, l=l)
 
 
 def shift_right(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
@@ -155,7 +142,7 @@ def shift_right(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     j = standard_j(a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
     l = a.l - a.g @ v + 1j * (j @ v)
-    return GaussianSymbol(c=c, g=a.g, l=l, ambiguous_sign=a.ambiguous_sign)
+    return GaussianSymbol(c=c, g=a.g, l=l)
 
 
 @dataclass(eq=False)

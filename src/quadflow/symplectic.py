@@ -54,6 +54,34 @@ def _check_square_even(m: np.ndarray, what: str) -> int:
     return n
 
 
+def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
+    """(M + M^T) / 2, rejecting M whose asymmetry exceeds TOLERANCES["sym"], relative."""
+    scale = max(np.linalg.norm(m), 1.0)
+    if np.linalg.norm(m - m.T) > TOLERANCES["sym"] * scale:
+        raise ValueError(f"{what} is not symmetric within tolerance")
+    return (m + m.T) / 2.0
+
+
+def herm_max_eig(m: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian part (M + M^*) / 2."""
+    return float(np.max(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+
+
+def gauss_logdet(x: np.ndarray) -> complex:
+    """log det X as the sum of principal logs of the eigenvalues, = trace(logm(X)).
+
+    X has positive definite Hermitian part in every Gaussian integral here, so
+    Spec X stays in the right half-plane, where this branch is continuous in X.
+    """
+    return complex(np.sum(np.log(np.linalg.eigvals(x))))
+
+
+def cayley(m: np.ndarray) -> np.ndarray:
+    """Cayley transform (1 + M)^{-1} (1 - M); for M = exp(H) it is -tanh(H/2)."""
+    eye = np.eye(m.shape[0])
+    return np.linalg.solve(eye + m, eye - m)
+
+
 @dataclass(eq=False, frozen=True)
 class QuadraticForm:
     """Complex quadratic form q(z) = z . (hess z) / 2 on 2n phase-space variables.
@@ -67,10 +95,7 @@ class QuadraticForm:
     def __post_init__(self):
         h = np.asarray(self.hess, dtype=complex)
         _check_square_even(h, "Hessian")
-        scale = max(np.linalg.norm(h), 1.0)
-        if np.linalg.norm(h - h.T) > TOLERANCES["sym"] * scale:
-            raise ValueError("Hessian is not symmetric within tolerance")
-        object.__setattr__(self, "hess", (h + h.T) / 2.0)
+        object.__setattr__(self, "hess", symmetrize(h, "Hessian"))
 
     @property
     def n(self) -> int:
@@ -101,22 +126,19 @@ def quadratic_from_hamilton(h: np.ndarray) -> QuadraticForm:
     return QuadraticForm(hess)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CanonicalTransform:
     """Complex linear canonical transformation, K^T J K = J.
 
     The identity is verified at construction to relative tolerance
-    TOLERANCES["canonical"].  A positivity margin computed later may be
-    cached on the instance to avoid recomputation.
+    TOLERANCES["canonical"].
     """
 
     matrix: np.ndarray
-    margin: float | None = None  # cache, filled by positivity.strict_positivity
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        n = _check_square_even(m, "canonical matrix")
-        j = standard_j(n)
+        j = standard_j(_check_square_even(m, "canonical matrix"))
         scale = 1.0 + np.linalg.norm(m) ** 2
         resid = np.linalg.norm(m.T @ j @ m - j)
         if resid > TOLERANCES["canonical"] * scale:
@@ -124,7 +146,7 @@ class CanonicalTransform:
                 f"matrix is not canonical: |K^T J K - J| = {resid:.3e} "
                 f"exceeds {TOLERANCES['canonical']:.1e} * {scale:.3e}"
             )
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
@@ -132,13 +154,12 @@ class CanonicalTransform:
 
 
 def is_canonical(m: np.ndarray) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+    """Whether m passes the check CanonicalTransform makes at construction."""
+    try:
+        CanonicalTransform(m)
+    except ValueError:
         return False
-    n = m.shape[0] // 2
-    j = standard_j(n)
-    scale = 1.0 + np.linalg.norm(m) ** 2
-    return bool(np.linalg.norm(m.T @ j @ m - j) <= TOLERANCES["canonical"] * scale)
+    return True
 
 
 def flow(q: QuadraticForm, t: complex = 1.0) -> CanonicalTransform:

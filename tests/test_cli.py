@@ -290,6 +290,20 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
     assert rc == 4 and "input error" in err
     rc, _, err = run(capsys, ["norm", write_spec(tmp_path, {"foo": 1}, "foo.json")])
     assert rc == 4 and "needs a 'hessian'" in err
+    for payload in (5, ["hessian"], {"hessian": {"re": {"a": 1}}}):
+        path = write_spec(tmp_path, payload, "malformed.json")
+        for argv in (["norm", path], ["kernel", path, "--direction", "from-kernel"]):
+            rc, out, err = run(capsys, argv)
+            assert rc == 4 and out == "" and err.startswith("input error:")
+
+
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate the grid matrix")
+
+    monkeypatch.setattr("quadflow.cli.discretize", exhausted)
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--verify"])
+    assert rc == 4 and out == "" and "out of memory" in err
 
 
 def test_usage_errors_remap_to_4(capsys):

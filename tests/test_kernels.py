@@ -1,6 +1,7 @@
 """Gaussian integral kernels: quantization, composition, shifts, brackets."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadflow import (
     DegenerateKernelError,
@@ -29,6 +30,7 @@ from quadflow import (
     random_nondegenerate,
     real_shift_conjugate,
     two_sided_shift,
+    weyl_sharp,
 )
 from quadflow.models import heat_generator
 
@@ -105,6 +107,17 @@ def test_quantize_refuses_divergent_momentum_block():
 
 
 # -- round trips --------------------------------------------------------------
+
+
+def test_gaussian_integrals_do_not_need_logm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.logm called")
+
+    monkeypatch.setattr(scipy.linalg, "logm", refuse)
+    sym = mehler_symbol(heat_generator(0.8, n=2))
+    kern = quantize(sym)
+    kernel_compose(kern, kern)
+    weyl_sharp(sym, sym)
 
 
 def test_kernel_transform_recovers_flow():

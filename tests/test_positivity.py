@@ -62,14 +62,6 @@ def test_tiny_margin_counts_as_boundary():
     assert report.boundary
 
 
-def test_margin_is_cached_on_transform():
-    k = flow(heat_generator(0.7))
-    assert k.margin is None
-    strict_positivity(k)
-    assert k.margin is not None
-    assert strict_positivity(k).margin == k.margin
-
-
 def test_report_str_mentions_state():
     strict = strict_positivity(flow(heat_generator(1.0)))
     assert "strict" in str(strict)

@@ -51,10 +51,17 @@ def test_heat_symbol_closed_form(s):
     assert sym.c == pytest.approx(1.0 / np.cosh(s / 2.0), rel=1e-12)
     assert np.allclose(sym.g, -np.tanh(s / 2.0) * np.eye(2), atol=1e-12)
     assert np.allclose(sym.l, 0.0)
-    assert sym.ambiguous_sign
     z = np.array([0.7, -0.4])
     expected = np.exp(-np.tanh(s / 2.0) * (0.7**2 + 0.4**2)) / np.cosh(s / 2.0)
     assert sym(z) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("t1", [1.0, 3.0, 5.0, 7.0, 9.0, 12.0])
+def test_mehler_prefactor_has_no_sign_freedom(t1):
+    # the oscillator at complex time t has c = 1/cos(t/2), past several 2 pi wraps of t1
+    t = t1 - 0.5j
+    expected = 1.0 / np.cos(t / 2.0)
+    assert abs(mehler_symbol(QuadraticForm(t * np.eye(2))).c - expected) <= 1e-12 * abs(expected)
 
 
 def test_rotation_symbol_is_oscillatory():

@@ -1,6 +1,7 @@
 """Symplectic linear algebra: forms, flows, logarithms."""
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
+from quadflow.symplectic import gauss_logdet
 
 
 def random_form(n: int, seed: int, scale: float = 0.6) -> QuadraticForm:
@@ -177,6 +179,19 @@ def test_log_rejects_spectrum_on_negative_axis():
     k = flow(q_theta(0.0), np.pi - 1.0j)
     with pytest.raises(QuadflowError):
         canonical_log(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_gauss_logdet_matches_logm_trace(n):
+    # reference route: trace of the principal matrix logarithm; X = H + i S with
+    # H positive definite, so at n >= 4 the eigenvalue angles sum past pi and
+    # log(det X) would land on another branch
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+        x = a @ a.conj().T / n + 0.1 * np.eye(n) + 4j * b @ b.conj().T / n
+        ref = np.trace(scipy.linalg.logm(x))
+        assert abs(gauss_logdet(x) - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 def test_scaled_form():
