@@ -114,6 +114,8 @@ def _complex_array(node, shape_hint: str):
         raise ValueError(f"{shape_hint}: 're' and 'im' must be numeric arrays") from exc
     if re.shape != im.shape:
         raise ValueError(f"{shape_hint}: 're' and 'im' shapes differ")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValueError(f"{shape_hint}: 're' and 'im' entries must be finite numbers")
     return re + 1j * im
 
 
@@ -176,18 +178,25 @@ def _kernel_report(k: GaussianKernel) -> dict:
     }
 
 
+def finite(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
+
+
 def _parse_range(text: str, name: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must be start:stop:count")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    start, stop, count = finite(parts[0]), finite(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError(f"{name}: count must be positive")
     return np.linspace(start, stop, count)
 
 
 def _parse_shift(text: str) -> np.ndarray:
-    vals = [float(p) for p in text.split(",")]
+    vals = [finite(p) for p in text.split(",")]
     if len(vals) != 4:
         raise ValueError("shift must be re_x,im_x,re_xi,im_xi (one mode)")
     return np.array([vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]])
@@ -390,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_kern.set_defaults(func=_cmd_kernel)
 
     p_cont = sub.add_parser("contour", help="growth-factor contour data (CSV)")
-    p_cont.add_argument("--theta", required=True, type=float)
+    p_cont.add_argument("--theta", required=True, type=finite)
     p_cont.add_argument("--t1", required=True, help="start:stop:count")
     p_cont.add_argument("--t2", required=True, help="start:stop:count, negative values")
     p_cont.add_argument("--v", default="0,1,0,0", help="shift re_x,im_x,re_xi,im_xi")
@@ -398,8 +407,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cont.set_defaults(func=_cmd_contour)
 
     p_cent = sub.add_parser("centers", help="shift-center sweep data (CSV)")
-    p_cent.add_argument("--theta", required=True, type=float)
-    p_cent.add_argument("--t2", required=True, type=float)
+    p_cent.add_argument("--theta", required=True, type=finite)
+    p_cent.add_argument("--t2", required=True, type=finite)
     p_cent.add_argument("--t1", required=True, help="start:stop:count")
     p_cent.add_argument("--v", default="0,1,0,0", help="shift re_x,im_x,re_xi,im_xi")
     p_cent.add_argument("-o", "--output", default=None)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .config import TOLERANCES
 from .errors import (
@@ -22,15 +23,17 @@ from .errors import (
     PositivityError,
     QuadflowError,
 )
-from .positivity import PositivityReport, strict_positivity
+from .positivity import PositivityReport, positivity_margins, strict_positivity
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
     bar_inverse,
     canonical_log,
     cayley,
+    check_canonical,
     flow,
     inverse,
+    sigma_transpose,
     standard_j,
     symplectic_form,
 )
@@ -66,6 +69,22 @@ class EvolutionSpec:
         return self.q.n
 
 
+def _pairing(km: np.ndarray):
+    """Contraction rates, pair product residuals and eigenvalue_pairing's failure masks of a stack."""
+    n = km.shape[-1] // 2
+    eigs = np.linalg.eigvals(sigma_transpose(np.conj(km)) @ km)  # conj(K)^{-1} K
+    eigs = np.take_along_axis(eigs, np.argsort(np.abs(eigs), axis=-1), axis=-1)
+    small, large = eigs[:, :n], eigs[:, 2 * n - 1 : n - 1 : -1]
+    resid = np.max(np.abs(small * large - 1.0), axis=-1)
+    mu = np.sort(small.real, axis=-1)
+    return mu, resid, (
+        np.any(np.abs(np.log(np.abs(eigs))) < TOLERANCES["boundary"], axis=-1),
+        resid > TOLERANCES["pairing"],
+        np.max(np.abs(small.imag), axis=-1) > 1e-8 * np.max(np.abs(small), axis=-1),
+        np.any(mu <= 0.0, axis=-1),
+    )
+
+
 def eigenvalue_pairing(k: CanonicalTransform) -> np.ndarray:
     """Contraction rates mu_j in (0, 1) from the spectrum of conj(K)^{-1} K.
 
@@ -75,29 +94,19 @@ def eigenvalue_pairing(k: CanonicalTransform) -> np.ndarray:
     TOLERANCES["boundary"] of the unit circle cannot be assigned to a pair
     side and raise BoundarySpectrumError.
     """
-    b = bar_inverse(k).matrix @ k.matrix
-    eigs = np.linalg.eigvals(b)
-    order = np.argsort(np.abs(eigs))
-    eigs = eigs[order]
-    if np.any(np.abs(np.log(np.abs(eigs))) < TOLERANCES["boundary"]):
+    mu, resid, (boundary, unpaired, unreal, nonpositive) = _pairing(k.matrix[None])
+    if boundary[0]:
         raise BoundarySpectrumError(
             "eigenvalue within boundary tolerance of the unit circle; "
             "pairing is unreliable"
         )
-    n = k.n
-    small, large = eigs[:n], eigs[2 * n - 1 : n - 1 : -1]
-    products = small * large
-    if np.max(np.abs(products - 1.0)) > TOLERANCES["pairing"]:
-        raise QuadflowError(
-            f"eigenvalue pairing failed: worst product residual "
-            f"{np.max(np.abs(products - 1.0)):.3e}"
-        )
-    if np.max(np.abs(small.imag)) > 1e-8 * np.max(np.abs(small)):
+    if unpaired[0]:
+        raise QuadflowError(f"eigenvalue pairing failed: worst product residual {resid[0]:.3e}")
+    if unreal[0]:
         raise QuadflowError("contraction rates are not numerically real")
-    mu = np.sort(small.real)
-    if np.any(mu <= 0.0):
+    if nonpositive[0]:
         raise QuadflowError("contraction rates must be positive")
-    return mu
+    return mu[0]
 
 
 def norm_quadratic(q: QuadraticForm) -> float:
@@ -140,28 +149,33 @@ class DecompositionData:
     imag_residue: float  # largest |Im| discarded when casting a1, a2 real
 
 
+def _centers(km: np.ndarray, v: np.ndarray):
+    """Shift centers, their imaginary residues and decompose's failure mask of a stack."""
+    kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
+    eye = np.eye(km.shape[-1])
+    vi = v.imag[..., None]
+    # complex solves so the cast to real vectors is an observable check
+    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ vi)[..., 0]
+    a2 = v.real - np.linalg.solve(kbm.imag.astype(complex), (kbm.real - eye) @ vi)[..., 0]
+    residue = np.maximum(np.max(np.abs(a1.imag), axis=-1), np.max(np.abs(a2.imag), axis=-1))
+    scale = 1.0 + np.maximum(np.max(np.abs(a1), axis=-1), np.max(np.abs(a2), axis=-1))
+    return a1.real, a2.real, residue, ~(residue <= 1e-9 * scale)  # NaN centers fail too
+
+
 def decompose(spec: EvolutionSpec) -> DecompositionData:
     """Compute centers, phase, contraction rates, and norm for q(z - v)."""
     k = spec.transform
-    k2m = bar_inverse(k).matrix
-    km = k.matrix
-    eye = np.eye(2 * spec.n)
-    v = spec.v
-    # complex solves so the cast to real vectors is an observable check
-    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ v.imag)
-    a2 = v.real - np.linalg.solve(k2m.imag.astype(complex), (k2m.real - eye) @ v.imag)
-    residue = float(max(np.max(np.abs(a1.imag)), np.max(np.abs(a2.imag))))
-    scale = 1.0 + float(max(np.max(np.abs(a1)), np.max(np.abs(a2))))
-    if residue > 1e-9 * scale:
-        raise QuadflowError(f"shift centers have imaginary residue {residue:.3e}")
-    a1, a2 = a1.real, a2.real
+    a1, a2, residue, failed = _centers(k.matrix[None], spec.v[None])
+    if failed[0]:
+        raise QuadflowError(f"shift centers have imaginary residue {residue[0]:.3e}")
+    a1, a2 = a1[0], a2[0]
     amat = a_matrix(k)
-    phase = np.exp(0.5j * symplectic_form(v, (a2 - a1).astype(complex)))
+    phase = np.exp(0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex)))
     mu = eigenvalue_pairing(k)
     norm = float(abs(phase) * np.prod(mu**0.25))
     return DecompositionData(
         mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm, a=amat,
-        imag_residue=residue,
+        imag_residue=float(residue[0]),
     )
 
 
@@ -186,16 +200,21 @@ def center_path(
     """Decompose a parametrized family, flagging members that lose positivity.
 
     Each item is (parameter, generator, shift).  Failures are recorded, not
-    dropped, so a sweep keeps its full index structure.
+    dropped, so a sweep keeps its full index structure.  Members of equal
+    mode count run through flow, certificate and decomposition as one stack.
     """
-    out: list[CenterSample] = []
-    for param, q, v in items:
-        try:
-            data = decompose(EvolutionSpec(q, np.asarray(v, dtype=complex)))
-        except (PositivityError, BoundarySpectrumError, QuadflowError):
-            out.append(CenterSample(param=param, a1=None, a2=None, ok=False))
-            continue
-        out.append(CenterSample(param=param, a1=data.a1, a2=data.a2, ok=True))
+    items = list(items)
+    out = [CenterSample(param=p, a1=None, a2=None, ok=False) for p, _, _ in items]
+    for n in sorted({q.n for _, q, _ in items}):
+        idx = [i for i, (_, q, _) in enumerate(items) if q.n == n]
+        v = np.array([np.asarray(items[i][2], dtype=complex).reshape(2 * n) for i in idx])
+        km = scipy.linalg.expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
+        check_canonical(km)
+        strict = np.flatnonzero(positivity_margins(km) > TOLERANCES["positivity"])
+        a1, a2, _, failed = _centers(km[strict], v[strict])
+        for row in np.flatnonzero(~(failed | np.any(_pairing(km[strict])[2], axis=0))):
+            i = idx[strict[row]]
+            out[i] = CenterSample(param=items[i][0], a1=a1[row], a2=a2[row], ok=True)
     return out
 
 

@@ -31,17 +31,26 @@ class PositivityReport:
 
 def positivity_matrix(k: CanonicalTransform) -> np.ndarray:
     """Hermitian certificate matrix Pi(K) = i (K^* J K - J)."""
-    j = standard_j(k.n)
-    m = k.matrix
-    pi = 1j * (m.conj().T @ j @ m - j)
+    return _certificates(k.matrix[None])[0]
+
+
+def _certificates(m: np.ndarray) -> np.ndarray:
+    """Pi(K) of each member of a (B, 2n, 2n) stack of transforms."""
+    j = standard_j(m.shape[-1] // 2)
+    pi = 1j * (np.conj(np.swapaxes(m, -1, -2)) @ j @ m - j)
     # exactly Hermitian in exact arithmetic; symmetrize the float residue
-    return (pi + pi.conj().T) / 2.0
+    return (pi + np.conj(np.swapaxes(pi, -1, -2))) / 2.0
+
+
+def positivity_margins(m: np.ndarray) -> np.ndarray:
+    """Margin, the smallest eigenvalue of Pi(K), of each member of a stack of transforms."""
+    return np.min(np.linalg.eigvalsh(_certificates(m)), axis=-1)
 
 
 def strict_positivity(k: CanonicalTransform) -> PositivityReport:
     """Certify strict positivity of K."""
     tol = TOLERANCES["positivity"]
-    margin = float(np.min(np.linalg.eigvalsh(positivity_matrix(k))))
+    margin = float(positivity_margins(k.matrix[None])[0])
     return PositivityReport(
         margin=margin,
         is_strict=margin > tol,

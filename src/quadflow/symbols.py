@@ -77,9 +77,13 @@ def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
             "compute it anyway"
         )
     g = 1j * standard_j(n) @ cayley(k.matrix)
-    # cosh is even, so a +-lambda_j pair adds one log twice: c = prod_j sech(lambda_j/2)
-    # as long as both rounded cosh values of a pair fall on one side of the log cut
-    c = np.exp(-0.5 * np.sum(np.log(np.cosh(eigs_h))))
+    # one eigenvalue of each +-lambda_j pair, matched to the nearest negative; no
+    # log, whose cut the two rounded cosh values of a pair could straddle
+    rest, half = list(eigs_h), []
+    while rest:
+        half.append(rest.pop())
+        rest.pop(int(np.argmin(np.abs(np.add(rest, half[-1])))))
+    c = 1.0 / np.prod(np.cosh(half))
     return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * n))
 
 

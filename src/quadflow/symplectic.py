@@ -9,6 +9,7 @@ Hamilton matrix H_q = -J hess.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,13 @@ from .config import MAX_DIM, TOLERANCES
 from .errors import QuadflowError
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
 def standard_j(n: int) -> np.ndarray:
-    """Matrix of the symplectic form for n degrees of freedom."""
+    """Matrix of the symplectic form for n degrees of freedom; read-only, built once per n."""
     j = np.zeros((2 * n, 2 * n))
     j[:n, n:] = -np.eye(n)
     j[n:, :n] = np.eye(n)
+    j.flags.writeable = False
     return j
 
 
@@ -38,11 +41,10 @@ def symplectic_form(z: np.ndarray, w: np.ndarray) -> complex:
 
 
 def sigma_transpose(m: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to sigma: sigma(M z, w) = sigma(z, sigma_transpose(M) w)."""
+    """Adjoint with respect to sigma: sigma(M z, w) = sigma(z, sigma_transpose(M) w), per stack member."""
     m = np.asarray(m)
-    n = m.shape[0] // 2
-    j = standard_j(n)
-    return -j @ m.T @ j
+    j = standard_j(m.shape[-1] // 2)
+    return -j @ np.swapaxes(m, -1, -2) @ j
 
 
 def _check_square_even(m: np.ndarray, what: str) -> int:
@@ -138,19 +140,26 @@ class CanonicalTransform:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        j = standard_j(_check_square_even(m, "canonical matrix"))
-        scale = 1.0 + np.linalg.norm(m) ** 2
-        resid = np.linalg.norm(m.T @ j @ m - j)
-        if resid > TOLERANCES["canonical"] * scale:
-            raise ValueError(
-                f"matrix is not canonical: |K^T J K - J| = {resid:.3e} "
-                f"exceeds {TOLERANCES['canonical']:.1e} * {scale:.3e}"
-            )
+        _check_square_even(m, "canonical matrix")
+        check_canonical(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0] // 2
+
+
+def check_canonical(m: np.ndarray) -> None:
+    """Raise ValueError for the first member of a (B, 2n, 2n) stack with K^T J K != J."""
+    j = standard_j(m.shape[-1] // 2)
+    scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
+    resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
+    bad = np.flatnonzero(resid > TOLERANCES["canonical"] * scale)
+    if bad.size:
+        raise ValueError(
+            f"matrix is not canonical: |K^T J K - J| = {resid[bad[0]]:.3e} "
+            f"exceeds {TOLERANCES['canonical']:.1e} * {scale[bad[0]]:.3e}"
+        )
 
 
 def is_canonical(m: np.ndarray) -> bool:

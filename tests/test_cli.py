@@ -295,6 +295,23 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
         for argv in (["norm", path], ["kernel", path, "--direction", "from-kernel"]):
             rc, out, err = run(capsys, argv)
             assert rc == 4 and out == "" and err.startswith("input error:")
+    non_finite = (
+        {"hessian": {"re": [[None, 0], [0, None]]}},
+        {"hessian": {"re": [[1, 0], [0, 1]], "im": [[float("nan"), 0], [0, 0]]}},
+        {"hessian": {"re": [[float("inf"), 0], [0, 1]]}},
+        dict(HEAT, v={"re": [0.3, float("-inf")], "im": [0.0, 0.0]}),
+    )
+    for payload in non_finite:
+        rc, out, err = run(capsys, ["norm", write_spec(tmp_path, payload, "non_finite.json")])
+        assert rc == 4 and out == "" and err.startswith("input error:")
+    for argv in (
+        ["contour", "--theta=0.3", "--t1=0:1:3", "--t2=-1:-0.5:2", "--v=0,nan,0,0"],
+        ["contour", "--theta=0.3", "--t1=0:inf:3", "--t2=-1:-0.5:2"],
+        ["contour", "--theta=0.3", "--t1=0:1:3", "--t2=-nan:-0.5:2"],
+        ["centers", "--theta=0.3", "--t2=-0.8", "--t1=-3:3:5", "--v=inf,1,0,0"],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 4 and out == "" and err.startswith("input error:")
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Norms, decompositions, composition, and the real-generator test."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quadflow import (
+    TOLERANCES,
     BoundarySpectrumError,
     EvolutionSpec,
     PositivityError,
@@ -17,6 +19,7 @@ from quadflow import (
     norm_quadratic,
     norm_shifted,
     real_log_exists,
+    standard_j,
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
@@ -123,6 +126,76 @@ def test_center_path_reports_failures():
     assert samples[0].ok
     assert not samples[1].ok
     assert samples[1].param == 1.0
+
+
+def loop_center(q: QuadraticForm, v: np.ndarray):
+    """One member through the per-member pipeline that center_path replaced.
+
+    Returns (stage, a1, a2): stage is "ok" or the first check the member fails.
+    """
+    n, j, eye = q.n, standard_j(q.n), np.eye(2 * q.n)
+    km = scipy.linalg.expm(-j @ q.hess)
+    if np.linalg.norm(km.T @ j @ km - j) > TOLERANCES["canonical"] * (1.0 + np.linalg.norm(km) ** 2):
+        raise ValueError("matrix is not canonical")
+    pi = 1j * (km.conj().T @ j @ km - j)
+    if not np.min(np.linalg.eigvalsh((pi + pi.conj().T) / 2.0)) > TOLERANCES["positivity"]:
+        return "positivity", None, None
+    kbm = -j @ np.conj(km).T @ j
+    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ v.imag)
+    a2 = v.real - np.linalg.solve(kbm.imag.astype(complex), (kbm.real - eye) @ v.imag)
+    residue = max(np.max(np.abs(a1.imag)), np.max(np.abs(a2.imag)))
+    if residue > 1e-9 * (1.0 + max(np.max(np.abs(a1)), np.max(np.abs(a2)))):
+        return "centers", None, None
+    eigs = np.linalg.eigvals(kbm @ km)
+    eigs = eigs[np.argsort(np.abs(eigs))]
+    if np.any(np.abs(np.log(np.abs(eigs))) < TOLERANCES["boundary"]):
+        return "boundary", None, None
+    small, large = eigs[:n], eigs[2 * n - 1 : n - 1 : -1]
+    if np.max(np.abs(small * large - 1.0)) > TOLERANCES["pairing"]:
+        return "pairing", None, None
+    if np.max(np.abs(small.imag)) > 1e-8 * np.max(np.abs(small)) or np.any(small.real <= 0.0):
+        return "pairing", None, None
+    return "ok", a1.real, a2.real
+
+
+def mixed_family(seed: int, count: int):
+    """One- and two-mode members: compact, non-compact, and pairings within the boundary guard."""
+    rng = np.random.default_rng(seed)
+    items = []
+    for i in range(count):
+        kind = i % 4
+        t = rng.uniform(-np.pi, np.pi) + 1j * rng.uniform(-1.5, 0.1)
+        if kind == 0:  # rotated oscillator, compact or not
+            hess = t * q_theta(rng.uniform(-1.3, 1.3)).hess
+        elif kind == 1:  # damped rotation, margin and |log mu| near 2 s: at either guard
+            s = np.exp(rng.uniform(np.log(1e-10), np.log(4e-8)))
+            hess = (t.real - 1j * s) * np.eye(2)
+        elif kind == 2:  # two rotated modes side by side
+            hess = np.zeros((4, 4), dtype=complex)
+            hess[[0, 2], [0, 2]] = t * q_theta(rng.uniform(-1.3, 1.3)).hess.diagonal()
+            hess[[1, 3], [1, 3]] = rng.uniform(0.5, 2.0) * t * q_theta(rng.uniform(-1.3, 1.3)).hess.diagonal()
+        else:  # generic two-mode generator near the heat flow
+            m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            hess = -1j * rng.uniform(0.05, 1.5) * np.eye(4) + 0.2 * (m + m.T) / 2.0
+        n = hess.shape[0] // 2
+        v = rng.standard_normal(2 * n) + 1j * rng.uniform(0.0, 3.0) * rng.standard_normal(2 * n)
+        items.append((float(i), QuadraticForm(hess), v))
+    return items
+
+
+def test_center_path_matches_loop_reference():
+    items = mixed_family(7, 160)
+    samples = center_path(items)
+    reference = [loop_center(q, v) for _, q, v in items]
+    stages = {stage for stage, _, _ in reference}
+    assert {"ok", "positivity", "boundary"} <= stages
+    for (param, _, _), sample, (stage, a1, a2) in zip(items, samples, reference):
+        assert sample.param == param
+        assert sample.ok == (stage == "ok")
+        if sample.ok:
+            assert np.array_equal(sample.a1, a1) and np.array_equal(sample.a2, a2)
+        else:
+            assert sample.a1 is None and sample.a2 is None
 
 
 # -- composition --------------------------------------------------------------

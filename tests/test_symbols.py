@@ -64,6 +64,17 @@ def test_mehler_prefactor_has_no_sign_freedom(t1):
     assert abs(mehler_symbol(QuadraticForm(t * np.eye(2))).c - expected) <= 1e-12 * abs(expected)
 
 
+@pytest.mark.parametrize(
+    "theta, t",
+    [(0.0, 2 * np.pi - 0.1j), (0.1, 2 * np.pi - 0.1j), (0.1, 10 * np.pi - 0.5j), (0.1, 10 * np.pi - 1.3j)],
+)
+def test_mehler_prefactor_sign_where_cosh_is_negative(theta, t):
+    # H_q of t q_theta has eigenvalues +-lambda = +-i t, so c = 1/cosh(lambda/2) = 1/cos(t/2);
+    # here cosh(lambda/2) sits next to the negative real axis, the cut of the complex log
+    expected = 1.0 / np.cosh(0.5j * t)
+    assert abs(mehler_symbol(QuadraticForm(t * q_theta(theta).hess)).c - expected) <= 1e-12 * abs(expected)
+
+
 def test_rotation_symbol_is_oscillatory():
     # not integrable, but the formal continuation has the classical sec/tan form
     with pytest.raises(SymbolConvergenceError):
