@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .config import apply_env_overrides
+from .config import TOLERANCES, apply_env_overrides
 from .errors import (
     CompositionClassError,
     PositivityError,
@@ -31,7 +31,7 @@ from .kernels import GaussianKernel, evolution_to_kernel, kernel_to_evolution
 from .models import q_theta, rho_compact, rho_log_growth
 from .oracle import GridSpec, auto_grid, discretize, operator_norm
 from .positivity import strict_positivity
-from .symplectic import QuadraticForm, flow
+from .symplectic import QuadraticForm
 
 import json
 
@@ -242,7 +242,7 @@ def _cmd_norm(args) -> int:
 
 def _cmd_check(args) -> int:
     q, _ = _parse_quadratic(_load_json(args.spec))
-    report = strict_positivity(flow(q, 1.0))
+    report = strict_positivity(q.transform)
     out = {
         "margin": report.margin,
         "is_strict": report.is_strict,
@@ -424,6 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # --help exits 0; remap argparse usage errors onto the input-error code
         return 0 if exc.code == 0 else 4
+    saved = dict(TOLERANCES)
     try:
         apply_env_overrides()
         return args.func(args)
@@ -442,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        TOLERANCES.update(saved)  # QUADFLOW_TOL holds for this call only
 
 
 if __name__ == "__main__":

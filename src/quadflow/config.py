@@ -42,9 +42,8 @@ def parse_tol_overrides(raw: str) -> dict[str, float]:
     return out
 
 
-def apply_env_overrides(env_value: str | None = None) -> dict[str, float]:
+def apply_env_overrides() -> dict[str, float]:
     """Fold QUADFLOW_TOL overrides into TOLERANCES in place, returning them."""
-    raw = os.environ.get("QUADFLOW_TOL", "") if env_value is None else env_value
-    overrides = parse_tol_overrides(raw)
+    overrides = parse_tol_overrides(os.environ.get("QUADFLOW_TOL", ""))
     TOLERANCES.update(overrides)
     return overrides

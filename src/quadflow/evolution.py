@@ -27,12 +27,9 @@ from .positivity import PositivityReport, positivity_margins, strict_positivity
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
-    bar_inverse,
     canonical_log,
     cayley,
     check_canonical,
-    flow,
-    inverse,
     sigma_transpose,
     standard_j,
     symplectic_form,
@@ -57,7 +54,7 @@ class EvolutionSpec:
         if self.v is None:
             self.v = np.zeros(2 * n, dtype=complex)
         self.v = np.asarray(self.v, dtype=complex).reshape(2 * n)
-        self.transform = flow(self.q, 1.0)
+        self.transform = self.q.transform
         self.report = strict_positivity(self.transform)
         if not self.report.is_strict:
             raise PositivityError(
@@ -126,7 +123,7 @@ def a_matrix(k: CanonicalTransform) -> np.ndarray:
     K1 = K and K2 = conj(K)^{-1}.
     """
     out = np.zeros((2 * k.n, 2 * k.n))
-    for mat in (k.matrix, bar_inverse(k).matrix):
+    for mat in (k.matrix, sigma_transpose(np.conj(k.matrix))):
         out += np.linalg.solve(mat.imag, np.eye(2 * k.n) - mat.real)
     return out
 
@@ -170,7 +167,10 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
         raise QuadflowError(f"shift centers have imaginary residue {residue[0]:.3e}")
     a1, a2 = a1[0], a2[0]
     amat = a_matrix(k)
-    phase = np.exp(0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex)))
+    exponent = 0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex))
+    if exponent.real > np.log(np.finfo(float).max):
+        raise QuadflowError(f"log growth factor {exponent.real:.6g} overflows a float")
+    phase = np.exp(exponent)
     mu = eigenvalue_pairing(k)
     norm = float(abs(phase) * np.prod(mu**0.25))
     return DecompositionData(
@@ -265,8 +265,8 @@ def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResul
             f"composed flow leaves the strictly positive class: {report}"
         )
     w1 = (eye - k1.matrix) @ s1.v
-    u2 = (eye - inverse(k2).matrix) @ s2.v
-    v3 = np.linalg.solve(eye - k3m, w1) + np.linalg.solve(eye - inverse(k3).matrix, u2)
+    u2 = (eye - sigma_transpose(k2.matrix)) @ s2.v
+    v3 = np.linalg.solve(eye - k3m, w1) + np.linalg.solve(eye - sigma_transpose(k3m), u2)
     factor = np.exp(
         0.5j * (symplectic_form(s1.v - v3, w1) + symplectic_form(u2, s2.v - v3))
     )
@@ -309,7 +309,7 @@ def real_log_exists(k: CanonicalTransform) -> bool:
     report = strict_positivity(k)
     if not report.is_strict:
         raise PositivityError(f"precondition failed: {report}", margin=report.margin)
-    sym_gap = np.linalg.norm(bar_inverse(k).matrix - k.matrix)
+    sym_gap = np.linalg.norm(sigma_transpose(np.conj(k.matrix)) - k.matrix)
     if sym_gap > 1e-8 * (1.0 + np.linalg.norm(k.matrix)):
         raise ValueError("precondition failed: conj(K)^{-1} != K")
     mu = _mehler_williamson(k)

@@ -35,8 +35,8 @@ class GridSpec:
             raise GridError("grid oracle supports n = 1 and n = 2 only")
         if self.points < _MIN_POINTS:
             raise GridError(f"need at least {_MIN_POINTS} points per axis")
-        if self.half_width <= 0:
-            raise GridError("half width must be positive")
+        if not (np.isfinite(self.half_width) and self.half_width > 0):
+            raise GridError(f"half width must be positive and finite, got {self.half_width}")
 
     @property
     def h(self) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOLERANCES
-from .symplectic import CanonicalTransform, QuadraticForm, cayley, flow, herm_max_eig, standard_j
+from .symplectic import CanonicalTransform, QuadraticForm, cayley, herm_max_eig, standard_j
 
 
 @dataclass(frozen=True)
@@ -75,4 +75,4 @@ def mehler_integrable(k: CanonicalTransform) -> bool:
 
 def compactness_check(q: QuadraticForm) -> bool:
     """True when the time-1 flow of q is strictly positive."""
-    return strict_positivity(flow(q, 1.0)).is_strict
+    return strict_positivity(q.transform).is_strict

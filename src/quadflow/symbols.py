@@ -20,11 +20,10 @@ from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
     cayley,
-    flow,
     gauss_logdet,
     hamilton_matrix,
     herm_max_eig,
-    inverse,
+    sigma_transpose,
     standard_j,
     symplectic_form,
 )
@@ -66,7 +65,7 @@ def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
     and still demands the cosh factor be invertible.
     """
     h = hamilton_matrix(q)
-    k = flow(q, 1.0)
+    k = q.transform
     n = q.n
     eigs_h = np.linalg.eigvals(h / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
@@ -214,7 +213,7 @@ class CrossingData:
 def crossing(k: CanonicalTransform, v: np.ndarray) -> CrossingData:
     v = np.asarray(v, dtype=complex).reshape(2 * k.n)
     eye = np.eye(2 * k.n)
-    u = (eye - inverse(k).matrix) @ v
+    u = (eye - sigma_transpose(k.matrix)) @ v
     w = (eye - k.matrix) @ v
     return CrossingData(
         u=u,
@@ -249,7 +248,7 @@ class PolynomialSymbol:
 
 def polynomial_pullback(poly: PolynomialSymbol, k: CanonicalTransform) -> PolynomialSymbol:
     """Composition a(K^{-1} z) as an exact polynomial symbol."""
-    kinv = inverse(k).matrix
+    kinv = sigma_transpose(k.matrix)
     return PolynomialSymbol(
         c0=poly.c0,
         lam=kinv.T @ poly.lam,

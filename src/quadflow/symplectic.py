@@ -90,6 +90,8 @@ class QuadraticForm:
 
     The Hessian must be symmetric; small asymmetries below the relative
     tolerance TOLERANCES["sym"] are symmetrized away, larger ones rejected.
+    The form is immutable (hess is read-only), so its time-1 flow is computed
+    and checked once, on first use of transform.
     """
 
     hess: np.ndarray
@@ -97,7 +99,14 @@ class QuadraticForm:
     def __post_init__(self):
         h = np.asarray(self.hess, dtype=complex)
         _check_square_even(h, "Hessian")
-        object.__setattr__(self, "hess", symmetrize(h, "Hessian"))
+        h = symmetrize(h, "Hessian")
+        h.flags.writeable = False
+        object.__setattr__(self, "hess", h)
+
+    @functools.cached_property
+    def transform(self) -> "CanonicalTransform":
+        """Time-1 flow K = exp(H_q), which norms, kernels and compositions all read."""
+        return flow(self, 1.0)
 
     @property
     def n(self) -> int:
@@ -241,7 +250,7 @@ def canonical_log(k: CanonicalTransform) -> QuadraticForm:
     if np.linalg.norm(h - h_proj) > 1e-9 * scale:
         raise QuadflowError("matrix logarithm strays from the Hamiltonian class")
     q = quadratic_from_hamilton(h_proj)
-    resid = np.linalg.norm(flow(q, 1.0).matrix - m)
+    resid = np.linalg.norm(q.transform.matrix - m)
     if resid > TOLERANCES["log"] * (1.0 + np.linalg.norm(m)):
         raise QuadflowError(f"logarithm verification failed, |exp(H)-K| = {resid:.3e}")
     return q

@@ -8,7 +8,6 @@ from quadflow import (
     CompositionClassError,
     EvolutionSpec,
     QuadraticForm,
-    config,
     decompose,
     models,
 )
@@ -21,12 +20,7 @@ ROTATION = {"hessian": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}
 
 @pytest.fixture(autouse=True)
 def _tolerance_guard(monkeypatch):
-    # QUADFLOW_TOL overrides mutate the shared table in place; keep tests hermetic
     monkeypatch.delenv("QUADFLOW_TOL", raising=False)
-    snapshot = dict(config.TOLERANCES)
-    yield
-    config.TOLERANCES.clear()
-    config.TOLERANCES.update(snapshot)
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -274,6 +268,16 @@ def test_tolerance_override_flips_verdict(tmp_path, capsys, monkeypatch):
     assert json.loads(out2)["is_strict"] is False
 
 
+def test_tolerance_override_holds_for_one_call(tmp_path, capsys, monkeypatch):
+    thin = {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-1e-4, 0], [0, -1e-4]]}}
+    spec = write_spec(tmp_path, thin)
+    assert run(capsys, ["check", spec])[0] == 0
+    monkeypatch.setenv("QUADFLOW_TOL", "positivity=1e-3")
+    assert run(capsys, ["check", spec])[0] == 2
+    monkeypatch.delenv("QUADFLOW_TOL")
+    assert run(capsys, ["check", spec])[0] == 0
+
+
 def test_tolerance_override_bad_key_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QUADFLOW_TOL", "bogus=1")
     rc, _, err = run(capsys, ["check", write_spec(tmp_path, HEAT)])
@@ -312,6 +316,20 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
     ):
         rc, out, err = run(capsys, argv)
         assert rc == 4 and out == "" and err.startswith("input error:")
+
+
+def test_norm_overflowing_growth_exits_4(tmp_path, capsys):
+    huge = dict(HEAT, v={"re": [0, 0], "im": [40, 0]})
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, huge)])
+    assert rc == 4 and out == "" and "log growth factor" in err
+
+
+def test_nonfinite_grid_width_exits_4(tmp_path, capsys):
+    spec = write_spec(tmp_path, HEAT)
+    for width in ("nan", "inf"):
+        rc, out, err = run(capsys, ["norm", spec, "--verify", "--grid", f"{width},64"])
+        assert rc == 4 and out == ""
+        assert f"half width must be positive and finite, got {width}" in err
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):

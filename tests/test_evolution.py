@@ -8,6 +8,7 @@ from quadflow import (
     BoundarySpectrumError,
     EvolutionSpec,
     PositivityError,
+    QuadflowError,
     QuadraticForm,
     a_matrix,
     center_path,
@@ -305,3 +306,10 @@ def test_critical_time_values():
 def test_critical_time_domain():
     with pytest.raises(ValueError):
         critical_time(np.pi / 2)
+
+
+def test_decompose_refuses_overflowing_growth():
+    # log growth factor 739.4 > log(float max) = 709.8: refused, never inf
+    spec = EvolutionSpec(heat_generator(1.0), np.array([40j, 0.0]))
+    with pytest.raises(QuadflowError, match="log growth factor 739.387"):
+        decompose(spec)

@@ -120,6 +120,37 @@ def test_gaussian_integrals_do_not_need_logm(monkeypatch):
     weyl_sharp(sym, sym)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_step_runs_one_matrix_exponential(n, monkeypatch):
+    # a generator's time-1 flow is computed once; derived inverses and later
+    # readers of the same form run no further matrix exponential
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(m):
+        calls.append(m.shape)
+        return expm(m)
+
+    def one_expm(step):
+        calls.clear()
+        out = step()
+        assert len(calls) == 1
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    rng = np.random.default_rng(70 + n)
+    specs = []
+    for _ in range(2):
+        a = rng.standard_normal((2 * n, 2 * n))
+        r = rng.standard_normal((2 * n, 2 * n))
+        q = QuadraticForm((r + r.T) / 2.0 - 1j * (a @ a.T / (2 * n) + 0.2 * np.eye(2 * n)))
+        specs.append((q, 0.3 * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))))
+    kern = one_expm(lambda: evolution_to_kernel(EvolutionSpec(*specs[0])))
+    one_expm(lambda: kernel_to_evolution(kern))
+    s1, s2 = EvolutionSpec(*specs[0]), EvolutionSpec(*specs[1])
+    one_expm(lambda: compose_evolutions(s1, s2))
+
+
 def test_kernel_transform_recovers_flow():
     q = perturbed_heat(1.0, 3)
     spec = EvolutionSpec(q)

@@ -48,8 +48,9 @@ def test_grid_spec_validation():
         GridSpec(n=3, half_width=6.0, points=100)
     with pytest.raises(GridError):
         GridSpec(n=1, half_width=6.0, points=32)
-    with pytest.raises(GridError):
-        GridSpec(n=1, half_width=-1.0, points=100)
+    for width in (-1.0, np.nan, np.inf):
+        with pytest.raises(GridError, match="half width"):
+            GridSpec(n=1, half_width=width, points=100)
 
 
 def test_auto_grid_heat():

@@ -115,6 +115,14 @@ def test_flow_group_law(s, t, seed):
     assert np.allclose(left, right, atol=1e-10 * (1.0 + np.linalg.norm(left)))
 
 
+def test_form_owns_its_time_one_flow():
+    q = random_form(2, 21, scale=0.5)
+    assert q.transform is q.transform
+    assert np.array_equal(q.transform.matrix, flow(q, 1.0).matrix)
+    with pytest.raises(ValueError):
+        q.hess[0, 0] = 1.0  # read-only, so the cached flow cannot go stale
+
+
 def test_inverse_and_bar_inverse():
     q = random_form(2, 9, scale=0.5)
     k = flow(q)
