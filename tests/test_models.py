@@ -188,15 +188,14 @@ def test_heat_trace_value_and_domain():
         models.heat_trace(0.0)
 
 
-def test_bargmann_kernels_agree_up_to_sign():
+def test_bargmann_kernels_agree():
     ref = models.bargmann_reference_kernel(0.7)
     formal = models.bargmann_rotation_kernel(0.7)
     assert np.allclose(ref.pxx, formal.pxx, atol=1e-12)
     assert np.allclose(ref.pxy, formal.pxy, atol=1e-12)
     assert np.allclose(ref.pyy, formal.pyy, atol=1e-12)
     assert np.allclose(formal.lx, 0.0) and np.allclose(formal.ly, 0.0)
-    ratio = formal.amplitude / ref.amplitude
-    assert min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-12
+    assert abs(formal.amplitude / ref.amplitude - 1.0) < 1e-12
 
 
 def test_bargmann_reference_semigroup_by_quadrature():

@@ -164,8 +164,8 @@ def test_log_round_trip_two_modes():
 
 
 def test_log_handles_spectrum_near_negative_axis():
-    # eigenvalue angles sit 0.14 rad away from the cut; the branch scan has
-    # to keep the ray between them and the negative reals
+    # eigenvalue angles sit 0.14 rad away from the negative real axis, the cut
+    # of the principal logarithm, which still returns the generator itself
     q = QuadraticForm((3.0 - 0.4j) * np.eye(2))
     k = flow(q)
     angles = np.angle(np.linalg.eigvals(k.matrix))
@@ -182,11 +182,24 @@ def test_log_of_doubled_heat_flow():
 
 
 def test_log_rejects_spectrum_on_negative_axis():
-    # rotation by exactly pi: both eigenvalue angles pin the cut, and no
-    # scalar branch can split the pair
+    # rotation by exactly pi: both eigenvalue angles sit on the negative real
+    # axis, the cut of the principal logarithm
     k = flow(q_theta(0.0), np.pi - 1.0j)
     with pytest.raises(QuadflowError):
         canonical_log(k)
+
+
+@pytest.mark.parametrize("delta", [1e-7, 5e-7, 2e-6, 1e-3])
+def test_log_refusal_boundary(delta):
+    # eigenvalue angles +-(pi - delta): refused below the 1e-6 rad gap floor,
+    # the principal generator itself above it
+    t = (np.pi - delta) - 0.5j
+    k = flow(q_theta(0.0), t)
+    if delta < 1e-6:
+        with pytest.raises(QuadflowError):
+            canonical_log(k)
+    else:
+        assert np.allclose(canonical_log(k).hess, t * q_theta(0.0).hess, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8])
