@@ -277,9 +277,7 @@ def _cmd_kernel(args) -> int:
             kern = evolution_to_kernel(q, formal=True)
         else:
             kern = evolution_to_kernel(EvolutionSpec(q, v))
-        report = _kernel_report(kern)
-        report["sign_ambiguous"] = True
-        _write_output(_dump_json(report) + "\n", args.output)
+        _write_output(_dump_json(_kernel_report(kern)) + "\n", args.output)
         return 0
     # from-kernel
     kern = _parse_kernel(data)

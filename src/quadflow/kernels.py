@@ -20,6 +20,9 @@ from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, t
 from .symplectic import (CanonicalTransform, QuadraticForm, canonical_log, gauss_logdet,
                          herm_max_eig, symmetrize)
 
+# scale of the linear phase terms drawn by random_nondegenerate
+_SHIFT_SCALE = 0.5
+
 
 @dataclass(eq=False)
 class GaussianKernel:
@@ -41,6 +44,8 @@ class GaussianKernel:
         self.pxx = np.asarray(self.pxx, dtype=complex)
         self.pxy = np.asarray(self.pxy, dtype=complex)
         self.pyy = np.asarray(self.pyy, dtype=complex)
+        if self.pxx.ndim != 2:
+            raise ValueError(f"pxx must be a square matrix, got shape {self.pxx.shape}")
         n = self.pxx.shape[0]
         for name in ("pxx", "pyy"):
             m = getattr(self, name)
@@ -89,20 +94,19 @@ class GaussianKernel:
 def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     """Integral kernel of the Weyl operator of a Gaussian symbol.
 
-    The momentum integral over exp(i (x-y).xi) a((x+y)/2, xi) converges only
-    when the momentum block of the symbol exponent has negative definite
-    real part; that is always enforced.  Certified mode additionally demands
-    full Gaussian decay of the symbol; formal=True skips the full-decay
-    certification and nothing else.
+    This is where a symbol's integrability is checked.  The momentum
+    integral over exp(i (x-y).xi) a((x+y)/2, xi) converges only when the
+    momentum block of the symbol exponent has negative definite real part.
+    Certified mode demands full Gaussian decay of the symbol, which implies
+    the block condition (Cauchy interlacing); formal=True checks the
+    momentum block alone.
     """
     n = sym.n
-    tol = TOLERANCES["definite"]
     g_xi = sym.g[n:, n:]
-    if herm_max_eig(g_xi) >= -tol:
-        raise SymbolConvergenceError("momentum-block integral diverges for this symbol")
-    if not formal and herm_max_eig(sym.g) >= -tol:
+    if herm_max_eig(g_xi if formal else sym.g) >= -TOLERANCES["definite"]:
         raise SymbolConvergenceError(
-            "symbol lacks Gaussian decay; pass formal=True to quantize anyway"
+            "momentum-block integral diverges for this symbol" if formal
+            else "symbol lacks Gaussian decay; pass formal=True to quantize anyway"
         )
     g_ww = sym.g[:n, :n]
     s = -np.linalg.inv(g_xi)
@@ -139,15 +143,16 @@ def evolution_to_kernel(
     """Integral kernel of the quantized flow of a (possibly shifted) generator.
 
     Accepts an EvolutionSpec (certified at construction) or a bare
-    QuadraticForm.  With formal=True a bare form is quantized without any
-    positivity certification.  Either way the amplitude carries the sign of
-    the Mehler prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
+    QuadraticForm, which is certified here unless formal=True.  The symbol's
+    integrability is checked once, by quantize; formal reaches only that
+    check.  Either way the amplitude carries the sign of the Mehler
+    prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
     """
     if isinstance(spec, QuadraticForm):
         if formal:
-            return quantize(mehler_symbol(spec, formal=True), formal=True)
+            return quantize(mehler_symbol(spec), formal=True)
         spec = EvolutionSpec(spec)
-    sym = mehler_symbol(spec.q, formal=formal)
+    sym = mehler_symbol(spec.q)
     if np.any(spec.v != 0):
         sym = two_sided_shift(spec.v, sym)
     return quantize(sym, formal=formal)
@@ -197,11 +202,12 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     pointwise.  For the kernel of a quantized flow c = +-1: the generator
     is the principal logarithm, which reduces the rotated family's t1 mod
     2 pi into (-pi, pi], and each 2 pi wrap flips the Mehler prefactor.
-    Requires Im phi'' positive definite.
+    Requires Im phi'' positive definite, checked here; the recovered flow is
+    certified by EvolutionSpec.  c is the ratio of the two kernels at the
+    origin, taken from amplitudes and constant phases so it cannot underflow.
     """
-    margin = k.nondegeneracy_margin()
-    if margin <= 0.0:
-        eigs = np.linalg.eigvalsh(k.phase_hessian().imag)
+    eigs = np.linalg.eigvalsh(k.phase_hessian().imag)
+    if eigs[0] <= 0.0:
         raise QuadflowError(
             "kernel is degenerate: Im phi'' has eigenvalues "
             + ", ".join(f"{e:.6g}" for e in eigs)
@@ -211,17 +217,8 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     eye = np.eye(2 * k.n)
     v = np.linalg.solve(eye - trans.matrix, w)
     spec = EvolutionSpec(q, v)
-    pipeline = evolution_to_kernel(spec)
-    zero = np.zeros(k.n)
-    ours, theirs = complex(k(zero, zero)), complex(pipeline(zero, zero))
-    if abs(theirs) < 1e-12 * abs(pipeline.amplitude) or abs(ours) < 1e-12 * abs(k.amplitude):
-        # probe at the envelope center instead of the origin
-        im_hess = k.phase_hessian().imag
-        lin = np.concatenate([k.lx, k.ly]).imag
-        center = np.linalg.solve(im_hess, -lin)
-        x0, y0 = center[: k.n], center[k.n :]
-        ours, theirs = complex(k(x0, y0)), complex(pipeline(x0, y0))
-    return spec, ours / theirs
+    p = evolution_to_kernel(spec)
+    return spec, (k.amplitude / p.amplitude) * np.exp(1j * (k.c0 - p.c0))
 
 
 def kernel_adjoint(k: GaussianKernel) -> GaussianKernel:
@@ -307,7 +304,7 @@ def real_shift_conjugate(a2: np.ndarray, k: GaussianKernel, a1: np.ndarray) -> G
     return kernel_left_shift(ShiftOp(a2.astype(complex)), shifted)
 
 
-def random_nondegenerate(n: int, rng: np.random.Generator, shift_scale: float = 0.5) -> GaussianKernel:
+def random_nondegenerate(n: int, rng: np.random.Generator) -> GaussianKernel:
     """Random nondegenerate Gaussian kernel with well-conditioned cross block."""
     for _ in range(64):
         r = rng.standard_normal((2 * n, 2 * n))
@@ -320,7 +317,7 @@ def random_nondegenerate(n: int, rng: np.random.Generator, shift_scale: float = 
             break
     else:
         raise QuadflowError("failed to draw a well-conditioned kernel")
-    l = shift_scale * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
+    l = _SHIFT_SCALE * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
     amp = np.exp(0.3 * (rng.standard_normal() + 1j * rng.standard_normal()))
     return GaussianKernel(
         amplitude=amp,

@@ -20,6 +20,7 @@ _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
 _DENSE_SVD_LIMIT = 384
+_POWER_REL_TOL = 1e-10  # relative step at which power iteration stops
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-def auto_grid(k: GaussianKernel, eps_tail: float = _EPS_TAIL) -> GridSpec:
+def auto_grid(k: GaussianKernel) -> GridSpec:
     """Choose a grid from the kernel's Gaussian envelope and phase frequency.
 
-    L covers the envelope down to eps_tail; h resolves both the envelope
+    L covers the envelope down to _EPS_TAIL; h resolves both the envelope
     (h <= 0.02 L) and the oscillation of the real phase part through a
     gradient bound.  The resulting N is clamped to the per-dimension caps;
     the frequency bound is conservative for entire Gaussian integrands, and
@@ -73,7 +74,7 @@ def auto_grid(k: GaussianKernel, eps_tail: float = _EPS_TAIL) -> GridSpec:
             f"kernel envelope decays too slowly for the oracle "
             f"(smallest Im phi'' eigenvalue {lam_min:.3e} < {_MIN_DECAY:.0e})"
         )
-    half_width = max(6.0, float(np.sqrt(2.0 * np.log(1.0 / eps_tail) / lam_min)))
+    half_width = max(6.0, float(np.sqrt(2.0 * np.log(1.0 / _EPS_TAIL) / lam_min)))
     re_hess = k.phase_hessian().real
     re_lin = np.concatenate([k.lx, k.ly]).real
     max_freq = float(
@@ -118,7 +119,7 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray:
     return mat
 
 
-def operator_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_000) -> float:
+def operator_norm(mat: np.ndarray, max_iter: int = 10_000) -> float:
     """Largest singular value: dense SVD for small matrices, else power iteration."""
     if min(mat.shape) <= _DENSE_SVD_LIMIT:
         return float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -134,7 +135,7 @@ def operator_norm(mat: np.ndarray, rel_tol: float = 1e-10, max_iter: int = 10_00
             return 0.0
         sigma = float(np.linalg.norm(w))  # |M v| with |v| = 1
         v = u / norm_u
-        if abs(sigma - sigma_prev) <= rel_tol * max(sigma, 1e-300):
+        if abs(sigma - sigma_prev) <= _POWER_REL_TOL * max(sigma, 1e-300):
             return sigma
         sigma_prev = sigma
     raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")

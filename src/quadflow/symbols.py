@@ -15,7 +15,6 @@ import numpy as np
 
 from .config import TOLERANCES
 from .errors import SymbolConvergenceError
-from .positivity import mehler_integrable
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
@@ -54,28 +53,21 @@ class GaussianSymbol:
         return self.c * np.exp(quad + z @ self.l)
 
 
-def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
+def mehler_symbol(q: QuadraticForm) -> GaussianSymbol:
     """Closed-form Weyl symbol of the quantized time-1 flow of q.
 
     c = prod_j sech(lambda_j/2) over the eigenvalue pairs +-lambda_j of H_q,
     the square root of det cosh(H_q/2)^{-1} continuous in time, with no sign
     freedom; G = -i J tanh(H_q/2), l = 0.
-    Certified mode requires the symbol to be integrable (flow spectrum away
-    from -1 and Gaussian decay); formal=True skips only that certification
-    and still demands the cosh factor be invertible.
+    Only the cosh factor is checked here: the formula for c needs it
+    invertible.  Integrability of the symbol (Gaussian decay) is checked
+    where an integral over it is taken, in quantize and weyl_sharp; for a
+    strictly positive flow it always holds.
     """
-    h = hamilton_matrix(q)
-    k = q.transform
-    n = q.n
-    eigs_h = np.linalg.eigvals(h / 2.0)
+    eigs_h = np.linalg.eigvals(hamilton_matrix(q) / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
         raise SymbolConvergenceError("cosh factor vanishes; no closed-form symbol")
-    if not formal and not mehler_integrable(k):
-        raise SymbolConvergenceError(
-            "symbol is not integrable for this flow; pass formal=True to "
-            "compute it anyway"
-        )
-    g = 1j * standard_j(n) @ cayley(k.matrix)
+    g = 1j * standard_j(q.n) @ cayley(q.transform.matrix)
     # one eigenvalue of each +-lambda_j pair, matched to the nearest negative; no
     # log, whose cut the two rounded cosh values of a pair could straddle
     rest, half = list(eigs_h), []
@@ -83,7 +75,7 @@ def mehler_symbol(q: QuadraticForm, formal: bool = False) -> GaussianSymbol:
         half.append(rest.pop())
         rest.pop(int(np.argmin(np.abs(np.add(rest, half[-1])))))
     c = 1.0 / np.prod(np.cosh(half))
-    return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * n))
+    return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * q.n))
 
 
 def symbol_transform(sym: GaussianSymbol) -> np.ndarray:

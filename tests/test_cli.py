@@ -142,7 +142,6 @@ def test_kernel_to_kernel_heat(tmp_path, capsys):
     assert rep["pxx"]["im"][0][0] == pytest.approx(1.0 / np.tanh(1.0), rel=1e-12)
     assert rep["pxx"]["re"][0][0] == pytest.approx(0.0, abs=1e-15)
     assert rep["pxy"]["im"][0][0] == pytest.approx(-1.0 / np.sinh(1.0), rel=1e-12)
-    assert rep["sign_ambiguous"] is True
 
 
 def test_kernel_roundtrip_through_files(tmp_path, capsys):
@@ -294,7 +293,9 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
     assert rc == 4 and "input error" in err
     rc, _, err = run(capsys, ["norm", write_spec(tmp_path, {"foo": 1}, "foo.json")])
     assert rc == 4 and "needs a 'hessian'" in err
-    for payload in (5, ["hessian"], {"hessian": {"re": {"a": 1}}}):
+    scalar_pxx = {"amplitude": {"re": 1}, "pxx": {"re": 1}, "pxy": {"re": [[1]]},
+                  "pyy": {"re": [[1]]}, "lx": {"re": [0]}, "ly": {"re": [0]}}
+    for payload in (5, ["hessian"], {"hessian": {"re": {"a": 1}}}, scalar_pxx):
         path = write_spec(tmp_path, payload, "malformed.json")
         for argv in (["norm", path], ["kernel", path, "--direction", "from-kernel"]):
             rc, out, err = run(capsys, argv)

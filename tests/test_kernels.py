@@ -90,7 +90,7 @@ def test_quantize_matches_quadrature():
 def test_quantize_formal_skips_decay_gate():
     # symbol grows in position but decays in momentum: only the formal
     # route quantizes it, the certified one refuses
-    sym = mehler_symbol(QuadraticForm(0.7 * np.diag([1j, -1j])), formal=True)
+    sym = mehler_symbol(QuadraticForm(0.7 * np.diag([1j, -1j])))
     assert float(np.max(np.linalg.eigvalsh((sym.g + sym.g.conj().T).real / 2))) > 0
     with pytest.raises(QuadflowError):
         quantize(sym)
@@ -101,7 +101,7 @@ def test_quantize_formal_skips_decay_gate():
 def test_quantize_refuses_divergent_momentum_block():
     # purely oscillatory symbol: no regularization makes the xi integral
     # converge, formal mode included
-    sym = mehler_symbol(QuadraticForm(np.eye(2)), formal=True)
+    sym = mehler_symbol(QuadraticForm(np.eye(2)))
     with pytest.raises(SymbolConvergenceError):
         quantize(sym, formal=True)
 
@@ -175,6 +175,37 @@ def test_kernel_to_evolution_round_trip():
     assert np.allclose(spec2.q.hess, spec.q.hess, atol=1e-9)
     assert np.allclose(spec2.v, v, atol=1e-9)
     assert c == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("c0", [0.7 + 40j, 0.7 - 40j])
+def test_kernel_to_evolution_scalar_where_origin_value_is_extreme(c0):
+    # exp(i c0) scales the value at the origin by e^{-40} or e^{+40}
+    v = np.array([0.4 + 0.2j, -0.3 + 0.6j])
+    k = evolution_to_kernel(EvolutionSpec(perturbed_heat(0.9, 5), v))
+    scaled = GaussianKernel(
+        amplitude=k.amplitude, pxx=k.pxx, pxy=k.pxy, pyy=k.pyy, lx=k.lx, ly=k.ly, c0=k.c0 + c0,
+    )
+    _, c = kernel_to_evolution(scaled)
+    assert abs(c - np.exp(1j * c0)) <= 1e-12 * abs(np.exp(1j * c0))
+
+
+def test_kernel_pipeline_asks_no_second_integrability_question(monkeypatch):
+    # strict positivity, certified by EvolutionSpec, implies an integrable
+    # symbol; the integrals check decay themselves
+    def refuse(k):
+        raise AssertionError("mehler_integrable called")
+
+    monkeypatch.setattr("quadflow.positivity.mehler_integrable", refuse)
+    monkeypatch.setattr("quadflow.symbols.mehler_integrable", refuse, raising=False)
+    rng = np.random.default_rng(80)
+    a = rng.standard_normal((4, 4))
+    r = rng.standard_normal((4, 4))
+    q = QuadraticForm((r + r.T) / 2.0 - 1j * (a @ a.T / 4 + 0.2 * np.eye(4)))
+    spec = EvolutionSpec(q, 0.3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+    spec2, c = kernel_to_evolution(evolution_to_kernel(spec))
+    assert np.allclose(spec2.v, spec.v, atol=1e-9) and abs(c - 1.0) < 1e-9
+    sym = two_sided_shift(spec.v, mehler_symbol(spec.q))
+    weyl_sharp(sym, sym)
 
 
 def test_kernel_to_evolution_tracks_scalar():

@@ -15,6 +15,7 @@ from quadflow import (
     inverse,
     mehler_symbol,
     polynomial_pullback,
+    quantize,
     shift_adjoint,
     shift_compose,
     shift_inverse,
@@ -76,10 +77,10 @@ def test_mehler_prefactor_sign_where_cosh_is_negative(theta, t):
 
 
 def test_rotation_symbol_is_oscillatory():
-    # not integrable, but the formal continuation has the classical sec/tan form
+    # the closed form is the classical sec/tan one; integrating it refuses
     with pytest.raises(SymbolConvergenceError):
-        mehler_symbol(q_theta(0.0))
-    sym = mehler_symbol(q_theta(0.0), formal=True)
+        quantize(mehler_symbol(q_theta(0.0)))
+    sym = mehler_symbol(q_theta(0.0))
     assert sym.c == pytest.approx(1.0 / np.cos(0.5), rel=1e-12)
     assert np.allclose(sym.g, -1j * np.tan(0.5) * np.eye(2), atol=1e-12)
 
@@ -146,7 +147,7 @@ def test_sharp_amplitude_product_formula():
 
 
 def test_sharp_requires_decay():
-    osc = mehler_symbol(q_theta(0.0), formal=True)
+    osc = mehler_symbol(q_theta(0.0))
     with pytest.raises(SymbolConvergenceError):
         weyl_sharp(osc, osc)
 

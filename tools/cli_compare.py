@@ -57,7 +57,11 @@ old, new = run_both(WORK, argvs, "a")
 kernels = [(i, out) for i, (argv, rc, out) in enumerate(old) if argv[0] == "kernel" and rc == 0]
 for i, out in kernels:  # the old tree's kernels are the from-kernel inputs of both trees
     open(f"{WORK}/k{i}.json", "w").write(out)
-old2, new2 = run_both(WORK, [["kernel", f"{WORK}/k{i}.json", "--direction", "from-kernel"] for i, _ in kernels], "b")
+    tiny = json.loads(out)  # and again scaled by e^{-40}, so the value at the origin is tiny
+    tiny["c0"]["im"] += 40.0
+    json.dump(tiny, open(f"{WORK}/z{i}.json", "w"))
+old2, new2 = run_both(WORK, [["kernel", f"{WORK}/{p}{i}.json", "--direction", "from-kernel"]
+                             for i, _ in kernels for p in "kz"], "b")
 runs, worst, diffs = {}, 0.0, []
 for (argv, rc0, out0), (_, rc1, out1) in zip(old + old2, new + new2):
     name = " ".join(argv[:1] + [a for a in argv if a.startswith("--") and a != "--grid" and "=" not in a])
