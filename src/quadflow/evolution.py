@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import TOLERANCES
 from .errors import (
@@ -30,6 +29,7 @@ from .symplectic import (
     canonical_log,
     cayley,
     check_canonical,
+    expm,
     sigma_transpose,
     standard_j,
     symplectic_form,
@@ -200,14 +200,16 @@ def center_path(
 
     Each item is (parameter, generator, shift).  Failures are recorded, not
     dropped, so a sweep keeps its full index structure.  Members of equal
-    mode count run through flow, certificate and decomposition as one stack.
+    mode count run through flow, certificate and decomposition as one stack;
+    the flows come from one call of expm (Padé scaling and squaring, degree
+    and scaling chosen per member).
     """
     items = list(items)
     out = [CenterSample(param=p, a1=None, a2=None, ok=False) for p, _, _ in items]
     for n in sorted({q.n for _, q, _ in items}):
         idx = [i for i, (_, q, _) in enumerate(items) if q.n == n]
         v = np.array([np.asarray(items[i][2], dtype=complex).reshape(2 * n) for i in idx])
-        km = scipy.linalg.expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
+        km = expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
         check_canonical(km)
         strict = np.flatnonzero(positivity_margins(km) > TOLERANCES["positivity"])
         a1, a2, failed = _centers(km[strict], v[strict])

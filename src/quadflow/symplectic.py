@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import MAX_DIM, TOLERANCES
 from .errors import QuadflowError
@@ -82,6 +81,150 @@ def cayley(m: np.ndarray) -> np.ndarray:
     """Cayley transform (1 + M)^{-1} (1 - M); for M = exp(H) it is -tanh(H/2)."""
     eye = np.eye(m.shape[0])
     return np.linalg.solve(eye + m, eye - m)
+
+
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """Matrix 1-norm (largest column sum of moduli), per stack member."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
+
+
+# Higham, SIMAX 26 (2005), table 2.3: the largest 1-norm at which the Padé
+# approximant of exp of degree 3, 5, 7, 9, 13 is accurate to unit roundoff,
+# followed by the degree-13 bound doubled s = 1, 2, ... times.  The number of
+# entries below a 1-norm gives the degree and, past the fifth, the scaling s.
+_EXPM_DEGREES = (3, 5, 7, 9, 13)
+_EXPM_THETA = np.concatenate([
+    (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068),
+    5.371920351148152 * 2.0 ** np.arange(1022),  # the last one below the float maximum
+])
+
+
+def _pade_rows(b: tuple) -> np.ndarray:
+    """Padé coefficients b_0..b_m as rows over the powers (I, A^2, A^4, ...).
+
+    Rows: odd part U/A, even part V; for degree 13 the powers stop at A^6 and
+    two more rows hold the parts multiplied by A^6 once more.
+    """
+    if len(b) < 14:
+        return np.array([b[1::2], b[0::2]])
+    return np.array([b[1:9:2], b[0:8:2], (0.0,) + b[9::2], (0.0,) + b[8:13:2]])
+
+
+_EXPM_PADE = {
+    m: _pade_rows(b)
+    for m, b in (
+        (3, (120.0, 60.0, 12.0, 1.0)),
+        (5, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+        (7, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+        (9, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+             2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+        (13, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+              1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+              33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
+    )
+}
+
+
+def _pade_exp(a: np.ndarray, m: int) -> np.ndarray:
+    """Degree-m Padé approximant (V - U)^{-1} (V + U) of exp, per member of a stack."""
+    c = _EXPM_PADE[m]
+    powers = np.empty((c.shape[1],) + a.shape, dtype=complex)  # I, A^2, A^4, ...
+    powers[0] = np.eye(a.shape[-1])
+    np.matmul(a, a, out=powers[1])
+    if len(powers) > 2:
+        np.matmul(powers[1], powers[1], out=powers[2])
+    if len(powers) > 3:  # A^6 (and A^8) = A^4 (A^2 (, A^4))
+        np.matmul(powers[2], powers[1 : len(powers) - 2], out=powers[3:])
+    # elementwise sums, not a matrix product over the stack, so that each
+    # member's bits do not depend on the size of its stack
+    parts = (c[:, :, None, None, None] * powers).sum(axis=1)
+    if m == 13:
+        parts = powers[3] @ parts[2:] + parts[:2]
+    u = a @ parts[0]
+    return np.linalg.solve(parts[1] - u, parts[1] + u)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each member of a (B, d, d) stack.
+
+    Padé approximation with scaling and squaring (Higham, SIMAX 26, 2005):
+    a member's 1-norm picks the lowest degree among 3, 5, 7, 9 that is
+    accurate to unit roundoff, or else degree 13 after scaling the member
+    by 2^-s, and the approximant is squared s times.  Degree and s depend on
+    the member alone, so its bits do not depend on its stack mates.
+    """
+    a = np.asarray(a, dtype=complex)
+    rank = np.searchsorted(_EXPM_THETA, _norm1(a))
+    if len(a) == 1:  # the scalar call: no grouping by degree
+        s = max(int(rank[0]) - 4, 0)
+        x = _pade_exp(a * 2.0**-s, _EXPM_DEGREES[min(rank[0], 4)])
+        for _ in range(s):
+            x = x @ x
+        return x
+    degree, s = np.minimum(rank, 4), np.maximum(rank - 4, 0)
+    x = np.empty_like(a)
+    for j in set(degree.tolist()):
+        idx = np.flatnonzero(degree == j)
+        x[idx] = _pade_exp(a[idx] * 2.0 ** -s[idx, None, None], _EXPM_DEGREES[j])
+    for k in range(s.max(initial=0)):
+        idx = np.flatnonzero(s > k)
+        x[idx] = x[idx] @ x[idx]
+    return x
+
+
+# 16-point Gauss-Legendre rule on [0, 1].  sum_j w_j Y (I + t_j Y)^{-1} is the
+# diagonal Padé approximant of degree 16 of log(I + Y), accurate to unit
+# roundoff for |Y|_1 <= _LOG_THETA (Higham, Functions of Matrices, table 11.1).
+_LOG_NODES = np.array([
+    0.005299532504175033, 0.02771248846338371, 0.06718439880608412, 0.12229779582249849,
+    0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286137, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939158, 0.9722875115366163, 0.994700467495825,
+])
+_LOG_WEIGHTS = np.array([
+    0.013576229705877048, 0.031126761969323947, 0.04757925584124639, 0.06231448562776694,
+    0.07479799440828837, 0.08457825969750127, 0.09130170752246179, 0.09472530522753425,
+    0.09472530522753425, 0.09130170752246179, 0.08457825969750127, 0.07479799440828837,
+    0.06231448562776694, 0.04757925584124639, 0.031126761969323947, 0.013576229705877048,
+])
+_LOG_THETA = 0.724
+_SQRT_MAX_STEPS = 100
+
+
+def _sqrtm(x: np.ndarray) -> np.ndarray:
+    """Principal square root by the product form of the Denman-Beavers iteration.
+
+    X_k -> X^{1/2} and M_k = X_k^2 X^{-1} -> I; once |M_k - I|_1 <= 1e-8 the
+    step just taken leaves an error of order 1e-16.
+    """
+    eye = np.eye(x.shape[-1])
+    m = x
+    for _ in range(_SQRT_MAX_STEPS):
+        done = _norm1(m - eye) <= 1e-8
+        m_inv = np.linalg.inv(m)
+        x = x @ (eye + m_inv) / 2.0
+        if done:
+            return x
+        m = (eye + (m + m_inv) / 2.0) / 2.0
+    raise QuadflowError("matrix square root iteration did not converge")
+
+
+def logm(x: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithm, by inverse scaling and squaring.
+
+    Cheng, Higham, Kenney, Laub, SIMAX 22 (2001): square roots are taken
+    until X^{1/2^k} is within _LOG_THETA of I, then log(I + Y) is read off its
+    diagonal Padé approximant and multiplied by 2^k.  X must have no
+    eigenvalue on the closed negative real axis.
+    """
+    eye = np.eye(x.shape[-1])
+    k = 0
+    while _norm1(x - eye) > _LOG_THETA:
+        x = _sqrtm(x)
+        k += 1
+    y = x - eye
+    terms = np.linalg.solve(eye + _LOG_NODES[:, None, None] * y, y)
+    return 2.0**k * np.tensordot(_LOG_WEIGHTS, terms, 1)
 
 
 @dataclass(eq=False, frozen=True)
@@ -181,8 +324,11 @@ def is_canonical(m: np.ndarray) -> bool:
 
 
 def flow(q: QuadraticForm, t: complex = 1.0) -> CanonicalTransform:
-    """Hamilton flow exp(t H_q) of the quadratic form q at complex time t."""
-    return CanonicalTransform(scipy.linalg.expm(t * hamilton_matrix(q)))
+    """Hamilton flow exp(t H_q) of the quadratic form q at complex time t.
+
+    The exponential is expm's Padé scaling and squaring, as a batch of one.
+    """
+    return CanonicalTransform(expm((t * hamilton_matrix(q))[None])[0])
 
 
 def inverse(k: CanonicalTransform) -> CanonicalTransform:
@@ -204,10 +350,11 @@ _CUT_GAP_FLOOR = 1e-6
 def canonical_log(k: CanonicalTransform) -> QuadraticForm:
     """Quadratic form q with flow(q, 1) = K.
 
-    The generator is the principal matrix logarithm of K, refused when an
-    eigenvalue of K sits within _CUT_GAP_FLOOR of the negative real axis,
-    then projected back onto the Hamiltonian class.  The result is verified
-    to reproduce K within TOLERANCES["log"].
+    The generator is the principal matrix logarithm of K (logm, by inverse
+    scaling and squaring), refused when an eigenvalue of K sits within
+    _CUT_GAP_FLOOR of the negative real axis, then projected back onto the
+    Hamiltonian class.  The result is verified to reproduce K within
+    TOLERANCES["log"].
     """
     m = k.matrix
     eigs = np.linalg.eigvals(m)
@@ -216,7 +363,7 @@ def canonical_log(k: CanonicalTransform) -> QuadraticForm:
     gap = np.pi - np.max(np.abs(np.angle(eigs)))
     if gap < _CUT_GAP_FLOOR:
         raise QuadflowError(f"spectrum within {gap:.2e} rad of the negative real axis")
-    h = scipy.linalg.logm(m)
+    h = logm(m)
     # project onto the Hamiltonian class sigma_transpose(H) = -H
     h_proj = (h - sigma_transpose(h)) / 2.0
     scale = 1.0 + np.linalg.norm(h)

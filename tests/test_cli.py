@@ -1,9 +1,13 @@
 """End-to-end CLI tests; main() is invoked in-process."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quadflow
 from quadflow import (
     CompositionClassError,
     EvolutionSpec,
@@ -351,3 +355,12 @@ def test_usage_errors_remap_to_4(capsys):
     capsys.readouterr()
     assert main(["contour", "--theta", "0", "--t1", "bad", "--t2=-1:-0.5:2"]) == 4
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a cold CLI start must not pay for scipy
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, quadflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,6 @@
 """Norms, decompositions, composition, and the real-generator test."""
 import numpy as np
 import pytest
-import scipy.linalg
 
 from quadflow import (
     TOLERANCES,
@@ -24,6 +23,7 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
+from quadflow.symplectic import expm
 
 
 def perturbed_heat(s: float, seed: int, eps: float = 0.1) -> QuadraticForm:
@@ -143,7 +143,7 @@ def loop_center(q: QuadraticForm, v: np.ndarray):
     Returns (stage, a1, a2): stage is "ok" or the first check the member fails.
     """
     n, j, eye = q.n, standard_j(q.n), np.eye(2 * q.n)
-    km = scipy.linalg.expm(-j @ q.hess)
+    km = expm((-j @ q.hess)[None])[0]  # the package's exponential, as a batch of one
     if np.linalg.norm(km.T @ j @ km - j) > TOLERANCES["canonical"] * (1.0 + np.linalg.norm(km) ** 2):
         raise ValueError("matrix is not canonical")
     pi = 1j * (km.conj().T @ j @ km - j)

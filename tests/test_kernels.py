@@ -1,8 +1,10 @@
 """Gaussian integral kernels: quantization, composition, shifts, brackets."""
+import sys
+
 import numpy as np
 import pytest
-import scipy.linalg
 
+import quadflow
 from quadflow import (
     DegenerateKernelError,
     EvolutionSpec,
@@ -13,6 +15,7 @@ from quadflow import (
     ShiftOp,
     SymbolConvergenceError,
     apply_polynomial,
+    canonical_log,
     compose_evolutions,
     decompose,
     evolution_to_kernel,
@@ -111,9 +114,9 @@ def test_quantize_refuses_divergent_momentum_block():
 
 def test_gaussian_integrals_do_not_need_logm(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy.linalg.logm called")
+        raise AssertionError("matrix logarithm called")
 
-    monkeypatch.setattr(scipy.linalg, "logm", refuse)
+    monkeypatch.setattr(quadflow.symplectic, "logm", refuse)
     sym = mehler_symbol(heat_generator(0.8, n=2))
     kern = quantize(sym)
     kernel_compose(kern, kern)
@@ -125,7 +128,7 @@ def test_each_step_runs_one_matrix_exponential(n, monkeypatch):
     # a generator's time-1 flow is computed once; derived inverses and later
     # readers of the same form run no further matrix exponential
     calls = []
-    expm = scipy.linalg.expm
+    expm = quadflow.symplectic.expm
 
     def counted(m):
         calls.append(m.shape)
@@ -137,7 +140,9 @@ def test_each_step_runs_one_matrix_exponential(n, monkeypatch):
         assert len(calls) == 1
         return out
 
-    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    for name, mod in list(sys.modules.items()):  # every module binding of the exponential
+        if name.startswith("quadflow") and getattr(mod, "expm", None) is expm:
+            monkeypatch.setattr(mod, "expm", counted)
     rng = np.random.default_rng(70 + n)
     specs = []
     for _ in range(2):
@@ -149,6 +154,25 @@ def test_each_step_runs_one_matrix_exponential(n, monkeypatch):
     one_expm(lambda: kernel_to_evolution(kern))
     s1, s2 = EvolutionSpec(*specs[0]), EvolutionSpec(*specs[1])
     one_expm(lambda: compose_evolutions(s1, s2))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_defective_flows_have_a_generator_and_a_kernel_round_trip(s, eps):
+    # -i s I + eps diag(B, B) with B nilpotent: a strictly positive flow with
+    # Jordan blocks, whose eigenvector matrix is too ill conditioned for
+    # V diag(log lambda) V^{-1} to recover the generator to this accuracy
+    b = np.array([[1.0, 1j], [1j, -1.0]])
+    z = np.zeros((2, 2))
+    q = QuadraticForm(-1j * s * np.eye(4) + eps * np.block([[b, z], [z, b]]))
+    spec = EvolutionSpec(q, 0.3 * np.array([1.0, -1j, 0.5, 1j]))
+    assert np.linalg.cond(np.linalg.eig(q.transform.matrix)[1]) > 1e6
+    scale = np.linalg.norm(q.hess)
+    assert np.linalg.norm(canonical_log(q.transform).hess - q.hess) <= 1e-12 * scale
+    back, c = kernel_to_evolution(evolution_to_kernel(spec))
+    assert np.linalg.norm(back.q.hess - q.hess) <= 1e-12 * scale
+    assert np.allclose(back.v, spec.v, rtol=0, atol=1e-12)
+    assert abs(c - 1.0) <= 1e-12
 
 
 def test_kernel_transform_recovers_flow():

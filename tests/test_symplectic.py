@@ -21,7 +21,7 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
-from quadflow.symplectic import gauss_logdet
+from quadflow.symplectic import expm, gauss_logdet, logm
 
 
 def random_form(n: int, seed: int, scale: float = 0.6) -> QuadraticForm:
@@ -220,3 +220,52 @@ def test_scaled_form():
     assert np.allclose(q.scaled(2.0).hess, 2.0 * q.hess)
     z = np.array([0.3, -0.7])
     assert q.scaled(-1.5)(z) == pytest.approx(-1.5 * q(z))
+
+
+def random_hamilton(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Hamilton matrix of a strictly dissipative generator: real symmetric part
+    plus -i times a positive definite one, as the workloads draw them."""
+    r, a = rng.standard_normal((2, 2 * n, 2 * n))
+    return -standard_j(n) @ ((r + r.T) / 2.0 - 1j * (a @ a.T / (2 * n) + 0.2 * np.eye(2 * n)))
+
+
+# 1-norms of the exponential's inputs: one per Pade degree 3, 5, 7, 9, 13
+# (degree bounds 0.015, 0.25, 0.95, 2.1, 5.4), then scalings s = 3, 5, 6
+EXPM_NORMS = (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 100.0, 200.0)
+
+
+def test_expm_matches_scipy():
+    rng = np.random.default_rng(17)
+    errors = []
+    for n in (1, 2):
+        for target in EXPM_NORMS:
+            for _ in range(10):
+                h = random_hamilton(n, rng)
+                h *= target / np.max(np.sum(np.abs(h), axis=0))
+                ref = scipy.linalg.expm(h)
+                errors.append(np.linalg.norm(expm(h[None])[0] - ref) / np.linalg.norm(ref))
+    assert max(errors) <= 1e-13
+
+
+def test_expm_stack_is_bitwise_batch_of_one():
+    # degree and scaling are chosen per member, so a member's bits do not
+    # depend on its stack mates
+    rng = np.random.default_rng(18)
+    stack = np.array([t * random_hamilton(2, rng) for t in (3.0, 0.002, 0.1, 60.0, 0.5, 1.2, 9.0, 0.05)])
+    norms = np.max(np.sum(np.abs(stack), axis=1), axis=1)
+    assert norms.min() < 0.015 and norms.max() > 100.0
+    single = np.array([expm(h[None])[0] for h in stack])
+    assert np.array_equal(expm(stack), single)
+    assert np.array_equal(expm(stack[::-1]), single[::-1])
+
+
+def test_logm_matches_scipy():
+    rng = np.random.default_rng(19)
+    errors = []
+    for n in (1, 2):
+        for scale in (0.1, 0.3, 1.0):
+            for _ in range(50):
+                k = scipy.linalg.expm(scale * random_hamilton(n, rng))
+                ref = scipy.linalg.logm(k)
+                errors.append(np.linalg.norm(logm(k) - ref) / np.linalg.norm(ref))
+    assert max(errors) <= 1e-12

@@ -1,9 +1,16 @@
 """python3 tools/cli_compare.py OLD_SRC NEW_SRC WORKDIR: one seeded CLI input set through two trees.
 
 OLD_SRC and NEW_SRC are the src/ directories of two checkouts; WORKDIR receives the
-specs and outputs.  norm/check/compose/contour/centers must match byte for byte, exit
-codes too; kernel outputs (both directions) may differ only in 'amplitude' and 'c'.
-Exits with status 1 when any output differs."""
+specs and outputs.  Every output that differs in any byte is classified:
+- structural: a different exit code, key set, row count or non-numeric text;
+- numeric-only: the same structure, with some numbers moved.
+JSON outputs are compared as trees ({"re", "im"} pairs as complex numbers) and CSV
+outputs column by column.  For numeric-only differences the script prints, per
+(command, key), the number of runs in which the key moved and its largest change,
+max |new - old| over the key's entries in a run, relative to their largest |old| and
+absolute.
+Exits with status 1 when any output differs.
+"""
 import json, os, subprocess, sys
 import numpy as np
 
@@ -34,6 +41,59 @@ def spec(path, hess, v=None):
 def rot(theta, t, w=(1.0,)):  # rotated oscillator(s); mode j runs at w[j] times t
     return t * np.diag([np.exp(1j * theta) * x for x in w] + [np.exp(-1j * theta) * x for x in w]).astype(complex)
 
+def parse(out):
+    """A JSON document, a CSV table as {column: cells}, or the text itself."""
+    try:
+        return json.loads(out)
+    except ValueError:
+        pass
+    lines = out.splitlines()
+    if not lines or "," not in lines[0]:
+        return out
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(lines[0].split(",")) for row in rows):
+        return out
+    return {col: [cell(row[j]) for row in rows] for j, col in enumerate(lines[0].split(","))}
+
+def cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+def walk(a, b, key, numeric):
+    """Collect (old, new) number pairs per key path in numeric; return a structural reason or None."""
+    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    if isinstance(a, dict) and isinstance(b, dict):
+        if set(a) != set(b):
+            return f"key set, {key or 'top level'}: {sorted(set(a) ^ set(b))}"
+        if set(a) == {"re", "im"}:
+            parts = {}
+            for k in ("re", "im"):
+                reason = walk(a[k], b[k], k, parts)
+                if reason:
+                    return reason
+            pairs = zip(parts.get("re", []), parts.get("im", []))
+            numeric.setdefault(key, []).extend((complex(r0, i0), complex(r1, i1)) for (r0, r1), (i0, i1) in pairs)
+            return None
+        for k in a:
+            reason = walk(a[k], b[k], f"{key}/{k}" if key else k, numeric)
+            if reason:
+                return reason
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return f"row count, {key or 'top level'}: {len(a)} -> {len(b)}"
+        for x, y in zip(a, b):
+            reason = walk(x, y, key, numeric)
+            if reason:
+                return reason
+        return None
+    if number(a) and number(b):
+        numeric.setdefault(key, []).append((a, b))
+        return None
+    return None if a == b else f"non-numeric text, {key or 'top level'}: {a!r} -> {b!r}"
+
 OLD, NEW, WORK = sys.argv[1:4]
 os.makedirs(WORK, exist_ok=True)
 rng = np.random.default_rng(2024)
@@ -62,20 +122,32 @@ for i, out in kernels:  # the old tree's kernels are the from-kernel inputs of b
     json.dump(tiny, open(f"{WORK}/z{i}.json", "w"))
 old2, new2 = run_both(WORK, [["kernel", f"{WORK}/{p}{i}.json", "--direction", "from-kernel"]
                              for i, _ in kernels for p in "kz"], "b")
-runs, worst, diffs = {}, 0.0, []
+runs, differing, structural, moved = {}, 0, [], {}  # moved: (command, key) -> [runs, relative, absolute change]
 for (argv, rc0, out0), (_, rc1, out1) in zip(old + old2, new + new2):
     name = " ".join(argv[:1] + [a for a in argv if a.startswith("--") and a != "--grid" and "=" not in a])
     runs[name] = runs.get(name, 0) + 1
     if (rc0, out0) == (rc1, out1):
         continue
-    j0, j1 = (json.loads(o) if argv[0] == "kernel" and rc0 == rc1 else None for o in (out0, out1))
-    for k in ("amplitude", "c"):
-        if j0 and k in j0:
-            a, b = (complex(j[k]["re"], j[k]["im"]) for j in (j0, j1))
-            worst, j0[k], j1[k] = max(worst, abs(a - b) / abs(a)), None, None
-    if j0 is None or j0 != j1:
-        diffs.append(argv[:1] + [os.path.basename(a) for a in argv[1:]])
+    differing += 1
+    numeric = {}
+    reason = f"exit code {rc0} -> {rc1}" if rc0 != rc1 else walk(parse(out0), parse(out1), "", numeric)
+    if reason:
+        structural.append(argv[:1] + [os.path.basename(a) for a in argv[1:]] + [reason])
+        continue
+    for key, pairs in numeric.items():
+        if all(repr(x) == repr(y) for x, y in pairs):
+            continue
+        change = max(abs(y - x) for x, y in pairs)
+        scale = max(abs(x) for x, _ in pairs)
+        entry = moved.setdefault((name, key or "value"), [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] = max(entry[1], change / scale if scale else float("inf") if change else 0.0)
+        entry[2] = max(entry[2], change)
 print("runs:", runs)
-print("differing outputs:", diffs)
-print(f"largest relative change of kernel amplitude or c: {worst:.2e}")
-sys.exit(1 if diffs else 0)
+print(f"outputs differing in any byte: {differing}")
+print("structural differences:", structural)
+print(f"numeric-only differences, per (command, key); {sum(runs.values())} runs in all:")
+print(f"{'command':<20} {'key':<18} {'runs moved':>10} {'largest relative change':>24} {'largest change':>15}")
+for (name, key), (count, worst, change) in sorted(moved.items()):
+    print(f"{name:<20} {key:<18} {f'{count}/{runs[name]}':>10} {worst:>24.1e} {change:>15.1e}")
+sys.exit(1 if differing else 0)
