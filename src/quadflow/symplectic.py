@@ -302,11 +302,14 @@ class CanonicalTransform:
 
 
 def check_canonical(m: np.ndarray) -> None:
-    """Raise ValueError for the first member of a (B, 2n, 2n) stack with K^T J K != J."""
+    """Raise ValueError for the first member of a (B, 2n, 2n) stack with K^T J K != J.
+
+    A non-finite member, such as an overflowed flow, fails the check.
+    """
     j = standard_j(m.shape[-1] // 2)
     scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
     resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
-    bad = np.flatnonzero(resid > TOLERANCES["canonical"] * scale)
+    bad = np.flatnonzero(~(resid <= TOLERANCES["canonical"] * scale))  # NaN fails
     if bad.size:
         raise ValueError(
             f"matrix is not canonical: |K^T J K - J| = {resid[bad[0]]:.3e} "

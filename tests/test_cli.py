@@ -329,6 +329,15 @@ def test_norm_overflowing_growth_exits_4(tmp_path, capsys):
     assert rc == 4 and out == "" and "log growth factor" in err
 
 
+def test_overflowed_flow_is_not_canonical_exits_4(tmp_path, capsys):
+    # the time-1 flow of -900i I overflows to NaN; it must not reach the positivity verdict
+    spec = write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-900, 0], [0, -900]]}})
+    for command in ("norm", "check"):
+        with np.errstate(all="ignore"):
+            rc, out, err = run(capsys, [command, spec])
+        assert rc == 4 and out == "" and "matrix is not canonical" in err
+
+
 def test_nonfinite_grid_width_exits_4(tmp_path, capsys):
     spec = write_spec(tmp_path, HEAT)
     for width in ("nan", "inf"):

@@ -1,4 +1,6 @@
 """Grid oracle: discretization quality, norms, traces, certifications."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,12 +93,63 @@ def test_discretize_certifies_tail():
         discretize(heat_kernel(1.0), GridSpec(n=1, half_width=2.0, points=200))
 
 
+def random_kernel(rng, n):
+    """Shifted kernel with a non-diagonal cross block, c0 != 0 and Im phi'' > 0."""
+    a = rng.standard_normal((2 * n, 2 * n))
+    hess = 0.3 * (a + a.T) + 1j * (a @ a.T / (2 * n) + 0.5 * np.eye(2 * n))
+    lin = 0.4 * rng.standard_normal(2 * n) + 0.2j * rng.standard_normal(2 * n)
+    return GaussianKernel(
+        amplitude=0.7 - 0.4j,
+        pxx=hess[:n, :n],
+        pxy=hess[:n, n:],
+        pyy=hess[n:, n:],
+        lx=lin[:n],
+        ly=lin[n:],
+        c0=0.3 + 0.1j,
+    )
+
+
+@pytest.mark.parametrize("n, points", [(1, 300), (2, 64)])
+def test_discretize_matches_pointwise_kernel(n, points):
+    rng = np.random.default_rng(40 + n)
+    k = random_kernel(rng, n)
+    grid = GridSpec(n=n, half_width=auto_grid(k).half_width, points=points)
+    mat = discretize(k, grid)
+    xs = grid.nodes()
+    rows = rng.choice(len(xs), size=40, replace=False)
+    ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**n
+    assert np.max(np.abs(mat[rows] - ref)) <= 1e-13 * np.max(np.abs(mat))
+
+
+def test_discretize_refuses_overflowing_kernel():
+    # |K| peaks near exp(1600) at x = -80, well inside the box; the edges are tiny
+    k = GaussianKernel(1.0, pxx=0.5j * np.eye(1), pxy=0.2 * np.eye(1), pyy=0.5j * np.eye(1),
+                       lx=[40j], ly=[0])
+    with pytest.raises(GridError, match="overflows"):
+        discretize(k, GridSpec(1, 200.0, 400))
+
+
+def test_power_iteration_stops_at_first_nonfinite_estimate():
+    mat = np.ones((400, 400), dtype=complex)
+    mat[7, 11] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+        ConvergenceError, match="non-finite"
+    ):
+        operator_norm(mat)
+
+
 # -- frozen reference: heat flow on a pinned grid -----------------------------
 
 
 def test_heat_norm_and_trace_on_reference_grid():
     mat = discretize(heat_kernel(1.0), GridSpec(n=1, half_width=8.0, points=600))
-    top = operator_norm(mat)
+    tracemalloc.start()
+    try:
+        top = operator_norm(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * mat.nbytes  # power iteration makes no copy of the matrix
     assert abs(top - np.exp(-0.5)) <= 0.002 * np.exp(-0.5)
     tr = grid_trace(mat)
     expected = heat_trace(1.0)
@@ -133,8 +186,14 @@ def test_grid_matrices_compose():
 def test_two_mode_heat_smoke():
     k = heat_kernel(1.0, n=2)
     grid = GridSpec(n=2, half_width=6.5, points=64)
-    mat = discretize(k, grid)
+    tracemalloc.start()
+    try:
+        mat = discretize(k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert mat.shape == (64 * 64, 64 * 64)
+    assert peak <= 1.1 * mat.nbytes  # one matrix-sized buffer, no full-size temporaries
     assert operator_norm(mat) == pytest.approx(np.exp(-1.0), rel=1e-4)
     assert grid_trace(mat) == pytest.approx(heat_trace(1.0) ** 2, rel=1e-4)
 
