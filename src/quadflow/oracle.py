@@ -1,14 +1,17 @@
 """Brute-force grid oracle: midpoint discretization of Gaussian kernels.
 
-The oracle turns a kernel into a dense matrix on a symmetric box grid and
-extracts operator norms and traces directly, with no knowledge of the
-closed-form theory.  It exists to cross-check every analytic claim in the
-package; keep it simple and independent.
+The oracle turns a kernel into a matrix on a symmetric box grid and extracts
+operator norms and traces directly, with no knowledge of the closed-form
+theory.  It exists to cross-check every analytic claim in the package; keep
+it simple and independent.
 
-It reads only the kernel's quadratic phase.  The matrix is built in place in
-one complex buffer of 16 N^{2n} bytes for N points per axis (256 MiB at
-n = 2, N = 64; 1.55 GiB at N = 101), with no full-size temporaries, and the
-power iteration multiplies by M* without a conjugated copy.
+It reads only the kernel's quadratic phase.  At n = 1 the matrix is dense,
+built in place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
+N = 600).  At n = 2 it is never formed: a FactoredGridMatrix keeps two
+(N^2, N) per-axis Gaussian factors and two diagonals, 32 N^3 bytes (33 MiB at
+N = 101, where the dense matrix would take 1.55 GiB), and multiplies by
+vectors in N^4 flops.  The power iteration multiplies by M* without a
+conjugated copy.
 """
 from __future__ import annotations
 
@@ -19,15 +22,17 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .kernels import GaussianKernel
 
-# grid sizes beyond these make dense matrices impractical at each dimension
+# grid size caps per dimension: a dense matrix at n = 1, 32 N^3 bytes of factors at n = 2
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
 _DENSE_SVD_LIMIT = 384
 _POWER_REL_TOL = 1e-10  # relative step at which power iteration stops
-# exp(x) overflows above _LOG_MAX and leaves no nonzero float below _LOG_TINY
+# exp(x) overflows above _LOG_MAX, is subnormal (loses precision) below
+# _LOG_NORMAL and leaves no nonzero float below _LOG_TINY
 _LOG_MAX = float(np.log(np.finfo(float).max))
+_LOG_NORMAL = float(np.log(np.finfo(float).tiny))
 _LOG_TINY = float(np.log(np.finfo(float).smallest_subnormal))
 
 
@@ -63,6 +68,24 @@ class GridSpec:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
+def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
+    """Phase Hessian and smallest decay rate of the kernel's Gaussian envelope.
+
+    Raises GridError for a mode count the oracle does not support and for an
+    envelope that decays more slowly than _MIN_DECAY.
+    """
+    if k.n not in _MAX_POINTS:
+        raise GridError("grid oracle supports n = 1 and n = 2 only")
+    hess = k.phase_hessian()
+    lam_min = float(np.min(np.linalg.eigvalsh(hess.imag)))
+    if lam_min < _MIN_DECAY:
+        raise GridError(
+            f"kernel envelope decays too slowly for the oracle "
+            f"(smallest Im phi'' eigenvalue {lam_min:.3e} < {_MIN_DECAY:.0e})"
+        )
+    return hess, lam_min
+
+
 def auto_grid(k: GaussianKernel) -> GridSpec:
     """Choose a grid from the kernel's Gaussian envelope and phase frequency.
 
@@ -72,21 +95,15 @@ def auto_grid(k: GaussianKernel) -> GridSpec:
     the frequency bound is conservative for entire Gaussian integrands, and
     discretize() still certifies the tail on the actual grid.
     """
+    return _grid_for(k, *_envelope(k))
+
+
+def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
     n = k.n
-    if n not in _MAX_POINTS:
-        raise GridError("grid oracle supports n = 1 and n = 2 only")
-    im_hess = k.phase_hessian().imag
-    lam_min = float(np.min(np.linalg.eigvalsh(im_hess)))
-    if lam_min < _MIN_DECAY:
-        raise GridError(
-            f"kernel envelope decays too slowly for the oracle "
-            f"(smallest Im phi'' eigenvalue {lam_min:.3e} < {_MIN_DECAY:.0e})"
-        )
     half_width = max(6.0, float(np.sqrt(2.0 * np.log(1.0 / _EPS_TAIL) / lam_min)))
-    re_hess = k.phase_hessian().real
     re_lin = np.concatenate([k.lx, k.ly]).real
     max_freq = float(
-        np.linalg.norm(re_hess, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(re_lin)
+        np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(re_lin)
     )
     h_bound = 0.02 * half_width
     if max_freq > 0.0:
@@ -96,62 +113,184 @@ def auto_grid(k: GaussianKernel) -> GridSpec:
     return GridSpec(n=n, half_width=half_width, points=points)
 
 
-def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray:
+class FactoredGridMatrix:
+    """Two-mode grid matrix M[m, j] = dx[m] g1[m, j1] g2[m, j2] dy[j], never formed.
+
+    m is an output node and j = (j1, j2) an input node, both in axis-major
+    order.  The (N^2, N) factor g_b carries axis b's own quadratic terms and
+    its coupling to the output node; dx and dy carry the cross-axis terms,
+    the linear terms and the scale.  M @ v and w @ M each cost one
+    (N^2 x N)(N x N) matrix product; ``diagonal`` gives the trace.  That is
+    all operator_norm and grid_trace use.
+    """
+
+    __array_ufunc__ = None  # ndarray @ FactoredGridMatrix defers to __rmatmul__
+
+    def __init__(self, dx, g1, g2, dy):
+        self.dx, self.g1, self.g2, self.dy = dx, g1, g2, dy
+        self.shape = (dx.size, dy.size)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v for a vector v of N^2 entries."""
+        points = self.g2.shape[1]
+        u = (self.dy * v).reshape(points, points)  # u[j1, j2]
+        return self.dx * np.einsum("mk,mk->m", self.g1, self.g2 @ u.T)
+
+    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
+        """w M for a vector w of N^2 entries."""
+        return ((self.g1 * (w * self.dx)[:, None]).T @ self.g2).ravel() * self.dy
+
+    def diagonal(self) -> np.ndarray:
+        m = np.arange(self.dx.size)
+        j1, j2 = np.divmod(m, self.g1.shape[1])
+        return self.dx * self.g1[m, j1] * self.g2[m, j2] * self.dy
+
+
+def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix:
     """Midpoint-rule matrix of the kernel: M[i, j] = K(x_i, x_j) h^n.
 
-    The matrix is built in one (N^n, N^n) complex buffer, 16 N^{2n} bytes
-    (256 MiB at n = 2, N = 64; 1.55 GiB at N = 101): the exponent i phi is
-    the cross term x_i.(i pxy) x_j as one matrix product plus the row and
-    column terms, then it is exponentiated and scaled in place.
+    At n = 1 the matrix is dense, built in one (N, N) complex buffer: the
+    exponent i phi is the cross term x_i (i pxy) x_j as an outer product plus
+    the row and column terms, then it is exponentiated and scaled in place.
+    At n = 2 it is a FactoredGridMatrix of 32 N^3 bytes (33 MiB at N = 101;
+    the dense matrix would take 16 N^4 bytes, 1.55 GiB).
 
     Certifies the envelope decay rate and the boundary tail on the actual
-    grid, in log space on the exponent's real part, and refuses a kernel
-    that vanishes or overflows there; raises GridError when any check fails.
+    grid, in log space before any exponential, and refuses a kernel that
+    vanishes or overflows there; at n = 2 it also refuses a factor entry
+    that underflows where the kernel is not negligible.  Raises GridError
+    when any check fails.
     """
-    if grid is None:
-        grid = auto_grid(k)
-    if grid.n != k.n:
+    if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
-    lam_min = float(np.min(np.linalg.eigvalsh(k.phase_hessian().imag)))
-    if lam_min < _MIN_DECAY:
-        raise GridError(f"kernel envelope decay {lam_min:.3e} below oracle floor")
+    hess, lam_min = _envelope(k)
+    if grid is None:
+        grid = _grid_for(k, hess, lam_min)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
+    # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
+    log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
+    if grid.n == 1:
+        return _dense(k, grid, log_scale)
+    return _factored(k, hess, grid, log_scale)
+
+
+def _dense(k: GaussianKernel, grid: GridSpec, log_scale: float) -> np.ndarray:
     xs = grid.nodes()
     mat = (xs @ (1j * k.pxy)) @ xs.T
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs) + xs @ k.lx + k.c0)[:, None]
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pyy, xs) + xs @ k.ly)[None, :]
-    # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
-    log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
-    row_max, col_max = mat.real.max(axis=1), mat.real.max(axis=0)
+    peak = _certify_tail(grid, mat.real.max(axis=1), mat.real.max(axis=0), log_scale)
+    # neither exp(peak) nor its scaled value may overflow; a NaN exponent refuses too
+    _check_overflow(peak + max(log_scale, 0.0))
+    np.exp(mat, out=mat)
+    mat *= k.amplitude * grid.h**grid.n
+    return mat
+
+
+def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
+              log_scale: float) -> FactoredGridMatrix:
+    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
+    pxx, pxy, pyy = hess[:2, :2], hess[:2, 2:], hess[2:, 2:]
+    ax, xs = grid.axis(), grid.nodes()
+    cross = xs[:, 0] * xs[:, 1]
+    scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
+    factors = [1j * (pxx[0, 1] * cross + xs @ k.lx + k.c0) + scale]
+    coupling = xs @ pxy  # (pxy^T x)_b for each output node x
+    for b in range(2):
+        g = np.multiply.outer(1j * coupling[:, b], ax)
+        g += (0.5j * pxx[b, b] * xs[:, b] ** 2)[:, None]
+        g += 0.5j * pyy[b, b] * ax**2
+        factors.append(g)
+    factors.append(1j * (pyy[0, 1] * cross + xs @ k.ly))
+    _certify_range([f.real for f in factors], peak + log_scale)
+    for f in factors:
+        # a subnormal entry is certified negligible, and slows every product it enters
+        low = f.real < _LOG_NORMAL
+        np.exp(f, out=f)
+        f[low] = 0.0
+    return FactoredGridMatrix(*factors)
+
+
+def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
+    """Row and column maxima of the unscaled log-modulus -Im phi(x_m, y_j), two modes."""
+    im = hess.imag
+    rows = _log_row_max(grid, im[:2, :2], im[:2, 2:], im[2:, 2:], k.lx.imag, k.ly.imag, k.c0.imag)
+    # a column of phi is a row of phi with x and y swapped
+    cols = _log_row_max(grid, im[2:, 2:], im[2:, :2], im[:2, :2], k.ly.imag, k.lx.imag, k.c0.imag)
+    return rows, cols
+
+
+def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
+    """max over the nodes y of -(x.a x/2 + x.b y + y.c y/2 + la.x + lb.y + c0), per node x.
+
+    Two modes, real a, b, c with c > 0.  For fixed x and y1 the exponent is a
+    concave parabola in y2, so its largest value on the uniform axis is at the
+    node nearest the vertex, clipped to the box: O(N^3) work, exact.
+    """
+    ax, xs = grid.axis(), grid.nodes()
+    lin_y = xs @ b + lb  # (N^2, 2): coefficient of y per node x
+    lin_y2 = lin_y[:, 1:] + c[0, 1] * ax  # (N^2, N): coefficient of y2 per (x, y1)
+    near = np.rint((-lin_y2 / c[1, 1] + grid.half_width) / grid.h)
+    y2 = ax[np.clip(near, 0, grid.points - 1).astype(int)]
+    lin_y2 += 0.5 * c[1, 1] * y2
+    lin_y2 *= y2
+    lin_y2 += lin_y[:, :1] * ax + 0.5 * c[0, 0] * ax**2
+    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - lin_y2.min(axis=1)
+
+
+def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
+    """Peak of the unscaled log-modulus from its row and column maxima.
+
+    Refuses a kernel that vanishes on the grid or whose boundary tail
+    exceeds sqrt(_EPS_TAIL) of the peak, on edge rows or edge columns.
+    """
     peak = float(row_max.max())
     if peak + log_scale < _LOG_TINY:
         raise GridError("kernel vanishes identically on the grid")
-    # neither exp(peak) nor its scaled value may overflow; a NaN exponent refuses too
-    top = peak + max(log_scale, 0.0)
-    if not top < _LOG_MAX:
-        raise GridError(
-            f"kernel overflows on the grid: log-modulus peak {top:.6g} "
-            f"exceeds log(float max) = {_LOG_MAX:.6g}"
-        )
-    on_edge = np.max(np.abs(xs), axis=1) >= grid.half_width - 1e-12
+    on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
     edge = max(float(row_max[on_edge].max()), float(col_max[on_edge].max()))
     if edge - peak > 0.5 * np.log(_EPS_TAIL):
         raise GridError(
             f"tail bound violated at half width {grid.half_width}: "
             f"boundary/peak ratio {np.exp(edge - peak):.3e}"
         )
-    np.exp(mat, out=mat)
-    mat *= k.amplitude * grid.h**grid.n
-    return mat
+    return peak
 
 
-def operator_norm(mat: np.ndarray, max_iter: int = 10_000) -> float:
+def _check_overflow(top: float) -> None:
+    if not top < _LOG_MAX:
+        raise GridError(
+            f"kernel overflows on the grid: log-modulus peak {top:.6g} "
+            f"exceeds log(float max) = {_LOG_MAX:.6g}"
+        )
+
+
+def _certify_range(logs: list[np.ndarray], peak: float) -> None:
+    """Refuse factors whose exponentials are not all accurate where it matters.
+
+    ``logs`` are the factors' log-moduli and ``peak`` that of the largest
+    matrix entry.  No product of factors may overflow, and an entry that is
+    subnormal in one factor, bounded through the other factors' maxima, must
+    stay below _EPS_TAIL times the peak.
+    """
+    tops = [float(lg.max()) for lg in logs]
+    _check_overflow(sum(max(top, 0.0) for top in tops))
+    for lg, top in zip(logs, tops):
+        low = float(lg.max(initial=-np.inf, where=lg < _LOG_NORMAL))
+        if low + sum(tops) - top > peak + np.log(_EPS_TAIL):
+            raise GridError(
+                f"kernel factor underflows on the grid where the kernel is not negligible "
+                f"(log-modulus {low:.6g})"
+            )
+
+
+def operator_norm(mat, max_iter: int = 10_000) -> float:
     """Largest singular value: dense SVD for small matrices, else power iteration.
 
-    Power iteration multiplies by M* as conj(conj(w) M), with no conjugated
-    copy of the matrix, and raises ConvergenceError at the first non-finite
-    estimate.
+    ``mat`` is a dense array or a FactoredGridMatrix.  Power iteration
+    multiplies by M* as conj(conj(w) M), with no conjugated copy of the
+    matrix, and raises ConvergenceError at the first non-finite estimate.
     """
     if min(mat.shape) <= _DENSE_SVD_LIMIT:
         return float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -180,6 +319,6 @@ def kernel_norm(k: GaussianKernel, grid: GridSpec | None = None) -> float:
     return operator_norm(discretize(k, grid))
 
 
-def grid_trace(mat: np.ndarray) -> complex:
+def grid_trace(mat) -> complex:
     """Trace of the discretized operator, sum of diagonal entries."""
-    return complex(np.trace(mat))
+    return complex(mat.diagonal().sum())

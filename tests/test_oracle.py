@@ -18,6 +18,7 @@ from quadflow import (
     kernel_norm,
     operator_norm,
 )
+from quadflow import oracle
 from quadflow.models import heat_generator, heat_trace
 
 
@@ -118,7 +119,8 @@ def test_discretize_matches_pointwise_kernel(n, points):
     xs = grid.nodes()
     rows = rng.choice(len(xs), size=40, replace=False)
     ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**n
-    assert np.max(np.abs(mat[rows] - ref)) <= 1e-13 * np.max(np.abs(mat))
+    got = np.array([np.eye(1, len(xs), r)[0] @ mat for r in rows])  # e_r M, dense or factored
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_discretize_refuses_overflowing_kernel():
@@ -193,9 +195,137 @@ def test_two_mode_heat_smoke():
     finally:
         tracemalloc.stop()
     assert mat.shape == (64 * 64, 64 * 64)
-    assert peak <= 1.1 * mat.nbytes  # one matrix-sized buffer, no full-size temporaries
+    dense_bytes, factor_bytes = 16 * 64**4, 32 * 64**3  # 256 MiB against 8 MiB
+    assert peak <= 1.5 * factor_bytes  # the two axis factors and a little more
+    assert peak <= dense_bytes / 20  # no matrix-sized buffer
     assert operator_norm(mat) == pytest.approx(np.exp(-1.0), rel=1e-4)
     assert grid_trace(mat) == pytest.approx(heat_trace(1.0) ** 2, rel=1e-4)
+
+
+def dense_pointwise(k, grid):
+    """Reference matrix k(x_i, x_j) h^n from the pointwise kernel, built in row blocks."""
+    xs = grid.nodes()
+    mat = np.empty((len(xs), len(xs)), dtype=complex)
+    for start in range(0, len(xs), 512):
+        mat[start:start + 512] = k(xs[start:start + 512, None, :], xs[None, :, :]) * grid.h**grid.n
+    return mat
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factored_operator_matches_dense_pointwise_matrix(seed):
+    rng = np.random.default_rng(seed)
+    k = random_kernel(rng, 2)
+    grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
+    op, ref = discretize(k, grid), dense_pointwise(k, grid)
+    assert not isinstance(op, np.ndarray) and op.shape == ref.shape
+    for _ in range(3):
+        v = rng.standard_normal(ref.shape[1]) + 1j * rng.standard_normal(ref.shape[1])
+        assert np.max(np.abs(op @ v - ref @ v)) <= 1e-13 * np.max(np.abs(ref @ v))
+        assert np.max(np.abs(v @ op - v @ ref)) <= 1e-13 * np.max(np.abs(v @ ref))
+    diag = np.diagonal(ref)
+    assert np.max(np.abs(op.diagonal() - diag)) <= 1e-13 * np.max(np.abs(diag))
+    assert abs(operator_norm(op) - operator_norm(ref)) <= 1e-13 * operator_norm(ref)
+    assert abs(grid_trace(op) - grid_trace(ref)) <= 1e-13 * np.sum(np.abs(diag))
+
+
+def dense_log_modulus_maxima(k, grid):
+    """Row and column maxima of -Im phi(x_i, x_j) over the whole grid, in row blocks."""
+    im, xs = k.phase_hessian().imag, grid.nodes()
+    row_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[:2, :2], xs) + xs @ k.lx.imag + k.c0.imag
+    col_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[2:, 2:], xs) + xs @ k.ly.imag
+    rows, cols = np.empty(len(xs)), np.full(len(xs), -np.inf)
+    for start in range(0, len(xs), 512):
+        block = slice(start, start + 512)
+        ell = -((xs[block] @ im[:2, 2:]) @ xs.T + row_term[block, None] + col_term[None, :])
+        rows[block] = ell.max(axis=1)
+        np.maximum(cols, ell.max(axis=0), out=cols)
+    return rows, cols
+
+
+@pytest.mark.parametrize("seed, shift", [(3, 0.0), (4, 2.0), (5, 2.0)])
+def test_two_mode_tail_certificate_matches_dense_log_modulus(seed, shift):
+    """Vertex elimination gives the dense maxima, so the same peak, edge and verdict.
+
+    The shift moves the envelope off the centre, so that vertices fall
+    outside the box and are clipped to its edge.
+    """
+    rng = np.random.default_rng(seed)
+    k = random_kernel(rng, 2)
+    k = GaussianKernel(k.amplitude, k.pxx, k.pxy, k.pyy, k.lx + shift * np.array([1j, -1j]),
+                       k.ly + shift * 1j, k.c0)
+    verdicts = []
+    for scale in (0.3, 0.6, 0.9, 1.2):
+        grid = GridSpec(n=2, half_width=scale * auto_grid(k).half_width, points=64)
+        rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
+        ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
+        size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
+        assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
+        assert np.max(np.abs(cols - ref_cols)) <= 1e-13 * size
+        on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
+        edge = max(ref_rows[on_edge].max(), ref_cols[on_edge].max())
+        refused = edge - ref_rows.max() > 0.5 * np.log(1e-12)
+        verdicts.append(refused)
+        if refused:
+            with pytest.raises(GridError, match="tail bound"):
+                discretize(k, grid)
+        else:
+            discretize(k, grid)
+    assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.3, 0.5, 1.0])
+def test_two_mode_heat_matches_dense_route(s):
+    """The two-mode heat matrix is the Kronecker square of the one-mode matrix."""
+    k2 = heat_kernel(s, n=2)
+    half_width = auto_grid(k2).half_width
+    one_mode = discretize(heat_kernel(s), GridSpec(n=1, half_width=half_width, points=64))
+    dense = np.kron(one_mode, one_mode)
+    op = discretize(k2, GridSpec(n=2, half_width=half_width, points=64))
+    assert operator_norm(op) == pytest.approx(operator_norm(dense), rel=1e-12)
+    assert grid_trace(op) == pytest.approx(grid_trace(one_mode) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_two_mode_heat_on_automatic_grid(s):
+    k = heat_kernel(s, n=2)
+    tracemalloc.start()
+    try:
+        mat = discretize(k)
+        top, trace = operator_norm(mat), grid_trace(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (101**2, 101**2)  # 1.55 GiB as a dense matrix
+    assert peak <= 64 * 2**20
+    assert top == pytest.approx(np.exp(-s), rel=1e-8)
+    assert trace == pytest.approx(heat_trace(s) ** 2, rel=1e-8)
+
+
+def test_two_mode_factor_overflow_is_refused():
+    # y1 y2 coupling in Im pyy: the y diagonal reaches exp(0.95 L^2) at the corners
+    # although the kernel itself is bounded, so the factored matrix is refused
+    k = GaussianKernel(1.0, pxx=1j * np.eye(2), pxy=np.zeros((2, 2)),
+                       pyy=1j * np.array([[1.0, 0.95], [0.95, 1.0]]), lx=np.zeros(2), ly=np.zeros(2))
+    with pytest.raises(GridError, match="overflows"):
+        discretize(k, GridSpec(n=2, half_width=30.0, points=64))
+    # the x and y diagonals each reach exp(0.5 L^2) = exp(400): no factor overflows,
+    # their product does
+    coupled = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
+    k = GaussianKernel(1.0, pxx=coupled, pxy=np.zeros((2, 2)), pyy=coupled,
+                       lx=np.zeros(2), ly=np.zeros(2))
+    discretize(k, GridSpec(n=2, half_width=25.0, points=64))
+    with pytest.raises(GridError, match="overflows"):
+        discretize(k, GridSpec(n=2, half_width=28.3, points=64))
+
+
+def test_two_mode_factor_underflow_is_refused():
+    # x1 x2 coupling in Im pxx: the x diagonal reaches exp(0.5 L^2) = exp(695) while
+    # axis factors underflow, so an underflowed entry is not bounded below the tail
+    k = GaussianKernel(1.0, pxx=1j * np.array([[1.0, -0.5], [-0.5, 1.0]]), pxy=np.zeros((2, 2)),
+                       pyy=1j * np.eye(2), lx=np.zeros(2), ly=np.zeros(2))
+    discretize(k, GridSpec(n=2, half_width=30.0, points=64))
+    with pytest.raises(GridError, match="underflows"):
+        discretize(k, GridSpec(n=2, half_width=37.28, points=64))
 
 
 # -- operator_norm internals --------------------------------------------------
