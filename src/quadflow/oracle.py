@@ -10,8 +10,10 @@ built in place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
 N = 600).  At n = 2 it is never formed: a FactoredGridMatrix keeps two
 (N^2, N) per-axis Gaussian factors and two diagonals, 32 N^3 bytes (33 MiB at
 N = 101, where the dense matrix would take 1.55 GiB), and multiplies by
-vectors in N^4 flops.  The power iteration multiplies by M* without a
-conjugated copy.
+vectors in N^4 flops.  Only when the two modes are coupled so strongly that
+the factors would overflow or underflow where the kernel does not is the
+n = 2 matrix built dense, 16 N^4 bytes.  The power iteration multiplies by
+M* without a conjugated copy.
 """
 from __future__ import annotations
 
@@ -153,13 +155,13 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     exponent i phi is the cross term x_i (i pxy) x_j as an outer product plus
     the row and column terms, then it is exponentiated and scaled in place.
     At n = 2 it is a FactoredGridMatrix of 32 N^3 bytes (33 MiB at N = 101;
-    the dense matrix would take 16 N^4 bytes, 1.55 GiB).
+    the dense matrix would take 16 N^4 bytes, 1.55 GiB), unless the factors
+    cannot hold the kernel (strongly coupled modes over a wide box); then
+    it is the dense matrix, built as at n = 1.
 
     Certifies the envelope decay rate and the boundary tail on the actual
     grid, in log space before any exponential, and refuses a kernel that
-    vanishes or overflows there; at n = 2 it also refuses a factor entry
-    that underflows where the kernel is not negligible.  Raises GridError
-    when any check fails.
+    vanishes or overflows there.  Raises GridError when any check fails.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -170,9 +172,11 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         raise GridError("kernel vanishes identically on the grid")
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
-    if grid.n == 1:
-        return _dense(k, grid, log_scale)
-    return _factored(k, hess, grid, log_scale)
+    if grid.n == 2:
+        mat = _factored(k, hess, grid, log_scale)
+        if mat is not None:
+            return mat
+    return _dense(k, grid, log_scale)
 
 
 def _dense(k: GaussianKernel, grid: GridSpec, log_scale: float) -> np.ndarray:
@@ -189,8 +193,15 @@ def _dense(k: GaussianKernel, grid: GridSpec, log_scale: float) -> np.ndarray:
 
 
 def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
-              log_scale: float) -> FactoredGridMatrix:
+              log_scale: float) -> FactoredGridMatrix | None:
+    """The two-mode matrix as axis factors, or None where they cannot hold it.
+
+    The cross-axis terms sit in dx and dy, which strongly coupled modes over
+    a wide box drive far beyond the kernel's own range: such factors would
+    overflow, or underflow where the kernel is not negligible.
+    """
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
+    _check_overflow(peak + max(log_scale, 0.0))
     pxx, pxy, pyy = hess[:2, :2], hess[:2, 2:], hess[2:, 2:]
     ax, xs = grid.axis(), grid.nodes()
     cross = xs[:, 0] * xs[:, 1]
@@ -203,7 +214,8 @@ def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
         g += 0.5j * pyy[b, b] * ax**2
         factors.append(g)
     factors.append(1j * (pyy[0, 1] * cross + xs @ k.ly))
-    _certify_range([f.real for f in factors], peak + log_scale)
+    if not _in_range([f.real for f in factors], peak + log_scale):
+        return None
     for f in factors:
         # a subnormal entry is certified negligible, and slows every product it enters
         low = f.real < _LOG_NORMAL
@@ -266,8 +278,8 @@ def _check_overflow(top: float) -> None:
         )
 
 
-def _certify_range(logs: list[np.ndarray], peak: float) -> None:
-    """Refuse factors whose exponentials are not all accurate where it matters.
+def _in_range(logs: list[np.ndarray], peak: float) -> bool:
+    """Whether the factors' exponentials are accurate wherever it matters.
 
     ``logs`` are the factors' log-moduli and ``peak`` that of the largest
     matrix entry.  No product of factors may overflow, and an entry that is
@@ -275,14 +287,13 @@ def _certify_range(logs: list[np.ndarray], peak: float) -> None:
     stay below _EPS_TAIL times the peak.
     """
     tops = [float(lg.max()) for lg in logs]
-    _check_overflow(sum(max(top, 0.0) for top in tops))
+    if not sum(max(top, 0.0) for top in tops) < _LOG_MAX:
+        return False
     for lg, top in zip(logs, tops):
         low = float(lg.max(initial=-np.inf, where=lg < _LOG_NORMAL))
         if low + sum(tops) - top > peak + np.log(_EPS_TAIL):
-            raise GridError(
-                f"kernel factor underflows on the grid where the kernel is not negligible "
-                f"(log-modulus {low:.6g})"
-            )
+            return False
+    return True
 
 
 def operator_norm(mat, max_iter: int = 10_000) -> float:

@@ -16,10 +16,12 @@ from quadflow import (
     grid_trace,
     kernel_compose,
     kernel_norm,
+    norm_quadratic,
     operator_norm,
 )
 from quadflow import oracle
 from quadflow.models import heat_generator, heat_trace
+from quadflow.symplectic import QuadraticForm
 
 
 def heat_kernel(s: float, n: int = 1):
@@ -301,31 +303,61 @@ def test_two_mode_heat_on_automatic_grid(s):
     assert trace == pytest.approx(heat_trace(s) ** 2, rel=1e-8)
 
 
-def test_two_mode_factor_overflow_is_refused():
-    # y1 y2 coupling in Im pyy: the y diagonal reaches exp(0.95 L^2) at the corners
-    # although the kernel itself is bounded, so the factored matrix is refused
-    k = GaussianKernel(1.0, pxx=1j * np.eye(2), pxy=np.zeros((2, 2)),
-                       pyy=1j * np.array([[1.0, 0.95], [0.95, 1.0]]), lx=np.zeros(2), ly=np.zeros(2))
-    with pytest.raises(GridError, match="overflows"):
-        discretize(k, GridSpec(n=2, half_width=30.0, points=64))
-    # the x and y diagonals each reach exp(0.5 L^2) = exp(400): no factor overflows,
-    # their product does
-    coupled = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
-    k = GaussianKernel(1.0, pxx=coupled, pxy=np.zeros((2, 2)), pyy=coupled,
-                       lx=np.zeros(2), ly=np.zeros(2))
-    discretize(k, GridSpec(n=2, half_width=25.0, points=64))
-    with pytest.raises(GridError, match="overflows"):
-        discretize(k, GridSpec(n=2, half_width=28.3, points=64))
+def rotated_heat_generator(s1: float, s2: float) -> QuadraticForm:
+    """Two-mode heat flow with rates s1, s2 on modes rotated by 45 degrees."""
+    rot = np.kron(np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
+    return QuadraticForm(rot @ (-1j * np.diag([s1, s2, s1, s2])) @ rot.T)
 
 
-def test_two_mode_factor_underflow_is_refused():
-    # x1 x2 coupling in Im pxx: the x diagonal reaches exp(0.5 L^2) = exp(695) while
-    # axis factors underflow, so an underflowed entry is not bounded below the tail
-    k = GaussianKernel(1.0, pxx=1j * np.array([[1.0, -0.5], [-0.5, 1.0]]), pxy=np.zeros((2, 2)),
-                       pyy=1j * np.eye(2), lx=np.zeros(2), ly=np.zeros(2))
-    discretize(k, GridSpec(n=2, half_width=30.0, points=64))
-    with pytest.raises(GridError, match="underflows"):
-        discretize(k, GridSpec(n=2, half_width=37.28, points=64))
+def test_coupled_two_mode_heat_is_verified_on_the_dense_matrix():
+    # the rotation couples x1 x2 and y1 y2, so the axis factors would reach a
+    # log-modulus near 1700 on this box although |K| stays bounded
+    q = rotated_heat_generator(0.3, 2.0)
+    mat = discretize(evolution_to_kernel(EvolutionSpec(q)), GridSpec(n=2, half_width=19.27, points=64))
+    assert isinstance(mat, np.ndarray)
+    assert operator_norm(mat) == pytest.approx(norm_quadratic(q), rel=1e-9)
+    assert grid_trace(mat) == pytest.approx(heat_trace(0.3) * heat_trace(2.0), rel=1e-12)
+
+
+COUPLED = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
+
+
+@pytest.mark.parametrize("pxx, pyy, half_width, factored", [
+    # y1 y2 coupling in Im pyy: the y diagonal would reach exp(0.95 L^2) at the corners
+    (1j * np.eye(2), 1j * np.array([[1.0, 0.95], [0.95, 1.0]]), 30.0, False),
+    # the x and y diagonals each reach exp(0.5 L^2): no factor overflows at
+    # L = 28.3, their product does
+    (COUPLED, COUPLED, 25.0, True),
+    (COUPLED, COUPLED, 28.3, False),
+    # x1 x2 coupling in Im pxx: the x diagonal reaches exp(0.5 L^2) = exp(695)
+    # while axis factors underflow, so an underflowed entry could matter
+    (COUPLED, 1j * np.eye(2), 30.0, True),
+    (COUPLED, 1j * np.eye(2), 37.28, False),
+])
+def test_two_mode_factors_out_of_range_give_the_dense_matrix(pxx, pyy, half_width, factored):
+    k = GaussianKernel(1.0, pxx=pxx, pxy=np.zeros((2, 2)), pyy=pyy, lx=np.zeros(2), ly=np.zeros(2))
+    grid = GridSpec(n=2, half_width=half_width, points=64)
+    mat = discretize(k, grid)
+    assert isinstance(mat, np.ndarray) != factored
+    xs = grid.nodes()
+    rows = np.random.default_rng(6).choice(len(xs), size=40, replace=False)
+    ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**2
+    got = np.array([np.eye(1, len(xs), r)[0] @ mat for r in rows])
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_two_mode_overflowing_kernel_is_refused_before_any_matrix():
+    # |K| peaks near exp(1600) at x1 = -80; neither factors nor a dense matrix are built
+    k = GaussianKernel(1.0, pxx=0.5j * np.eye(2), pxy=0.2 * np.eye(2), pyy=0.5j * np.eye(2),
+                       lx=[40j, 0], ly=[0, 0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="overflows"):
+            discretize(k, GridSpec(2, 200.0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 64**4 / 20  # no matrix-sized buffer
 
 
 # -- operator_norm internals --------------------------------------------------
