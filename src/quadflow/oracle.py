@@ -184,9 +184,7 @@ def _dense(k: GaussianKernel, grid: GridSpec, log_scale: float) -> np.ndarray:
     mat = (xs @ (1j * k.pxy)) @ xs.T
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs) + xs @ k.lx + k.c0)[:, None]
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pyy, xs) + xs @ k.ly)[None, :]
-    peak = _certify_tail(grid, mat.real.max(axis=1), mat.real.max(axis=0), log_scale)
-    # neither exp(peak) nor its scaled value may overflow; a NaN exponent refuses too
-    _check_overflow(peak + max(log_scale, 0.0))
+    _certify_tail(grid, mat.real.max(axis=1), mat.real.max(axis=0), log_scale)
     np.exp(mat, out=mat)
     mat *= k.amplitude * grid.h**grid.n
     return mat
@@ -201,7 +199,6 @@ def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
     overflow, or underflow where the kernel is not negligible.
     """
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
-    _check_overflow(peak + max(log_scale, 0.0))
     pxx, pxy, pyy = hess[:2, :2], hess[:2, 2:], hess[2:, 2:]
     ax, xs = grid.axis(), grid.nodes()
     cross = xs[:, 0] * xs[:, 1]
@@ -254,8 +251,9 @@ def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
 def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
     """Peak of the unscaled log-modulus from its row and column maxima.
 
-    Refuses a kernel that vanishes on the grid or whose boundary tail
-    exceeds sqrt(_EPS_TAIL) of the peak, on edge rows or edge columns.
+    Refuses a kernel that vanishes on the grid, whose boundary tail exceeds
+    sqrt(_EPS_TAIL) of the peak on edge rows or edge columns, or that
+    overflows.
     """
     peak = float(row_max.max())
     if peak + log_scale < _LOG_TINY:
@@ -267,15 +265,14 @@ def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
             f"tail bound violated at half width {grid.half_width}: "
             f"boundary/peak ratio {np.exp(edge - peak):.3e}"
         )
-    return peak
-
-
-def _check_overflow(top: float) -> None:
+    # neither exp(peak) nor its scaled value may overflow; a NaN exponent refuses too
+    top = peak + max(log_scale, 0.0)
     if not top < _LOG_MAX:
         raise GridError(
             f"kernel overflows on the grid: log-modulus peak {top:.6g} "
             f"exceeds log(float max) = {_LOG_MAX:.6g}"
         )
+    return peak
 
 
 def _in_range(logs: list[np.ndarray], peak: float) -> bool:
