@@ -62,7 +62,7 @@ def _dump_json(obj, indent: int = 0) -> str:
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, complex):
+    if isinstance(obj, complex) or (isinstance(obj, np.ndarray) and obj.dtype.kind == "c"):
         return _dump_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, np.ndarray):
         return _dump_json(obj.tolist(), indent)
@@ -84,10 +84,7 @@ def _dump_json(obj, indent: int = 0) -> str:
 def _csv_cell(x) -> str:
     if isinstance(x, str):
         return x
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -150,32 +147,18 @@ def _load_evolution(path: str) -> EvolutionSpec:
     return EvolutionSpec(q, v)
 
 
+# the fields of a kernel file and of the kernel report; c0 is optional on input
+_KERNEL_KEYS = ("amplitude", "pxx", "pxy", "pyy", "lx", "ly", "c0")
+
+
 def _parse_kernel(data) -> GaussianKernel:
-    need = ("amplitude", "pxx", "pxy", "pyy", "lx", "ly")
-    for key in need:
+    for key in _KERNEL_KEYS[:-1]:
         if key not in data:
             raise ValueError(f"kernel file needs a {key!r} entry")
-    return GaussianKernel(
-        amplitude=_complex_scalar(data["amplitude"], "amplitude"),
-        pxx=_complex_array(data["pxx"], "pxx"),
-        pxy=_complex_array(data["pxy"], "pxy"),
-        pyy=_complex_array(data["pyy"], "pyy"),
-        lx=_complex_array(data["lx"], "lx"),
-        ly=_complex_array(data["ly"], "ly"),
-        c0=_complex_scalar(data["c0"], "c0") if "c0" in data else 0.0,
-    )
-
-
-def _kernel_report(k: GaussianKernel) -> dict:
-    return {
-        "amplitude": complex(k.amplitude),
-        "pxx": {"re": k.pxx.real, "im": k.pxx.imag},
-        "pxy": {"re": k.pxy.real, "im": k.pxy.imag},
-        "pyy": {"re": k.pyy.real, "im": k.pyy.imag},
-        "lx": {"re": k.lx.real, "im": k.lx.imag},
-        "ly": {"re": k.ly.real, "im": k.ly.imag},
-        "c0": complex(k.c0),
-    }
+    return GaussianKernel(**{
+        key: (_complex_scalar if key in ("amplitude", "c0") else _complex_array)(data[key], key)
+        for key in _KERNEL_KEYS if key in data
+    })
 
 
 def finite(text: str) -> float:
@@ -216,6 +199,8 @@ def _parse_grid(text: str | None, kern: GaussianKernel) -> GridSpec:
 
 
 def _cmd_norm(args) -> int:
+    if args.grid is not None and not args.verify:
+        raise ValueError("--grid needs --verify")
     spec = _load_evolution(args.spec)
     data = decompose(spec)
     report = {
@@ -257,8 +242,8 @@ def _cmd_compose(args) -> int:
     s2 = _load_evolution(args.spec2)
     result = compose_evolutions(s1, s2)
     report = {
-        "hessian": {"re": result.spec.q.hess.real, "im": result.spec.q.hess.imag},
-        "v": {"re": result.spec.v.real, "im": result.spec.v.imag},
+        "hessian": result.spec.q.hess,
+        "v": result.spec.v,
         "factor": result.factor,
         "sign_ambiguous": result.sign_ambiguous,
         "margin": result.spec.report.margin,
@@ -277,15 +262,16 @@ def _cmd_kernel(args) -> int:
             kern = evolution_to_kernel(q, formal=True)
         else:
             kern = evolution_to_kernel(EvolutionSpec(q, v))
-        _write_output(_dump_json(_kernel_report(kern)) + "\n", args.output)
+        report = {key: getattr(kern, key) for key in _KERNEL_KEYS}
+        _write_output(_dump_json(report) + "\n", args.output)
         return 0
-    # from-kernel
-    kern = _parse_kernel(data)
-    spec, c = kernel_to_evolution(kern)
+    if args.formal:
+        raise ValueError("--formal applies to --direction to-kernel only")
+    spec, c = kernel_to_evolution(_parse_kernel(data))
     report = {
-        "hessian": {"re": spec.q.hess.real, "im": spec.q.hess.imag},
-        "v": {"re": spec.v.real, "im": spec.v.imag},
-        "c": complex(c),
+        "hessian": spec.q.hess,
+        "v": spec.v,
+        "c": c,
         "margin": spec.report.margin,
     }
     _write_output(_dump_json(report) + "\n", args.output)
@@ -336,22 +322,16 @@ def _cmd_centers(args) -> int:
     items = [(float(t1), QuadraticForm((t1 + 1j * t2) * base), v) for t1 in t1s]
     samples = center_path(items)
     good = [s for s in samples if s.ok]
+    nan = np.full(2, np.nan)  # the centers of a failed member
+    center, radius = nan, np.nan  # no circle through fewer than three centers
     if len(good) >= 3:
         center, radius = _fit_circle(np.array([s.a1 for s in good]))
-    else:
-        center, radius = None, float("nan")
     lines = ["t1,a1_x,a1_xi,a2_x,a2_xi,circle_residual,style"]
     for s in samples:
+        a1, a2 = (s.a1, s.a2) if s.ok else (nan, nan)
+        resid = abs(float(np.linalg.norm(a1 - center)) - radius)
         # solid branch covers t1 in [0, pi], dotted the negative sweep
-        style = "solid" if s.param >= 0.0 else "dotted"
-        if s.ok and center is not None:
-            resid = abs(float(np.linalg.norm(s.a1 - center)) - radius)
-            row = [s.param, s.a1[0], s.a1[1], s.a2[0], s.a2[1], resid, style]
-        elif s.ok:
-            row = [s.param, s.a1[0], s.a1[1], s.a2[0], s.a2[1], float("nan"), style]
-        else:
-            nan = float("nan")
-            row = [s.param, nan, nan, nan, nan, nan, style]
+        row = [s.param, *a1, *a2, resid, "solid" if s.param >= 0.0 else "dotted"]
         lines.append(",".join(_csv_cell(x) for x in row))
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
@@ -371,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", help="operator norm and decomposition of a spec")
     p_norm.add_argument("spec")
     p_norm.add_argument("--verify", action="store_true", help="cross-check with the grid oracle")
-    p_norm.add_argument("--grid", default=None, help="oracle grid as L,N (with --verify)")
+    p_norm.add_argument("--grid", default=None, help="oracle grid as L,N (needs --verify)")
     p_norm.add_argument("-o", "--output", default=None)
     p_norm.set_defaults(func=_cmd_norm)
 

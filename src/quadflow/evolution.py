@@ -145,7 +145,6 @@ class DecompositionData:
     a2: np.ndarray       # real left shift center
     phase: complex       # scalar factor; |phase| = growth factor
     norm: float          # operator norm of the shifted evolution
-    a: np.ndarray        # the matrix with a2 - a1 = A Im v
 
 
 def _centers(km: np.ndarray, v: np.ndarray):
@@ -168,14 +167,13 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     if failed[0]:
         raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
-    amat = a_matrix(k)
     exponent = 0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex))
     if exponent.real > np.log(np.finfo(float).max):
         raise QuadflowError(f"log growth factor {exponent.real:.6g} overflows a float")
     phase = np.exp(exponent)
     mu = eigenvalue_pairing(k)
     norm = float(abs(phase) * np.prod(mu**0.25))
-    return DecompositionData(mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm, a=amat)
+    return DecompositionData(mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm)
 
 
 def norm_shifted(spec: EvolutionSpec) -> float:

@@ -206,12 +206,9 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     certified by EvolutionSpec.  c is the ratio of the two kernels at the
     origin, taken from amplitudes and constant phases so it cannot underflow.
     """
-    eigs = np.linalg.eigvalsh(k.phase_hessian().imag)
-    if eigs[0] <= 0.0:
-        raise QuadflowError(
-            "kernel is degenerate: Im phi'' has eigenvalues "
-            + ", ".join(f"{e:.6g}" for e in eigs)
-        )
+    margin = k.nondegeneracy_margin()
+    if margin <= 0.0:
+        raise QuadflowError(f"kernel is degenerate: Im phi'' has eigenvalues down to {margin:.6g}")
     trans, w = kernel_transform(k)
     q = canonical_log(trans)
     eye = np.eye(2 * k.n)
@@ -343,40 +340,33 @@ class PolynomialKernel:
     poly: PolynomialSymbol
     side: str
 
+    def __post_init__(self):
+        if self.side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
+
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = self.base.n
+        """The quadratic bracket at (x, y).
+
+        The right side is the left formula taken at y, with -phi'_y in place
+        of phi'_x and the sign of tr S_xxi flipped.
+        """
+        n, k, p = self.base.n, self.base, self.poly
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        lam_x, lam_xi = self.poly.lam[:n], self.poly.lam[n:]
-        sxx = self.poly.s[:n, :n]
-        sxxi = self.poly.s[:n, n:]
-        sxixi = self.poly.s[n:, n:]
-        k = self.base
+        sxx, sxxi, sxixi = p.s[:n, :n], p.s[:n, n:], p.s[n:, n:]
         if self.side == "left":
-            g = x @ k.pxx.T + y @ k.pxy.T + k.lx  # phi'_x at each point
-            out = (
-                self.poly.c0
-                + x @ lam_x
-                + g @ lam_xi
-                + np.einsum("...i,ij,...j->...", x, sxx, x)
-                + 2.0 * np.einsum("...i,ij,...j->...", x, sxxi, g)
-                + np.einsum("...i,ij,...j->...", g, sxixi, g)
-                - 1j * (np.trace(sxxi) + np.trace(sxixi @ k.pxx))
-            )
-        elif self.side == "right":
-            gy = x @ k.pxy + y @ k.pyy.T + k.ly  # phi'_y at each point
-            out = (
-                self.poly.c0
-                + y @ lam_x
-                - gy @ lam_xi
-                + np.einsum("...i,ij,...j->...", y, sxx, y)
-                - 2.0 * np.einsum("...i,ij,...j->...", y, sxxi, gy)
-                + np.einsum("...i,ij,...j->...", gy, sxixi, gy)
-                - 1j * (-np.trace(sxxi) + np.trace(sxixi @ k.pyy))
-            )
+            z, g, pzz, tr_sxxi = x, x @ k.pxx.T + y @ k.pxy.T + k.lx, k.pxx, np.trace(sxxi)
         else:
-            raise ValueError("side must be 'left' or 'right'")
-        return out
+            z, g, pzz, tr_sxxi = y, -(x @ k.pxy + y @ k.pyy.T + k.ly), k.pyy, -np.trace(sxxi)
+        return (
+            p.c0
+            + z @ p.lam[:n]
+            + g @ p.lam[n:]
+            + np.einsum("...i,ij,...j->...", z, sxx, z)
+            + 2.0 * np.einsum("...i,ij,...j->...", z, sxxi, g)
+            + np.einsum("...i,ij,...j->...", g, sxixi, g)
+            - 1j * (tr_sxxi + np.trace(sxixi @ pzz))
+        )
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.base(x, y) * self.bracket(x, y)
@@ -386,6 +376,4 @@ def apply_polynomial(poly: PolynomialSymbol, k: GaussianKernel, side: str) -> Po
     """Kernel of a^w T (side="left") or T a^w (side="right"), exactly."""
     if poly.n != k.n:
         raise ValueError("dimension mismatch between polynomial and kernel")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     return PolynomialKernel(base=k, poly=poly, side=side)

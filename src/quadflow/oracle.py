@@ -5,8 +5,9 @@ operator norms and traces directly, with no knowledge of the closed-form
 theory.  It exists to cross-check every analytic claim in the package; keep
 it simple and independent.
 
-It reads only the kernel's quadratic phase.  At n = 1 the matrix is dense,
-built in place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
+It reads only the kernel's quadratic phase.  One tail certificate, at n = 1
+and n = 2, runs before either build.  At n = 1 the matrix is dense, built in
+place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
 N = 600).  At n = 2 it is never formed: a FactoredGridMatrix keeps two
 (N^2, N) per-axis Gaussian factors and two diagonals, 32 N^3 bytes (33 MiB at
 N = 101, where the dense matrix would take 1.55 GiB), and multiplies by
@@ -31,6 +32,7 @@ _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
 _DENSE_SVD_LIMIT = 384
 _POWER_REL_TOL = 1e-10  # relative step at which power iteration stops
+_POWER_MAX_ITER = 10_000  # power iteration steps before ConvergenceError
 # exp(x) overflows above _LOG_MAX, is subnormal (loses precision) below
 # _LOG_NORMAL and leaves no nonzero float below _LOG_TINY
 _LOG_MAX = float(np.log(np.finfo(float).max))
@@ -151,6 +153,11 @@ class FactoredGridMatrix:
 def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix:
     """Midpoint-rule matrix of the kernel: M[i, j] = K(x_i, x_j) h^n.
 
+    Certifies the envelope decay rate, then the boundary tail on the actual
+    grid: one certificate, at n = 1 and n = 2, from the exact row and column
+    maxima of log|M|, before either build.  It refuses a kernel that
+    vanishes or overflows there.  Raises GridError when any check fails.
+
     At n = 1 the matrix is dense, built in one (N, N) complex buffer: the
     exponent i phi is the cross term x_i (i pxy) x_j as an outer product plus
     the row and column terms, then it is exponentiated and scaled in place.
@@ -158,10 +165,6 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     the dense matrix would take 16 N^4 bytes, 1.55 GiB), unless the factors
     cannot hold the kernel (strongly coupled modes over a wide box); then
     it is the dense matrix, built as at n = 1.
-
-    Certifies the envelope decay rate and the boundary tail on the actual
-    grid, in log space before any exponential, and refuses a kernel that
-    vanishes or overflows there.  Raises GridError when any check fails.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -172,33 +175,33 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         raise GridError("kernel vanishes identically on the grid")
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
+    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
     if grid.n == 2:
-        mat = _factored(k, hess, grid, log_scale)
+        mat = _factored(k, hess, grid, peak + log_scale)
         if mat is not None:
             return mat
-    return _dense(k, grid, log_scale)
+    return _dense(k, grid)
 
 
-def _dense(k: GaussianKernel, grid: GridSpec, log_scale: float) -> np.ndarray:
+def _dense(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     xs = grid.nodes()
     mat = (xs @ (1j * k.pxy)) @ xs.T
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs) + xs @ k.lx + k.c0)[:, None]
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pyy, xs) + xs @ k.ly)[None, :]
-    _certify_tail(grid, mat.real.max(axis=1), mat.real.max(axis=0), log_scale)
     np.exp(mat, out=mat)
     mat *= k.amplitude * grid.h**grid.n
     return mat
 
 
 def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
-              log_scale: float) -> FactoredGridMatrix | None:
+              peak: float) -> FactoredGridMatrix | None:
     """The two-mode matrix as axis factors, or None where they cannot hold it.
 
-    The cross-axis terms sit in dx and dy, which strongly coupled modes over
-    a wide box drive far beyond the kernel's own range: such factors would
-    overflow, or underflow where the kernel is not negligible.
+    ``peak`` is the log-modulus of the largest matrix entry.  The cross-axis
+    terms sit in dx and dy, which strongly coupled modes over a wide box
+    drive far beyond the kernel's own range: such factors would overflow, or
+    underflow where the kernel is not negligible.
     """
-    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
     pxx, pxy, pyy = hess[:2, :2], hess[:2, 2:], hess[2:, 2:]
     ax, xs = grid.axis(), grid.nodes()
     cross = xs[:, 0] * xs[:, 1]
@@ -211,7 +214,7 @@ def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
         g += 0.5j * pyy[b, b] * ax**2
         factors.append(g)
     factors.append(1j * (pyy[0, 1] * cross + xs @ k.ly))
-    if not _in_range([f.real for f in factors], peak + log_scale):
+    if not _in_range([f.real for f in factors], peak):
         return None
     for f in factors:
         # a subnormal entry is certified negligible, and slows every product it enters
@@ -222,30 +225,34 @@ def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
 
 
 def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
-    """Row and column maxima of the unscaled log-modulus -Im phi(x_m, y_j), two modes."""
-    im = hess.imag
-    rows = _log_row_max(grid, im[:2, :2], im[:2, 2:], im[2:, 2:], k.lx.imag, k.ly.imag, k.c0.imag)
+    """Row and column maxima of the unscaled log-modulus -Im phi(x_m, y_j)."""
+    n, im = k.n, hess.imag
+    rows = _log_row_max(grid, im[:n, :n], im[:n, n:], im[n:, n:], k.lx.imag, k.ly.imag, k.c0.imag)
     # a column of phi is a row of phi with x and y swapped
-    cols = _log_row_max(grid, im[2:, 2:], im[2:, :2], im[:2, :2], k.ly.imag, k.lx.imag, k.c0.imag)
+    cols = _log_row_max(grid, im[n:, n:], im[n:, :n], im[:n, :n], k.ly.imag, k.lx.imag, k.c0.imag)
     return rows, cols
 
 
 def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
     """max over the nodes y of -(x.a x/2 + x.b y + y.c y/2 + la.x + lb.y + c0), per node x.
 
-    Two modes, real a, b, c with c > 0.  For fixed x and y1 the exponent is a
-    concave parabola in y2, so its largest value on the uniform axis is at the
-    node nearest the vertex, clipped to the box: O(N^3) work, exact.
+    Real a, b, c with c > 0.  For fixed x (and, at n = 2, fixed y1) the
+    exponent is a concave parabola in the last axis of y, so its largest
+    value on the uniform axis is at the node nearest the vertex, clipped to
+    the box: exact, in O(N) work at n = 1 and O(N^3) at n = 2.
     """
     ax, xs = grid.axis(), grid.nodes()
-    lin_y = xs @ b + lb  # (N^2, 2): coefficient of y per node x
-    lin_y2 = lin_y[:, 1:] + c[0, 1] * ax  # (N^2, N): coefficient of y2 per (x, y1)
-    near = np.rint((-lin_y2 / c[1, 1] + grid.half_width) / grid.h)
-    y2 = ax[np.clip(near, 0, grid.points - 1).astype(int)]
-    lin_y2 += 0.5 * c[1, 1] * y2
-    lin_y2 *= y2
-    lin_y2 += lin_y[:, :1] * ax + 0.5 * c[0, 0] * ax**2
-    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - lin_y2.min(axis=1)
+    lin_y = xs @ b + lb  # (N^n, n): coefficient of y per node x
+    lin_last = lin_y[:, -1:]  # coefficient of the last axis of y per node x
+    if grid.n == 2:
+        lin_last = lin_last + c[0, 1] * ax  # (N^2, N): per (x, y1)
+    near = np.rint((-lin_last / c[-1, -1] + grid.half_width) / grid.h)
+    y_last = ax[np.clip(near, 0, grid.points - 1).astype(int)]
+    lin_last += 0.5 * c[-1, -1] * y_last
+    lin_last *= y_last
+    if grid.n == 2:
+        lin_last += lin_y[:, :1] * ax + 0.5 * c[0, 0] * ax**2
+    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - lin_last.min(axis=1)
 
 
 def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
@@ -293,7 +300,7 @@ def _in_range(logs: list[np.ndarray], peak: float) -> bool:
     return True
 
 
-def operator_norm(mat, max_iter: int = 10_000) -> float:
+def operator_norm(mat) -> float:
     """Largest singular value: dense SVD for small matrices, else power iteration.
 
     ``mat`` is a dense array or a FactoredGridMatrix.  Power iteration
@@ -306,7 +313,7 @@ def operator_norm(mat, max_iter: int = 10_000) -> float:
     v = np.ones(mat.shape[1], dtype=complex)
     v /= np.linalg.norm(v)
     sigma_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         w = mat @ v
         u = np.conj(np.conj(w) @ mat)
         norm_u = np.linalg.norm(u)
@@ -319,7 +326,7 @@ def operator_norm(mat, max_iter: int = 10_000) -> float:
         if abs(sigma - sigma_prev) <= _POWER_REL_TOL * max(sigma, 1e-300):
             return sigma
         sigma_prev = sigma
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} steps")
 
 
 def kernel_norm(k: GaussianKernel, grid: GridSpec | None = None) -> float:

@@ -16,6 +16,7 @@ from quadflow import (
     QuadflowError,
     QuadraticForm,
     SymbolConvergenceError,
+    a_matrix,
     apply_polynomial,
     compactness_check,
     compose_evolutions,
@@ -118,9 +119,10 @@ def test_criterion_3_decomposition_identities(announce):
             n = 1 + (i % 3)
             q = random_strict(rng, n)
             v = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
-            d = decompose(EvolutionSpec(q, v))
-            scale = 1.0 + float(np.abs(d.a @ v.imag).max())
-            assert np.abs((d.a2 - d.a1) - d.a @ v.imag).max() <= 1e-10 * scale
+            spec = EvolutionSpec(q, v)
+            d, a = decompose(spec), a_matrix(spec.transform)
+            scale = 1.0 + float(np.abs(a @ v.imag).max())
+            assert np.abs((d.a2 - d.a1) - a @ v.imag).max() <= 1e-10 * scale
 
 
 def test_criterion_4_kernel_round_trip(announce):

@@ -170,6 +170,14 @@ def test_kernel_formal_rejects_shift(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_kernel_from_kernel_refuses_formal(tmp_path, capsys):
+    kern_file = tmp_path / "kern.json"
+    assert main(["kernel", write_spec(tmp_path, HEAT), "-o", str(kern_file)]) == 0
+    rc, out, err = run(capsys, ["kernel", str(kern_file), "--direction", "from-kernel", "--formal"])
+    assert rc == 4 and out == ""
+    assert "input error: --formal" in err
+
+
 def test_kernel_from_indefinite_phase_exits_4(tmp_path, capsys):
     ref = models.bargmann_reference_kernel(0.7)
     payload = {
@@ -336,6 +344,12 @@ def test_overflowed_flow_is_not_canonical_exits_4(tmp_path, capsys):
         with np.errstate(all="ignore"):
             rc, out, err = run(capsys, [command, spec])
         assert rc == 4 and out == "" and "matrix is not canonical" in err
+
+
+def test_grid_without_verify_exits_4(tmp_path, capsys):
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--grid", "abc"])
+    assert rc == 4 and out == ""
+    assert "input error: --grid needs --verify" in err
 
 
 def test_nonfinite_grid_width_exits_4(tmp_path, capsys):

@@ -9,6 +9,7 @@ from quadflow import (
     DegenerateKernelError,
     EvolutionSpec,
     GaussianKernel,
+    PolynomialKernel,
     PolynomialSymbol,
     QuadflowError,
     QuadraticForm,
@@ -477,3 +478,9 @@ def test_apply_polynomial_validates_side():
     k = random_nondegenerate(1, np.random.default_rng(65))
     with pytest.raises(ValueError):
         apply_polynomial(linear_poly(1.0, 0.0), k, "middle")
+
+
+def test_polynomial_kernel_validates_side_at_construction():
+    k = random_nondegenerate(1, np.random.default_rng(66))
+    with pytest.raises(ValueError, match="side"):
+        PolynomialKernel(k, linear_poly(1.0, 0.0), "middle")

@@ -8,6 +8,7 @@ from quadflow import (
     QuadflowError,
     SymbolConvergenceError,
     QuadraticForm,
+    a_matrix,
     critical_time,
     decompose,
     kernel_compose,
@@ -96,7 +97,7 @@ def test_center_matrices_match_generic():
         a1, a2 = models.rho_centers(theta, t1, t2, V_PROBE)
         assert np.allclose(d.a1, a1, atol=1e-9)
         assert np.allclose(d.a2, a2, atol=1e-9)
-        assert np.allclose(d.a, models.rho_a_matrix(theta, t1, t2), atol=1e-9)
+        assert np.allclose(a_matrix(spec.transform), models.rho_a_matrix(theta, t1, t2), atol=1e-9)
 
 
 def test_real_shift_centers_are_trivial():

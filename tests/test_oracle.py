@@ -232,13 +232,13 @@ def test_factored_operator_matches_dense_pointwise_matrix(seed):
 
 def dense_log_modulus_maxima(k, grid):
     """Row and column maxima of -Im phi(x_i, x_j) over the whole grid, in row blocks."""
-    im, xs = k.phase_hessian().imag, grid.nodes()
-    row_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[:2, :2], xs) + xs @ k.lx.imag + k.c0.imag
-    col_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[2:, 2:], xs) + xs @ k.ly.imag
+    n, im, xs = k.n, k.phase_hessian().imag, grid.nodes()
+    row_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[:n, :n], xs) + xs @ k.lx.imag + k.c0.imag
+    col_term = 0.5 * np.einsum("mi,ij,mj->m", xs, im[n:, n:], xs) + xs @ k.ly.imag
     rows, cols = np.empty(len(xs)), np.full(len(xs), -np.inf)
     for start in range(0, len(xs), 512):
         block = slice(start, start + 512)
-        ell = -((xs[block] @ im[:2, 2:]) @ xs.T + row_term[block, None] + col_term[None, :])
+        ell = -((xs[block] @ im[:n, n:]) @ xs.T + row_term[block, None] + col_term[None, :])
         rows[block] = ell.max(axis=1)
         np.maximum(cols, ell.max(axis=0), out=cols)
     return rows, cols
@@ -248,31 +248,47 @@ def dense_log_modulus_maxima(k, grid):
 def test_two_mode_tail_certificate_matches_dense_log_modulus(seed, shift):
     """Vertex elimination gives the dense maxima, so the same peak, edge and verdict.
 
-    The shift moves the envelope off the centre, so that vertices fall
-    outside the box and are clipped to its edge.
+    Two-mode kernels first, then one-mode ones.  The shift moves the
+    envelope off the centre, so that vertices fall outside the box and are
+    clipped to its edge.
     """
     rng = np.random.default_rng(seed)
-    k = random_kernel(rng, 2)
-    k = GaussianKernel(k.amplitude, k.pxx, k.pxy, k.pyy, k.lx + shift * np.array([1j, -1j]),
-                       k.ly + shift * 1j, k.c0)
-    verdicts = []
-    for scale in (0.3, 0.6, 0.9, 1.2):
-        grid = GridSpec(n=2, half_width=scale * auto_grid(k).half_width, points=64)
-        rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
-        ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
-        size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
-        assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
-        assert np.max(np.abs(cols - ref_cols)) <= 1e-13 * size
-        on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
-        edge = max(ref_rows[on_edge].max(), ref_cols[on_edge].max())
-        refused = edge - ref_rows.max() > 0.5 * np.log(1e-12)
-        verdicts.append(refused)
-        if refused:
-            with pytest.raises(GridError, match="tail bound"):
+    for n in (2, 1):
+        k = random_kernel(rng, n)
+        k = GaussianKernel(k.amplitude, k.pxx, k.pxy, k.pyy, k.lx + shift * np.array([1j, -1j])[:n],
+                           k.ly + shift * 1j, k.c0)
+        verdicts = []
+        for scale in (0.3, 0.6, 0.9, 1.2):
+            grid = GridSpec(n=n, half_width=scale * auto_grid(k).half_width, points=64)
+            rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
+            ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
+            size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
+            assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
+            assert np.max(np.abs(cols - ref_cols)) <= 1e-13 * size
+            on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
+            edge = max(ref_rows[on_edge].max(), ref_cols[on_edge].max())
+            refused = edge - ref_rows.max() > 0.5 * np.log(1e-12)
+            verdicts.append(refused)
+            if refused:
+                with pytest.raises(GridError, match="tail bound"):
+                    discretize(k, grid)
+            else:
                 discretize(k, grid)
-        else:
-            discretize(k, grid)
-    assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
+        assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
+
+
+def test_one_mode_tail_refusal_allocates_no_matrix():
+    # the heat envelope is far from negligible at x = 2; the verdict comes
+    # before the 16 N^2 bytes of the exponent buffer
+    points = 600
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match="tail bound"):
+            discretize(heat_kernel(1.0), GridSpec(n=1, half_width=2.0, points=points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * points**2 / 20
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.3, 0.5, 1.0])
@@ -376,8 +392,9 @@ def test_power_iteration_matches_dense():
     assert got == pytest.approx(dense, rel=1e-8)
 
 
-def test_power_iteration_reports_non_convergence():
+def test_power_iteration_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(oracle, "_POWER_MAX_ITER", 1)
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((400, 400))
     with pytest.raises(ConvergenceError):
-        operator_norm(mat, max_iter=1)
+        operator_norm(mat)
