@@ -348,25 +348,34 @@ def bar_inverse(k: CanonicalTransform) -> CanonicalTransform:
 # Minimal angular gap (radians) between Spec K and the negative real axis, the
 # cut of the principal logarithm, below which the logarithm is refused.
 _CUT_GAP_FLOOR = 1e-6
+# Largest 1-norm condition number of K's eigenvector matrix V at which the
+# logarithm is read off the eigendecomposition, V diag(log lambda) V^{-1}.
+_EIG_COND_CAP = 1e3
 
 
 def canonical_log(k: CanonicalTransform) -> QuadraticForm:
     """Quadratic form q with flow(q, 1) = K.
 
-    The generator is the principal matrix logarithm of K (logm, by inverse
-    scaling and squaring), refused when an eigenvalue of K sits within
-    _CUT_GAP_FLOOR of the negative real axis, then projected back onto the
-    Hamiltonian class.  The result is verified to reproduce K within
-    TOLERANCES["log"].
+    The generator is the principal matrix logarithm of K, refused when an
+    eigenvalue of K sits within _CUT_GAP_FLOOR of the negative real axis.  It
+    is V diag(log lambda) V^{-1} from the eigendecomposition K = V diag(lambda)
+    V^{-1} when cond_1(V) <= _EIG_COND_CAP, and otherwise (defective or
+    ill-conditioned K) logm, by inverse scaling and squaring (Higham,
+    Functions of Matrices, ch. 11).  It is then projected back onto the
+    Hamiltonian class and verified to reproduce K within TOLERANCES["log"].
     """
     m = k.matrix
-    eigs = np.linalg.eigvals(m)
+    eigs, v = np.linalg.eig(m)
     if np.min(np.abs(eigs)) < 1e-14:
         raise QuadflowError("singular transform has no logarithm")
     gap = np.pi - np.max(np.abs(np.angle(eigs)))
     if gap < _CUT_GAP_FLOOR:
         raise QuadflowError(f"spectrum within {gap:.2e} rad of the negative real axis")
-    h = logm(m)
+    v_inv = np.linalg.inv(v)
+    if _norm1(v) * _norm1(v_inv) <= _EIG_COND_CAP:
+        h = (v * np.log(eigs)) @ v_inv
+    else:
+        h = logm(m)
     # project onto the Hamiltonian class sigma_transpose(H) = -H
     h_proj = (h - sigma_transpose(h)) / 2.0
     scale = 1.0 + np.linalg.norm(h)

@@ -37,6 +37,7 @@ from quadflow import (
     weyl_sharp,
 )
 from quadflow.models import heat_generator
+from quadflow.symplectic import logm
 
 RNG_POINTS = [
     (np.array([0.3]), np.array([-0.5])),
@@ -174,6 +175,26 @@ def test_defective_flows_have_a_generator_and_a_kernel_round_trip(s, eps):
     assert np.linalg.norm(back.q.hess - q.hess) <= 1e-12 * scale
     assert np.allclose(back.v, spec.v, rtol=0, atol=1e-12)
     assert abs(c - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+def test_defective_flows_take_inverse_scaling_and_squaring(s, eps, monkeypatch):
+    # the flows of the test above: their eigenvector matrices are past the
+    # condition cap, so canonical_log falls back to logm, once per call
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return logm(x)
+
+    monkeypatch.setattr("quadflow.symplectic.logm", counted)
+    b = np.array([[1.0, 1j], [1j, -1.0]])
+    z = np.zeros((2, 2))
+    q = QuadraticForm(-1j * s * np.eye(4) + eps * np.block([[b, z], [z, b]]))
+    for _ in range(2):
+        canonical_log(q.transform)
+    assert calls == [(4, 4), (4, 4)]
 
 
 def test_kernel_transform_recovers_flow():

@@ -181,6 +181,15 @@ def test_log_of_doubled_heat_flow():
     assert np.allclose(q.hess, -2j * np.eye(2), atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [1.0, 4.0, 6.0, 8.0, 10.0])
+def test_log_of_heat_flow(s):
+    # K = cosh(s) I + i sinh(s) J is diagonalizable by a unitary V, so the
+    # eigendecomposition route holds where inverse scaling and squaring lost
+    # the generator (s = 10) to its square roots
+    q = canonical_log(flow(heat_generator(s)))
+    assert np.linalg.norm(q.hess + 1j * s * np.eye(2)) <= 1e-10 * np.linalg.norm(s * np.eye(2))
+
+
 def test_log_rejects_spectrum_on_negative_axis():
     # rotation by exactly pi: both eigenvalue angles sit on the negative real
     # axis, the cut of the principal logarithm
@@ -269,3 +278,26 @@ def test_logm_matches_scipy():
                 ref = scipy.linalg.logm(k)
                 errors.append(np.linalg.norm(logm(k) - ref) / np.linalg.norm(ref))
     assert max(errors) <= 1e-12
+
+
+def test_canonical_log_matches_scipy(monkeypatch):
+    # the flows of test_logm_matches_scipy have well-conditioned eigenvectors,
+    # so canonical_log reads each logarithm off the eigendecomposition
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return logm(x)
+
+    monkeypatch.setattr("quadflow.symplectic.logm", counted)
+    rng = np.random.default_rng(19)
+    errors = []
+    for n in (1, 2):
+        for scale in (0.1, 0.3, 1.0):
+            for _ in range(50):
+                k = scipy.linalg.expm(scale * random_hamilton(n, rng))
+                ref = scipy.linalg.logm(k)
+                gen = -standard_j(n) @ canonical_log(CanonicalTransform(k)).hess
+                errors.append(np.linalg.norm(gen - ref) / np.linalg.norm(ref))
+    assert max(errors) <= 1e-12
+    assert calls == []
