@@ -8,16 +8,22 @@ it simple and independent.
 It reads only the kernel's quadratic phase.  One tail certificate, at n = 1
 and n = 2, runs before either build.  At n = 1 the matrix is dense, built in
 place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
-N = 600).  At n = 2 it is never formed: a FactoredGridMatrix keeps two
-(N^2, N) per-axis Gaussian factors and two diagonals, 32 N^3 bytes (33 MiB at
-N = 101, where the dense matrix would take 1.55 GiB), and multiplies by
-vectors in N^4 flops.  Only when the two modes are coupled so strongly that
-the factors would overflow or underflow where the kernel does not is the
-n = 2 matrix built dense, 16 N^4 bytes.  The power iteration multiplies by
+N = 600).  At n = 2 it is never formed when it factors: a FactoredGridMatrix
+keeps two per-axis Gaussian factors and two diagonals.  When the two modes
+do not couple (a diagonal cross block) the factors are N x N, 32 N^2 bytes
+(0.3 MiB at N = 101), and a product with a vector costs 2 N^3 flops; when
+they couple the factors are N^2 x N, 32 N^3 bytes (33 MiB at N = 101), and a
+product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
+Only when the modes are coupled so strongly that the factors would overflow
+or underflow where the kernel does not is the n = 2 matrix built dense,
+16 N^4 bytes, and it is refused before it is allocated when it exceeds the
+address-space limit or physical memory.  The power iteration multiplies by
 M* without a conjugated copy.
 """
 from __future__ import annotations
 
+import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +31,9 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .kernels import GaussianKernel
 
-# grid size caps per dimension: a dense matrix at n = 1, 32 N^3 bytes of factors at n = 2
+# grid size caps per dimension: a dense matrix at n = 1; at n = 2, factors of
+# 32 N^2 bytes (uncoupled modes) or 32 N^3 bytes (coupled modes), or a dense
+# matrix of 16 N^4 bytes when it fits in memory
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -118,14 +126,18 @@ def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
 
 
 class FactoredGridMatrix:
-    """Two-mode grid matrix M[m, j] = dx[m] g1[m, j1] g2[m, j2] dy[j], never formed.
+    """Two-mode grid matrix M[m, j] = dx[m] g1[r1, j1] g2[r2, j2] dy[j], never formed.
 
-    m is an output node and j = (j1, j2) an input node, both in axis-major
-    order.  The (N^2, N) factor g_b carries axis b's own quadratic terms and
-    its coupling to the output node; dx and dy carry the cross-axis terms,
-    the linear terms and the scale.  M @ v and w @ M each cost one
-    (N^2 x N)(N x N) matrix product; ``diagonal`` gives the trace.  That is
-    all operator_norm and grid_trace use.
+    m = (m1, m2) is an output node and j = (j1, j2) an input node, both in
+    axis-major order.  The factor g_b carries axis b's own quadratic terms
+    and its coupling to the output node; dx and dy carry the cross-axis
+    terms, the linear terms and the scale.  When the cross block pxy is
+    diagonal, axis b of y meets only x_b: g_b is (N, N) with r_b = m_b,
+    32 N^2 bytes, and M v = dx vec(g1 U g2^T) with U = (dy v) as an N x N
+    matrix, 2 N^3 flops.  Otherwise g_b is (N^2, N) with r_b = m, 32 N^3
+    bytes, and M v and w M each cost one (N^2 x N)(N x N) matrix product.
+    ``diagonal`` gives the trace.  That is all operator_norm and grid_trace
+    use.
     """
 
     __array_ufunc__ = None  # ndarray @ FactoredGridMatrix defers to __rmatmul__
@@ -138,16 +150,22 @@ class FactoredGridMatrix:
         """M v for a vector v of N^2 entries."""
         points = self.g2.shape[1]
         u = (self.dy * v).reshape(points, points)  # u[j1, j2]
+        if self.g1.shape[0] == points:
+            return self.dx * (self.g1 @ u @ self.g2.T).ravel()
         return self.dx * np.einsum("mk,mk->m", self.g1, self.g2 @ u.T)
 
     def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
         """w M for a vector w of N^2 entries."""
+        points = self.g2.shape[1]
+        if self.g1.shape[0] == points:
+            return (self.g1.T @ (w * self.dx).reshape(points, points) @ self.g2).ravel() * self.dy
         return ((self.g1 * (w * self.dx)[:, None]).T @ self.g2).ravel() * self.dy
 
     def diagonal(self) -> np.ndarray:
         m = np.arange(self.dx.size)
         j1, j2 = np.divmod(m, self.g1.shape[1])
-        return self.dx * self.g1[m, j1] * self.g2[m, j2] * self.dy
+        r1, r2 = (j1, j2) if self.g1.shape[0] == self.g1.shape[1] else (m, m)
+        return self.dx * self.g1[r1, j1] * self.g2[r2, j2] * self.dy
 
 
 def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix:
@@ -161,10 +179,12 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     At n = 1 the matrix is dense, built in one (N, N) complex buffer: the
     exponent i phi is the cross term x_i (i pxy) x_j as an outer product plus
     the row and column terms, then it is exponentiated and scaled in place.
-    At n = 2 it is a FactoredGridMatrix of 32 N^3 bytes (33 MiB at N = 101;
-    the dense matrix would take 16 N^4 bytes, 1.55 GiB), unless the factors
-    cannot hold the kernel (strongly coupled modes over a wide box); then
-    it is the dense matrix, built as at n = 1.
+    At n = 2 it is a FactoredGridMatrix: 32 N^2 bytes of factors when the
+    modes do not couple (0.3 MiB at N = 101), 32 N^3 bytes when they do
+    (33 MiB; the dense matrix would take 16 N^4 bytes, 1.55 GiB), unless the
+    factors cannot hold the kernel (strongly coupled modes over a wide box).
+    Then it is the dense matrix, built as at n = 1 once its 16 N^4 bytes are
+    found to fit under the address-space limit and in physical memory.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -180,7 +200,22 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         mat = _factored(k, hess, grid, peak + log_scale)
         if mat is not None:
             return mat
+        _check_memory(16 * grid.points**4)
     return _dense(k, grid)
+
+
+def _check_memory(nbytes: int) -> None:
+    """Refuse a matrix of ``nbytes`` beyond the address-space limit or physical memory."""
+    limits = {"physical memory": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")}
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY:
+        limits["the address-space limit"] = soft
+    name = min(limits, key=limits.get)
+    if nbytes > limits[name]:
+        raise GridError(
+            f"dense two-mode matrix needs {nbytes} bytes, more than {name} "
+            f"({limits[name]} bytes)"
+        )
 
 
 def _dense(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
@@ -207,10 +242,12 @@ def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
     cross = xs[:, 0] * xs[:, 1]
     scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
     factors = [1j * (pxx[0, 1] * cross + xs @ k.lx + k.c0) + scale]
-    coupling = xs @ pxy  # (pxy^T x)_b for each output node x
+    # uncoupled modes: factor b sees only x_b, one row per axis node
+    rows = np.column_stack([ax, ax]) if pxy[0, 1] == 0 and pxy[1, 0] == 0 else xs
+    coupling = rows @ pxy  # (pxy^T x)_b for each row
     for b in range(2):
         g = np.multiply.outer(1j * coupling[:, b], ax)
-        g += (0.5j * pxx[b, b] * xs[:, b] ** 2)[:, None]
+        g += (0.5j * pxx[b, b] * rows[:, b] ** 2)[:, None]
         g += 0.5j * pyy[b, b] * ax**2
         factors.append(g)
     factors.append(1j * (pyy[0, 1] * cross + xs @ k.ly))
@@ -236,23 +273,29 @@ def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
 def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
     """max over the nodes y of -(x.a x/2 + x.b y + y.c y/2 + la.x + lb.y + c0), per node x.
 
-    Real a, b, c with c > 0.  For fixed x (and, at n = 2, fixed y1) the
-    exponent is a concave parabola in the last axis of y, so its largest
-    value on the uniform axis is at the node nearest the vertex, clipped to
-    the box: exact, in O(N) work at n = 1 and O(N^3) at n = 2.
+    Real a, b, c with c > 0.  For fixed x the exponent is a concave parabola
+    in each axis of y on its own when c is diagonal, and at n = 2 otherwise
+    in the last axis of y for fixed y1.  Its largest value on the uniform
+    axis is at the node nearest the vertex, clipped to the box: exact, in
+    O(N^n) work for a diagonal c and O(N^3) for a coupled one.
     """
     ax, xs = grid.axis(), grid.nodes()
     lin_y = xs @ b + lb  # (N^n, n): coefficient of y per node x
-    lin_last = lin_y[:, -1:]  # coefficient of the last axis of y per node x
-    if grid.n == 2:
-        lin_last = lin_last + c[0, 1] * ax  # (N^2, N): per (x, y1)
-    near = np.rint((-lin_last / c[-1, -1] + grid.half_width) / grid.h)
-    y_last = ax[np.clip(near, 0, grid.points - 1).astype(int)]
-    lin_last += 0.5 * c[-1, -1] * y_last
-    lin_last *= y_last
-    if grid.n == 2:
-        lin_last += lin_y[:, :1] * ax + 0.5 * c[0, 0] * ax**2
-    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - lin_last.min(axis=1)
+    coupled = grid.n == 2 and c[0, 1] != 0
+    if coupled:
+        lin, curv = lin_y[:, 1:] + c[0, 1] * ax, c[1, 1]  # (N^2, N): per (x, y1)
+    else:
+        lin, curv = lin_y, np.diagonal(c)
+    near = np.rint((-lin / curv + grid.half_width) / grid.h)
+    y = ax[np.clip(near, 0, grid.points - 1).astype(int)]
+    lin += 0.5 * curv * y
+    lin *= y
+    if coupled:
+        lin += lin_y[:, :1] * ax + 0.5 * c[0, 0] * ax**2
+        low = lin.min(axis=1)
+    else:
+        low = lin.sum(axis=1)
+    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - low
 
 
 def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:

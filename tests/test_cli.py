@@ -1,6 +1,7 @@
 """End-to-end CLI tests; main() is invoked in-process."""
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -367,6 +368,23 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("quadflow.cli.discretize", exhausted)
     rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--verify"])
     assert rc == 4 and out == "" and "out of memory" in err
+
+
+def test_dense_two_mode_verify_beyond_address_limit_exits_4(tmp_path, capsys, monkeypatch):
+    # two heat modes, rates 0.3 and 2, rotated by 45 degrees: coupled, so the
+    # oracle's automatic grid (N = 101) needs the dense 16 N^4 byte matrix
+    rot = np.kron(np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
+    decay = -rot @ np.diag([0.3, 2.0, 0.3, 2.0]) @ rot.T
+    spec = {"hessian": {"re": np.zeros((4, 4)).tolist(), "im": decay.tolist()}}
+    monkeypatch.setattr("resource.getrlimit", lambda which: (2**30, resource.RLIM_INFINITY))
+
+    def no_dense(*args):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr("quadflow.oracle._dense", no_dense)
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, spec), "--verify"])
+    assert rc == 4 and out == ""
+    assert f"error: dense two-mode matrix needs {16 * 101**4} bytes" in err
 
 
 def test_usage_errors_remap_to_4(capsys):

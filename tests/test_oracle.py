@@ -213,12 +213,8 @@ def dense_pointwise(k, grid):
     return mat
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_factored_operator_matches_dense_pointwise_matrix(seed):
-    rng = np.random.default_rng(seed)
-    k = random_kernel(rng, 2)
-    grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
-    op, ref = discretize(k, grid), dense_pointwise(k, grid)
+def assert_operator_matches(op, ref, rng):
+    """Products on both sides, diagonal, norm and trace of op against the dense ref."""
     assert not isinstance(op, np.ndarray) and op.shape == ref.shape
     for _ in range(3):
         v = rng.standard_normal(ref.shape[1]) + 1j * rng.standard_normal(ref.shape[1])
@@ -228,6 +224,31 @@ def test_factored_operator_matches_dense_pointwise_matrix(seed):
     assert np.max(np.abs(op.diagonal() - diag)) <= 1e-13 * np.max(np.abs(diag))
     assert abs(operator_norm(op) - operator_norm(ref)) <= 1e-13 * operator_norm(ref)
     assert abs(grid_trace(op) - grid_trace(ref)) <= 1e-13 * np.sum(np.abs(diag))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_factored_operator_matches_dense_pointwise_matrix(seed):
+    rng = np.random.default_rng(seed)
+    k = random_kernel(rng, 2)
+    grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
+    assert_operator_matches(discretize(k, grid), dense_pointwise(k, grid), rng)
+
+
+def uncoupled_kernel(rng):
+    """Two-mode kernel with a diagonal cross block: x_b meets only y_b."""
+    k = random_kernel(rng, 2)
+    return GaussianKernel(k.amplitude, k.pxx, np.diag(np.diagonal(k.pxy)), k.pyy, k.lx, k.ly, k.c0)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_separable_operator_matches_dense_pointwise_matrix(seed):
+    rng = np.random.default_rng(seed)
+    k = uncoupled_kernel(rng)
+    assert k.pxx[0, 1] != 0 and k.pyy[0, 1] != 0 and np.iscomplexobj(k.lx) and k.c0.imag != 0
+    grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
+    op = discretize(k, grid)
+    assert op.g1.shape == op.g2.shape == (64, 64)  # N x N axis factors, not N^2 x N
+    assert_operator_matches(op, dense_pointwise(k, grid), rng)
 
 
 def dense_log_modulus_maxima(k, grid):
@@ -277,6 +298,48 @@ def test_two_mode_tail_certificate_matches_dense_log_modulus(seed, shift):
         assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
 
 
+@pytest.mark.parametrize("seed, uncoupled", [(13, "pyy"), (14, "pxx"), (15, "both")])
+def test_per_axis_tail_maxima_match_dense_log_modulus(seed, uncoupled):
+    """A diagonal Im pyy (rows) or Im pxx (columns) takes each axis at its own vertex.
+
+    The cross block pxy stays full.  The shift moves the envelope off the
+    centre, so that vertices are clipped to the box edge.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4))
+    decay = 0.3 * (a + a.T)
+    for block, i in (("pxx", 0), ("pyy", 2)):
+        if uncoupled in (block, "both"):
+            decay[i, i + 1] = decay[i + 1, i] = 0.0
+    decay += (0.5 - min(0.0, np.min(np.linalg.eigvalsh(decay)))) * np.eye(4)
+    hess = 0.3 * rng.standard_normal((4, 4))
+    hess = hess + hess.T + 1j * decay
+    lin = 0.4 * rng.standard_normal(4) + 2.0j * np.array([1.0, -1.0, 1.0, 1.0])
+    k = GaussianKernel(0.7 - 0.4j, pxx=hess[:2, :2], pxy=hess[:2, 2:], pyy=hess[2:, 2:],
+                       lx=lin[:2], ly=lin[2:], c0=0.3 + 0.1j)
+    assert k.pxy[0, 1] != 0 and k.pxy[1, 0] != 0
+    assert (k.pyy[0, 1].imag == 0) == (uncoupled != "pxx")
+    assert (k.pxx[0, 1].imag == 0) == (uncoupled != "pyy")
+    verdicts = []
+    for scale in (0.3, 0.6, 0.9, 1.2):
+        grid = GridSpec(n=2, half_width=scale * auto_grid(k).half_width, points=64)
+        rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
+        ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
+        size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
+        assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
+        assert np.max(np.abs(cols - ref_cols)) <= 1e-13 * size
+        on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
+        edge = max(ref_rows[on_edge].max(), ref_cols[on_edge].max())
+        refused = edge - ref_rows.max() > 0.5 * np.log(1e-12)
+        verdicts.append(refused)
+        if refused:
+            with pytest.raises(GridError, match="tail bound"):
+                discretize(k, grid)
+        else:
+            discretize(k, grid)
+    assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
+
+
 def test_one_mode_tail_refusal_allocates_no_matrix():
     # the heat envelope is far from negligible at x = 2; the verdict comes
     # before the 16 N^2 bytes of the exponent buffer
@@ -319,6 +382,23 @@ def test_two_mode_heat_on_automatic_grid(s):
     assert trace == pytest.approx(heat_trace(s) ** 2, rel=1e-8)
 
 
+def test_two_mode_heat_on_automatic_grid_stays_within_axis_factor_memory():
+    # uncoupled modes: two N x N factors and N^2 vectors, against 32 N^3 bytes
+    # (33 MiB) of coupled factors
+    k = heat_kernel(1.0, n=2)
+    tracemalloc.start()
+    try:
+        mat = discretize(k)
+        top, trace = operator_norm(mat), grid_trace(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.g1.shape == mat.g2.shape == (101, 101)
+    assert peak <= 4 * 2**20
+    assert top == pytest.approx(np.exp(-1.0), rel=1e-8)
+    assert trace == pytest.approx(heat_trace(1.0) ** 2, rel=1e-8)
+
+
 def rotated_heat_generator(s1: float, s2: float) -> QuadraticForm:
     """Two-mode heat flow with rates s1, s2 on modes rotated by 45 degrees."""
     rot = np.kron(np.eye(2), np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0))
@@ -333,6 +413,31 @@ def test_coupled_two_mode_heat_is_verified_on_the_dense_matrix():
     assert isinstance(mat, np.ndarray)
     assert operator_norm(mat) == pytest.approx(norm_quadratic(q), rel=1e-9)
     assert grid_trace(mat) == pytest.approx(heat_trace(0.3) * heat_trace(2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("limit", ["the address-space limit", "physical memory"])
+def test_dense_two_mode_matrix_beyond_memory_is_refused_before_allocation(monkeypatch, limit):
+    # the coupled kernel takes the dense route, 16 * 101^4 bytes (1.55 GiB) on its automatic grid
+    k = evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0)))
+    assert auto_grid(k).points == 101
+    gib = 2**30
+    if limit == "physical memory":
+        monkeypatch.setattr(oracle.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": gib // 4096}.get)
+    else:
+        monkeypatch.setattr(oracle.resource, "getrlimit", lambda which: (gib, oracle.resource.RLIM_INFINITY))
+
+    def no_dense(*args):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(oracle, "_dense", no_dense)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match=f"needs {16 * 101**4} bytes, more than {limit} \\({gib} bytes\\)"):
+            discretize(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 32 * 101**3  # the coupled factors tried first, no more
 
 
 COUPLED = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
