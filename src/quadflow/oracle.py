@@ -16,9 +16,14 @@ they couple the factors are N^2 x N, 32 N^3 bytes (33 MiB at N = 101), and a
 product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
 Only when the modes are coupled so strongly that the factors would overflow
 or underflow where the kernel does not is the n = 2 matrix built dense,
-16 N^4 bytes, and it is refused before it is allocated when it exceeds the
-address-space limit or physical memory.  The power iteration multiplies by
-M* without a conjugated copy.
+16 N^4 bytes, and it is refused before it is allocated when it exceeds
+physical memory or the room left under the address-space limit.
+
+The one-mode matrix takes N^2 real exponentials for its modulus and only
+4N - 1 complex ones for its phase.  The operator norm is one Golub-Kahan
+bidiagonalization for dense and factored matrices alike: products with M
+and M* (the latter without a conjugated copy), no reorthogonalization, and
+a stop when the residual of the top Ritz pair certifies the estimate.
 """
 from __future__ import annotations
 
@@ -38,9 +43,9 @@ _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
-_DENSE_SVD_LIMIT = 384
-_POWER_REL_TOL = 1e-10  # relative step at which power iteration stops
-_POWER_MAX_ITER = 10_000  # power iteration steps before ConvergenceError
+_NORM_REL_TOL = 1e-10  # residual, relative to the estimate, at which the norm stops
+_NORM_MAX_STEPS = 200  # Golub-Kahan steps before ConvergenceError
+_ROW_BLOCK = 32  # rows per block of the one-mode modulus
 # exp(x) overflows above _LOG_MAX, is subnormal (loses precision) below
 # _LOG_NORMAL and leaves no nonzero float below _LOG_TINY
 _LOG_MAX = float(np.log(np.finfo(float).max))
@@ -176,15 +181,16 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     maxima of log|M|, before either build.  It refuses a kernel that
     vanishes or overflows there.  Raises GridError when any check fails.
 
-    At n = 1 the matrix is dense, built in one (N, N) complex buffer: the
-    exponent i phi is the cross term x_i (i pxy) x_j as an outer product plus
-    the row and column terms, then it is exponentiated and scaled in place.
-    At n = 2 it is a FactoredGridMatrix: 32 N^2 bytes of factors when the
-    modes do not couple (0.3 MiB at N = 101), 32 N^3 bytes when they do
-    (33 MiB; the dense matrix would take 16 N^4 bytes, 1.55 GiB), unless the
-    factors cannot hold the kernel (strongly coupled modes over a wide box).
-    Then it is the dense matrix, built as at n = 1 once its 16 N^4 bytes are
-    found to fit under the address-space limit and in physical memory.
+    At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
+    real exponentials in blocks of rows times a phase from 4N - 1 complex
+    exponentials (row, column and Toeplitz factors).  At n = 2 it is a
+    FactoredGridMatrix: 32 N^2 bytes of factors when the modes do not couple
+    (0.3 MiB at N = 101), 32 N^3 bytes when they do (33 MiB; the dense
+    matrix would take 16 N^4 bytes, 1.55 GiB), unless the factors cannot
+    hold the kernel (strongly coupled modes over a wide box).  Then it is
+    the dense matrix, its exponent i phi exponentiated in place, once its
+    16 N^4 bytes are found to fit in physical memory and in the room the
+    address-space limit leaves.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -196,35 +202,80 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
-    if grid.n == 2:
-        mat = _factored(k, hess, grid, peak + log_scale)
-        if mat is not None:
-            return mat
-        _check_memory(16 * grid.points**4)
+    if grid.n == 1:
+        return _one_mode(k, grid)
+    mat = _factored(k, hess, grid, peak + log_scale)
+    if mat is not None:
+        return mat
+    _check_memory(16 * grid.points**4)
     return _dense(k, grid)
 
 
 def _check_memory(nbytes: int) -> None:
-    """Refuse a matrix of ``nbytes`` beyond the address-space limit or physical memory."""
-    limits = {"physical memory": os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")}
+    """Refuse a matrix of ``nbytes`` beyond physical memory or the room the address-space limit leaves."""
+    name, limit, used = "physical memory", os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY:
-        limits["the address-space limit"] = soft
-    name = min(limits, key=limits.get)
-    if nbytes > limits[name]:
+        in_use = _address_space_in_use()
+        if soft - in_use < limit:
+            name, limit, used = "the address-space limit", soft, in_use
+    if nbytes > limit - used:
+        in_use = f" less the {used} bytes in use" if used else ""
         raise GridError(
-            f"dense two-mode matrix needs {nbytes} bytes, more than {name} "
-            f"({limits[name]} bytes)"
+            f"dense two-mode matrix needs {nbytes} bytes, more than {name} ({limit} bytes){in_use}"
         )
 
 
+def _address_space_in_use() -> int:
+    """Bytes of address space the process holds, from /proc/self/statm; 0 where unreadable."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[0]) * resource.getpagesize()
+    except (OSError, ValueError, IndexError):
+        return 0
+
+
 def _dense(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
+    """The two-mode matrix in one complex buffer: the exponent i phi, exponentiated in place."""
     xs = grid.nodes()
     mat = (xs @ (1j * k.pxy)) @ xs.T
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs) + xs @ k.lx + k.c0)[:, None]
     mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pyy, xs) + xs @ k.ly)[None, :]
     np.exp(mat, out=mat)
     mat *= k.amplitude * grid.h**grid.n
+    return mat
+
+
+def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
+    """The one-mode matrix as modulus times phase, with 4N - 1 complex exponentials.
+
+    The modulus exp(-Im phi + log|amplitude h|) is taken with real
+    exponentials in blocks of rows.  With x y = (x^2 + y^2)/2 - (x - y)^2/2,
+    the phase exp(i Re phi + i arg(amplitude)) is r_i t_{i-j} c_j: a row
+    vector, a column vector and a Toeplitz factor, read as a view of its
+    2N - 1 values.  Every factor has modulus 1 and cannot overflow.
+    """
+    x, points = grid.axis(), grid.points
+    (a,), (b,), (c,) = k.pxx[0], k.pxy[0], k.pyy[0]
+    lx, ly, c0, scale = k.lx[0], k.ly[0], k.c0, k.amplitude * grid.h
+    row_log = np.log(abs(scale)) - (0.5 * a.imag * x**2 + lx.imag * x + c0.imag)
+    col_log = -(0.5 * c.imag * x**2 + ly.imag * x)
+    row = np.exp(1j * (0.5 * (a.real + b.real) * x**2 + lx.real * x + c0.real + np.angle(scale)))
+    col = np.exp(1j * (0.5 * (c.real + b.real) * x**2 + ly.real * x))
+    # lag[m] = t_{N-1-m}, so row i of the Toeplitz factor is lag[N-1-i:2N-1-i]
+    lag = np.exp(-0.5j * b.real * (grid.h * np.arange(points - 1, -points, -1)) ** 2)
+    toeplitz = np.lib.stride_tricks.sliding_window_view(lag, points)[::-1]
+    mat = np.empty((points, points), dtype=complex)
+    for start in range(0, points, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        modulus = np.multiply.outer(-b.imag * x[rows], x)
+        modulus += row_log[rows, None]
+        modulus += col_log
+        np.exp(modulus, out=modulus)
+        block = mat[rows]
+        np.multiply(toeplitz[rows], col, out=block)
+        block *= row[rows, None]
+        block *= modulus
     return mat
 
 
@@ -344,32 +395,58 @@ def _in_range(logs: list[np.ndarray], peak: float) -> bool:
 
 
 def operator_norm(mat) -> float:
-    """Largest singular value: dense SVD for small matrices, else power iteration.
+    """Largest singular value by Golub-Kahan bidiagonalization, certified by its residual.
 
-    ``mat`` is a dense array or a FactoredGridMatrix.  Power iteration
-    multiplies by M* as conj(conj(w) M), with no conjugated copy of the
-    matrix, and raises ConvergenceError at the first non-finite estimate.
+    ``mat`` is a dense array or a FactoredGridMatrix.  Step k multiplies by M
+    and by M* (as conj(conj(u) M), with no conjugated copy of the matrix)
+    and extends the bidiagonal B_k with M V_k = U_k B_k.  With sigma the top
+    singular value of B_k and p its left singular vector, the Ritz pair
+    u = U_k p, v = V_k q has M v = sigma u and |M* u - sigma v| =
+    beta_k |p_k|, which bounds the distance from sigma to a singular value
+    of M; the iteration stops when that residual is at most _NORM_REL_TOL
+    sigma.  No vector is reorthogonalized, so memory stays at a few vectors.
+    The start vector is a fixed chirp, which no symmetry of a grid matrix
+    keeps orthogonal to its top singular vector.  Raises ConvergenceError at
+    the first non-finite alpha or beta and after _NORM_MAX_STEPS steps.
     """
-    if min(mat.shape) <= _DENSE_SVD_LIMIT:
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    # power iteration on M* M with a deterministic start
-    v = np.ones(mat.shape[1], dtype=complex)
-    v /= np.linalg.norm(v)
-    sigma_prev = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = mat @ v
-        u = np.conj(np.conj(w) @ mat)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            return 0.0
-        sigma = float(np.linalg.norm(w))  # |M v| with |v| = 1
-        if not np.isfinite(sigma):
-            raise ConvergenceError(f"power iteration produced a non-finite estimate {sigma}")
-        v = u / norm_u
-        if abs(sigma - sigma_prev) <= _POWER_REL_TOL * max(sigma, 1e-300):
-            return sigma
-        sigma_prev = sigma
-    raise ConvergenceError(f"power iteration did not converge in {_POWER_MAX_ITER} steps")
+    size = mat.shape[1]
+    v = np.exp(2j * np.pi * np.sqrt(2.0) * np.arange(size) ** 2) / np.sqrt(size)
+    u = mat @ v
+    alphas, betas = [], []
+    for _ in range(_NORM_MAX_STEPS):
+        alpha = _finite_norm(u, "alpha")
+        if alpha == 0.0:
+            # M v_k lies in span(U_{k-1}), whose singular values [B | beta e]
+            # holds exactly; at the first step, M vanishes on the start vector
+            return float(np.linalg.norm(_bidiagonal(alphas, betas), 2)) if alphas else 0.0
+        u /= alpha
+        alphas.append(alpha)
+        w = np.conj(np.conj(u) @ mat)
+        w -= alpha * v
+        beta = _finite_norm(w, "beta")
+        p, sigma, _ = np.linalg.svd(_bidiagonal(alphas, betas))
+        if beta * abs(p[-1, 0]) <= _NORM_REL_TOL * sigma[0]:
+            return float(sigma[0])
+        betas.append(beta)
+        v = w / beta
+        u = mat @ v - beta * u
+    raise ConvergenceError(f"Golub-Kahan norm did not converge in {_NORM_MAX_STEPS} steps")
+
+
+def _finite_norm(vec: np.ndarray, name: str) -> float:
+    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(norm):
+        raise ConvergenceError(f"Golub-Kahan norm produced a non-finite {name} {norm}")
+    return norm
+
+
+def _bidiagonal(alphas: list[float], betas: list[float]) -> np.ndarray:
+    """Upper bidiagonal with alphas on the diagonal and betas above it."""
+    b = np.zeros((len(alphas), len(betas) + 1))
+    i, j = np.arange(len(alphas)), np.arange(len(betas))
+    b[i, i] = alphas
+    b[j, j + 1] = betas
+    return b
 
 
 def kernel_norm(k: GaussianKernel, grid: GridSpec | None = None) -> float:

@@ -387,6 +387,17 @@ def test_dense_two_mode_verify_beyond_address_limit_exits_4(tmp_path, capsys, mo
     assert f"error: dense two-mode matrix needs {16 * 101**4} bytes" in err
 
 
+def test_cold_norm_verify_loads_no_numpy_random(tmp_path):
+    # the oracle norm starts from a fixed vector; numpy.random would add its import to a cold start
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; from quadflow.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy.random' in sys.modules, file=sys.stderr)")
+    out = subprocess.run([sys.executable, "-c", code, "norm", write_spec(tmp_path, SHIFTED), "--verify"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stderr.split() == ["0", "False"]
+
+
 def test_usage_errors_remap_to_4(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -1,4 +1,5 @@
 """Grid oracle: discretization quality, norms, traces, certifications."""
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from quadflow import (
     operator_norm,
 )
 from quadflow import oracle
-from quadflow.models import heat_generator, heat_trace
+from quadflow.models import heat_generator, heat_trace, q_theta
 from quadflow.symplectic import QuadraticForm
 
 
@@ -123,6 +124,34 @@ def test_discretize_matches_pointwise_kernel(n, points):
     ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**n
     got = np.array([np.eye(1, len(xs), r)[0] @ mat for r in rows])  # e_r M, dense or factored
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_one_mode_build_holds_one_matrix_buffer():
+    # modulus and phase are built in row blocks into the output, 16 N^2 bytes
+    points = 600
+    k = random_kernel(np.random.default_rng(43), 1)
+    grid = GridSpec(n=1, half_width=auto_grid(k).half_width, points=points)
+    tracemalloc.start()
+    try:
+        discretize(k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * 16 * points**2
+
+
+@pytest.mark.parametrize("re_pxy", [20.0, -20.0])
+def test_one_mode_build_with_fast_cross_phase_matches_pointwise_kernel(re_pxy):
+    # the phase factors into row, column and Toeplitz terms of larger argument
+    # than pxy x y itself; the matrix must still hold to the last digits
+    k = GaussianKernel(0.7 - 0.4j, pxx=[[3.0 + 1.0j]], pxy=[[re_pxy + 0.3j]], pyy=[[-5.0 + 1.2j]],
+                       lx=[0.4 + 0.1j], ly=[-0.3 + 0.2j], c0=0.3 + 0.1j)
+    for points in (200, auto_grid(k).points):
+        grid = GridSpec(n=1, half_width=auto_grid(k).half_width, points=points)
+        xs = grid.nodes()
+        ref = k(xs[:, None, :], xs[None, :, :]) * grid.h
+        mat = discretize(k, grid)
+        assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_discretize_refuses_overflowing_kernel():
@@ -440,6 +469,41 @@ def test_dense_two_mode_matrix_beyond_memory_is_refused_before_allocation(monkey
     assert peak <= 1.5 * 32 * 101**3  # the coupled factors tried first, no more
 
 
+def test_dense_two_mode_matrix_beyond_room_left_under_address_limit_is_refused(monkeypatch):
+    # the limit is above the 16 * 101^4 bytes of the matrix, but the process
+    # already holds more address space than the difference
+    k = evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0)))
+    nbytes, in_use = 16 * 101**4, 2**28
+    limit = nbytes + 2**26
+    monkeypatch.setattr(oracle.resource, "getrlimit", lambda which: (limit, oracle.resource.RLIM_INFINITY))
+    monkeypatch.setattr(oracle, "_address_space_in_use", lambda: in_use)
+
+    def no_dense(*args):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(oracle, "_dense", no_dense)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridError, match=f"needs {nbytes} bytes, more than the address-space limit "
+                                            f"\\({limit} bytes\\) less the {in_use} bytes in use"):
+            discretize(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 32 * 101**3
+
+
+def test_address_space_in_use_reads_zero_when_unreadable(monkeypatch):
+    if os.path.exists("/proc/self/statm"):
+        assert oracle._address_space_in_use() > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no such file")
+
+    monkeypatch.setattr(oracle, "open", unreadable, raising=False)
+    assert oracle._address_space_in_use() == 0
+
+
 COUPLED = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
 
 
@@ -484,21 +548,65 @@ def test_two_mode_overflowing_kernel_is_refused_before_any_matrix():
 # -- operator_norm internals --------------------------------------------------
 
 
-def test_power_iteration_matches_dense():
+def test_golub_kahan_norm_matches_dense():
     rng = np.random.default_rng(9)
     qmat, _ = np.linalg.qr(rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400)))
     q2, _ = np.linalg.qr(rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400)))
     singulars = 0.7 ** np.arange(400)
     mat = qmat @ np.diag(singulars) @ q2
-    assert min(mat.shape) > 384  # exercises the power-iteration branch
+    assert min(mat.shape) > 384  # past the size where a dense SVD once took over
     got = operator_norm(mat)
     assert got == pytest.approx(1.0, rel=1e-8)
     dense = float(np.linalg.svd(mat, compute_uv=False)[0])
     assert got == pytest.approx(dense, rel=1e-8)
 
 
-def test_power_iteration_reports_non_convergence(monkeypatch):
-    monkeypatch.setattr(oracle, "_POWER_MAX_ITER", 1)
+@pytest.mark.parametrize("points", [64, 400])
+def test_golub_kahan_norm_finds_top_vector_orthogonal_to_a_symmetric_start(points):
+    # the top singular vector is odd and the runner-up even: a start vector
+    # with a symmetry, such as all ones, never sees the top one
+    x = np.linspace(-1.0, 1.0, points)
+    v1, v2 = x / np.linalg.norm(x), np.exp(-x**2) / np.linalg.norm(np.exp(-x**2))
+    mat = np.outer(v1, v1) + 0.9 * np.outer(v2, v2)
+    assert operator_norm(mat) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("points", [64, 400])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_golub_kahan_norm_refuses_non_finite_matrix(points, bad):
+    mat = np.random.default_rng(points).standard_normal((points, points)).astype(complex)
+    mat[7, 11] = bad
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ConvergenceError, match="non-finite"):
+        operator_norm(mat)
+
+
+def one_mode_kernels():
+    """Heat kernels (a nearly degenerate top pair at small s), rotated and shifted ones."""
+    kernels = {f"heat {s}": heat_kernel(s) for s in (0.02, 0.1, 1.0, 4.0)}
+    theta, t1 = 0.6, 1.3
+    t2 = -np.arcsinh(abs(np.tan(theta) * np.sin(t1))) - 0.4  # inside the compact class
+    q = QuadraticForm((t1 + 1j * t2) * q_theta(theta).hess)
+    kernels["rotated"] = evolution_to_kernel(EvolutionSpec(q))
+    kernels["shifted"] = evolution_to_kernel(EvolutionSpec(q, np.array([0.3 - 0.2j, 0.1 + 0.4j])))
+    return kernels
+
+
+@pytest.mark.parametrize("points", [64, 200, 384, 600])
+def test_golub_kahan_norm_matches_numpy_svd(points):
+    for name, k in one_mode_kernels().items():
+        mat = discretize(k, GridSpec(n=1, half_width=auto_grid(k).half_width, points=points))
+        top = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert abs(operator_norm(mat) - top) <= 1e-13 * top, name
+    assert operator_norm(np.zeros((points, points), dtype=complex)) == 0.0
+    rng = np.random.default_rng(points)
+    a = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    b = rng.standard_normal(points) - 0.5j * rng.standard_normal(points)
+    expected = np.linalg.norm(a) * np.linalg.norm(b)
+    assert abs(operator_norm(np.outer(a, b)) - expected) <= 1e-13 * expected
+
+
+def test_golub_kahan_norm_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(oracle, "_NORM_MAX_STEPS", 1)
     rng = np.random.default_rng(10)
     mat = rng.standard_normal((400, 400))
     with pytest.raises(ConvergenceError):
