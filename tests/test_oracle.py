@@ -554,7 +554,7 @@ def test_golub_kahan_norm_matches_dense():
     q2, _ = np.linalg.qr(rng.standard_normal((400, 400)) + 1j * rng.standard_normal((400, 400)))
     singulars = 0.7 ** np.arange(400)
     mat = qmat @ np.diag(singulars) @ q2
-    assert min(mat.shape) > 384  # past the size where a dense SVD once took over
+    assert min(mat.shape) > 384  # wider than 384: no matrix size takes a separate route
     got = operator_norm(mat)
     assert got == pytest.approx(1.0, rel=1e-8)
     dense = float(np.linalg.svd(mat, compute_uv=False)[0])
