@@ -8,16 +8,14 @@ it simple and independent.
 It reads only the kernel's quadratic phase.  One tail certificate, at n = 1
 and n = 2, runs before either build.  At n = 1 the matrix is dense, built in
 place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
-N = 600).  At n = 2 it is never formed when it factors: a FactoredGridMatrix
-keeps two per-axis Gaussian factors and two diagonals.  When the two modes
-do not couple (a diagonal cross block) the factors are N x N, 32 N^2 bytes
+N = 600).  At n = 2 it is never formed: the kernel is first taken in its own
+y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
+norms and traces, and a FactoredGridMatrix keeps two per-axis Gaussian
+factors of modulus at most 1 and two diagonals.  When the two modes do not
+couple (a diagonal cross block) the factors are N x N, 32 N^2 bytes
 (0.3 MiB at N = 101), and a product with a vector costs 2 N^3 flops; when
 they couple the factors are N^2 x N, 32 N^3 bytes (33 MiB at N = 101), and a
 product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
-Only when the modes are coupled so strongly that the factors would overflow
-or underflow where the kernel does not is the n = 2 matrix built dense,
-16 N^4 bytes, and it is refused before it is allocated when it exceeds
-physical memory or the room left under the address-space limit.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  The operator norm is one Golub-Kahan
@@ -27,8 +25,6 @@ a stop when the residual of the top Ritz pair certifies the estimate.
 """
 from __future__ import annotations
 
-import os
-import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +32,9 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .kernels import GaussianKernel
 
-# grid size caps per dimension: a dense matrix at n = 1; at n = 2, factors of
-# 32 N^2 bytes (uncoupled modes) or 32 N^3 bytes (coupled modes), or a dense
-# matrix of 16 N^4 bytes when it fits in memory
+# grid size caps per dimension: a dense matrix of 16 N^2 bytes at n = 1; at
+# n = 2, factors of 32 N^2 bytes (uncoupled modes) or 32 N^3 bytes (coupled
+# modes, 53 MiB at the cap)
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -133,10 +129,15 @@ def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
 class FactoredGridMatrix:
     """Two-mode grid matrix M[m, j] = dx[m] g1[r1, j1] g2[r2, j2] dy[j], never formed.
 
-    m = (m1, m2) is an output node and j = (j1, j2) an input node, both in
-    axis-major order.  The factor g_b carries axis b's own quadratic terms
-    and its coupling to the output node; dx and dy carry the cross-axis
-    terms, the linear terms and the scale.  When the cross block pxy is
+    The grid lives in the kernel's own y axes: node x_m stands for the point
+    ``rotation @ x_m``, and M is the matrix of K'(x, y) = K(S x, S y) with
+    S = ``rotation``, an orthogonal matrix taken on both sides, so norms,
+    singular values and the trace are those of K's matrix on the rotated
+    grid.  m = (m1, m2) is an output node and j = (j1, j2) an input node,
+    both in axis-major order.  The factor g_b carries axis b's decay as a
+    complete square and its coupling to the output node, and has modulus at
+    most 1; dx carries the terms in x alone and the scale, dy the phases in
+    y.  There are two memory regimes.  When the cross block pxy is
     diagonal, axis b of y meets only x_b: g_b is (N, N) with r_b = m_b,
     32 N^2 bytes, and M v = dx vec(g1 U g2^T) with U = (dy v) as an N x N
     matrix, 2 N^3 flops.  Otherwise g_b is (N^2, N) with r_b = m, 32 N^3
@@ -147,8 +148,8 @@ class FactoredGridMatrix:
 
     __array_ufunc__ = None  # ndarray @ FactoredGridMatrix defers to __rmatmul__
 
-    def __init__(self, dx, g1, g2, dy):
-        self.dx, self.g1, self.g2, self.dy = dx, g1, g2, dy
+    def __init__(self, dx, g1, g2, dy, rotation):
+        self.dx, self.g1, self.g2, self.dy, self.rotation = dx, g1, g2, dy, rotation
         self.shape = (dx.size, dy.size)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
@@ -183,14 +184,15 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
-    exponentials (row, column and Toeplitz factors).  At n = 2 it is a
-    FactoredGridMatrix: 32 N^2 bytes of factors when the modes do not couple
-    (0.3 MiB at N = 101), 32 N^3 bytes when they do (33 MiB; the dense
-    matrix would take 16 N^4 bytes, 1.55 GiB), unless the factors cannot
-    hold the kernel (strongly coupled modes over a wide box).  Then it is
-    the dense matrix, its exponent i phi exponentiated in place, once its
-    16 N^4 bytes are found to fit in physical memory and in the room the
-    address-space limit leaves.
+    exponentials (row, column and Toeplitz factors).  At n = 2 the kernel is
+    first taken in its own y axes, K'(x, y) = K(S x, S y) with S the
+    eigenvectors of Im pyy (S = I when Im pyy is diagonal), and the grid,
+    the certificate and the matrix are those of K'.  The same S on both
+    sides keeps norms and traces, and the automatic grid, which reads only
+    rotation invariants, is chosen from K.  The result is a
+    FactoredGridMatrix with factors of modulus at most 1: 32 N^2 bytes when
+    the modes do not couple (0.3 MiB at N = 101), 32 N^3 bytes when they do
+    (33 MiB; the dense matrix would take 16 N^4 bytes, 1.55 GiB).
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -199,51 +201,28 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         grid = _grid_for(k, hess, lam_min)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
+    if grid.n == 2:
+        k, rotation = _in_y_axes(k)
+        hess = k.phase_hessian()
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
     if grid.n == 1:
         return _one_mode(k, grid)
-    mat = _factored(k, hess, grid, peak + log_scale)
-    if mat is not None:
-        return mat
-    _check_memory(16 * grid.points**4)
-    return _dense(k, grid)
+    return _factored(k, grid, peak + log_scale, rotation)
 
 
-def _check_memory(nbytes: int) -> None:
-    """Refuse a matrix of ``nbytes`` beyond physical memory or the room the address-space limit leaves."""
-    name, limit, used = "physical memory", os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), 0
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY:
-        in_use = _address_space_in_use()
-        if soft - in_use < limit:
-            name, limit, used = "the address-space limit", soft, in_use
-    if nbytes > limit - used:
-        in_use = f" less the {used} bytes in use" if used else ""
-        raise GridError(
-            f"dense two-mode matrix needs {nbytes} bytes, more than {name} ({limit} bytes){in_use}"
-        )
+def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
+    """The two-mode kernel K'(x, y) = K(S x, S y), with S the eigenvectors of Im pyy, and S.
 
-
-def _address_space_in_use() -> int:
-    """Bytes of address space the process holds, from /proc/self/statm; 0 where unreadable."""
-    try:
-        with open("/proc/self/statm") as statm:
-            return int(statm.read().split()[0]) * resource.getpagesize()
-    except (OSError, ValueError, IndexError):
-        return 0
-
-
-def _dense(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
-    """The two-mode matrix in one complex buffer: the exponent i phi, exponentiated in place."""
-    xs = grid.nodes()
-    mat = (xs @ (1j * k.pxy)) @ xs.T
-    mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs) + xs @ k.lx + k.c0)[:, None]
-    mat += 1j * (0.5 * np.einsum("mi,ij,mj->m", xs, k.pyy, xs) + xs @ k.ly)[None, :]
-    np.exp(mat, out=mat)
-    mat *= k.amplitude * grid.h**grid.n
-    return mat
+    Im pyy' = S^T Im pyy S is diagonal up to rounding.  S = I, and K' is K,
+    when Im pyy is diagonal already.
+    """
+    if k.pyy[0, 1].imag == 0:
+        return k, np.eye(2)
+    s = np.linalg.eigh(k.pyy.imag)[1]
+    return GaussianKernel(k.amplitude, s.T @ k.pxx @ s, s.T @ k.pxy @ s, s.T @ k.pyy @ s,
+                          k.lx @ s, k.ly @ s, k.c0), s
 
 
 def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
@@ -279,37 +258,45 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     return mat
 
 
-def _factored(k: GaussianKernel, hess: np.ndarray, grid: GridSpec,
-              peak: float) -> FactoredGridMatrix | None:
-    """The two-mode matrix as axis factors, or None where they cannot hold it.
+def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
+              rotation: np.ndarray) -> FactoredGridMatrix:
+    """The two-mode matrix of a kernel in its own y axes as bounded axis factors.
 
-    ``peak`` is the log-modulus of the largest matrix entry.  The cross-axis
-    terms sit in dx and dy, which strongly coupled modes over a wide box
-    drive far beyond the kernel's own range: such factors would overflow, or
-    underflow where the kernel is not negligible.
+    ``peak`` is the log-modulus of the largest matrix entry.  With
+    c_b = Im pyy_bb and u_b(x) = ((Im pxy^T x)_b + Im ly_b) / c_b, factor b
+    takes the y_b decay as the complete square -(c_b/2) (y_b + u_b)^2, so
+    |g_b| <= 1, and dx takes min over y of Im phi, every other term in x
+    alone and the scale.  dy holds the phases in y and keeps the
+    rounding-level Im pyy_12 that the rotation leaves.
     """
-    pxx, pxy, pyy = hess[:2, :2], hess[:2, 2:], hess[2:, 2:]
     ax, xs = grid.axis(), grid.nodes()
-    cross = xs[:, 0] * xs[:, 1]
-    scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
-    factors = [1j * (pxx[0, 1] * cross + xs @ k.lx + k.c0) + scale]
+    decay = np.diagonal(k.pyy).imag
     # uncoupled modes: factor b sees only x_b, one row per axis node
-    rows = np.column_stack([ax, ax]) if pxy[0, 1] == 0 and pxy[1, 0] == 0 else xs
-    coupling = rows @ pxy  # (pxy^T x)_b for each row
+    coupled = k.pxy[0, 1] != 0 or k.pxy[1, 0] != 0
+    rows = xs if coupled else np.column_stack([ax, ax])
+    centre = (rows @ k.pxy.imag + k.ly.imag) / decay  # u_b for each row
+    coupling = rows @ k.pxy.real
+    lift = 0.5 * decay * centre**2  # -min over y_b of the y_b terms of Im phi
+    lift = lift.sum(axis=1) if coupled else np.add.outer(lift[:, 0], lift[:, 1]).ravel()
+    scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
+    quad_x = 0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs)
+    factors = [1j * (quad_x + xs @ k.lx + k.c0) + lift + scale]
     for b in range(2):
         g = np.multiply.outer(1j * coupling[:, b], ax)
-        g += (0.5j * pxx[b, b] * rows[:, b] ** 2)[:, None]
-        g += 0.5j * pyy[b, b] * ax**2
+        g += 0.5j * k.pyy[b, b].real * ax**2
+        square = np.add.outer(centre[:, b], ax)
+        square *= square
+        square *= 0.5 * decay[b]
+        g -= square
         factors.append(g)
-    factors.append(1j * (pyy[0, 1] * cross + xs @ k.ly))
-    if not _in_range([f.real for f in factors], peak):
-        return None
+    factors.append(1j * (k.pyy[0, 1] * xs[:, 0] * xs[:, 1] + xs @ k.ly.real))
+    _in_range([f.real for f in factors], peak)
     for f in factors:
         # a subnormal entry is certified negligible, and slows every product it enters
         low = f.real < _LOG_NORMAL
         np.exp(f, out=f)
         f[low] = 0.0
-    return FactoredGridMatrix(*factors)
+    return FactoredGridMatrix(*factors, rotation)
 
 
 def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
@@ -376,22 +363,21 @@ def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
     return peak
 
 
-def _in_range(logs: list[np.ndarray], peak: float) -> bool:
-    """Whether the factors' exponentials are accurate wherever it matters.
+def _in_range(logs: list[np.ndarray], peak: float) -> None:
+    """Refuse factors whose exponentials are not accurate wherever it matters.
 
     ``logs`` are the factors' log-moduli and ``peak`` that of the largest
     matrix entry.  No product of factors may overflow, and an entry that is
     subnormal in one factor, bounded through the other factors' maxima, must
-    stay below _EPS_TAIL times the peak.
+    stay below _EPS_TAIL times the peak.  Raises GridError otherwise.
     """
     tops = [float(lg.max()) for lg in logs]
     if not sum(max(top, 0.0) for top in tops) < _LOG_MAX:
-        return False
+        raise GridError("two-mode axis factors overflow")
     for lg, top in zip(logs, tops):
         low = float(lg.max(initial=-np.inf, where=lg < _LOG_NORMAL))
         if low + sum(tops) - top > peak + np.log(_EPS_TAIL):
-            return False
-    return True
+            raise GridError("two-mode axis factors underflow where the kernel is not negligible")
 
 
 def operator_norm(mat) -> float:

@@ -124,20 +124,20 @@ def two_sided_shift(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
 
 def shift_left(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of (shift by v) . a^w: a(z - v/2) exp(-i sigma(z, v))."""
-    v = np.asarray(v, dtype=complex).reshape(2 * a.n)
-    j = standard_j(a.n)
-    c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
-    l = a.l - a.g @ v - 1j * (j @ v)
-    return GaussianSymbol(c=c, g=a.g, l=l)
+    return _shifted(v, a, left=True)
 
 
 def shift_right(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of a^w . (shift by v)^{-1}: a(z - v/2) exp(+i sigma(z, v))."""
+    return _shifted(v, a, left=False)
+
+
+def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
+    """a(z - v/2) exp(-+i sigma(z, v)), the minus sign for a shift on the left."""
     v = np.asarray(v, dtype=complex).reshape(2 * a.n)
-    j = standard_j(a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
-    l = a.l - a.g @ v + 1j * (j @ v)
-    return GaussianSymbol(c=c, g=a.g, l=l)
+    l, turn = a.l - a.g @ v, 1j * (standard_j(a.n) @ v)
+    return GaussianSymbol(c=c, g=a.g, l=l - turn if left else l + turn)
 
 
 @dataclass(eq=False)

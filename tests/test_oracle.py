@@ -1,5 +1,4 @@
 """Grid oracle: discretization quality, norms, traces, certifications."""
-import os
 import tracemalloc
 
 import numpy as np
@@ -21,6 +20,7 @@ from quadflow import (
     operator_norm,
 )
 from quadflow import oracle
+from quadflow.oracle import FactoredGridMatrix
 from quadflow.models import heat_generator, heat_trace, q_theta
 from quadflow.symplectic import QuadraticForm
 
@@ -119,7 +119,7 @@ def test_discretize_matches_pointwise_kernel(n, points):
     k = random_kernel(rng, n)
     grid = GridSpec(n=n, half_width=auto_grid(k).half_width, points=points)
     mat = discretize(k, grid)
-    xs = grid.nodes()
+    xs = grid.nodes() if n == 1 else grid.nodes() @ mat.rotation.T  # two modes: in the kernel's y axes
     rows = rng.choice(len(xs), size=40, replace=False)
     ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**n
     got = np.array([np.eye(1, len(xs), r)[0] @ mat for r in rows])  # e_r M, dense or factored
@@ -233,9 +233,9 @@ def test_two_mode_heat_smoke():
     assert grid_trace(mat) == pytest.approx(heat_trace(1.0) ** 2, rel=1e-4)
 
 
-def dense_pointwise(k, grid):
-    """Reference matrix k(x_i, x_j) h^n from the pointwise kernel, built in row blocks."""
-    xs = grid.nodes()
+def dense_pointwise(k, grid, rotation):
+    """Reference matrix k(S x_i, S x_j) h^n from the pointwise kernel, built in row blocks."""
+    xs = grid.nodes() @ rotation.T
     mat = np.empty((len(xs), len(xs)), dtype=complex)
     for start in range(0, len(xs), 512):
         mat[start:start + 512] = k(xs[start:start + 512, None, :], xs[None, :, :]) * grid.h**grid.n
@@ -260,24 +260,32 @@ def test_factored_operator_matches_dense_pointwise_matrix(seed):
     rng = np.random.default_rng(seed)
     k = random_kernel(rng, 2)
     grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
-    assert_operator_matches(discretize(k, grid), dense_pointwise(k, grid), rng)
+    op = discretize(k, grid)
+    assert_operator_matches(op, dense_pointwise(k, grid, op.rotation), rng)
 
 
 def uncoupled_kernel(rng):
-    """Two-mode kernel with a diagonal cross block: x_b meets only y_b."""
+    """Two-mode kernel already in its y axes with a diagonal cross block: x_b meets only y_b.
+
+    Im pyy is diagonal, so the oracle takes the kernel as it is; Re pyy
+    keeps its y1 y2 term.
+    """
     k = random_kernel(rng, 2)
-    return GaussianKernel(k.amplitude, k.pxx, np.diag(np.diagonal(k.pxy)), k.pyy, k.lx, k.ly, k.c0)
+    pyy = k.pyy.real + 1j * np.diag(np.diagonal(k.pyy).imag)
+    return GaussianKernel(k.amplitude, k.pxx, np.diag(np.diagonal(k.pxy)), pyy, k.lx, k.ly, k.c0)
 
 
 @pytest.mark.parametrize("seed", [11, 12])
 def test_separable_operator_matches_dense_pointwise_matrix(seed):
     rng = np.random.default_rng(seed)
     k = uncoupled_kernel(rng)
-    assert k.pxx[0, 1] != 0 and k.pyy[0, 1] != 0 and np.iscomplexobj(k.lx) and k.c0.imag != 0
+    assert k.pxx[0, 1] != 0 and k.pyy[0, 1].real != 0 and np.iscomplexobj(k.lx) and k.c0.imag != 0
+    assert k.nondegeneracy_margin() > 0.1
     grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
     op = discretize(k, grid)
+    assert np.array_equal(op.rotation, np.eye(2))
     assert op.g1.shape == op.g2.shape == (64, 64)  # N x N axis factors, not N^2 x N
-    assert_operator_matches(op, dense_pointwise(k, grid), rng)
+    assert_operator_matches(op, dense_pointwise(k, grid, op.rotation), rng)
 
 
 def dense_log_modulus_maxima(k, grid):
@@ -434,101 +442,105 @@ def rotated_heat_generator(s1: float, s2: float) -> QuadraticForm:
     return QuadraticForm(rot @ (-1j * np.diag([s1, s2, s1, s2])) @ rot.T)
 
 
-def test_coupled_two_mode_heat_is_verified_on_the_dense_matrix():
-    # the rotation couples x1 x2 and y1 y2, so the axis factors would reach a
-    # log-modulus near 1700 on this box although |K| stays bounded
+def test_coupled_two_mode_heat_is_verified_on_the_automatic_grid():
+    # the rotation couples x1 x2 and y1 y2; in the kernel's y axes the factors
+    # stay bounded, where the dense matrix would take 16 * 101^4 bytes (1.55 GiB)
     q = rotated_heat_generator(0.3, 2.0)
-    mat = discretize(evolution_to_kernel(EvolutionSpec(q)), GridSpec(n=2, half_width=19.27, points=64))
-    assert isinstance(mat, np.ndarray)
+    mat = discretize(evolution_to_kernel(EvolutionSpec(q)))
+    assert isinstance(mat, FactoredGridMatrix) and mat.shape == (101**2, 101**2)
     assert operator_norm(mat) == pytest.approx(norm_quadratic(q), rel=1e-9)
     assert grid_trace(mat) == pytest.approx(heat_trace(0.3) * heat_trace(2.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("limit", ["the address-space limit", "physical memory"])
-def test_dense_two_mode_matrix_beyond_memory_is_refused_before_allocation(monkeypatch, limit):
-    # the coupled kernel takes the dense route, 16 * 101^4 bytes (1.55 GiB) on its automatic grid
-    k = evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0)))
-    assert auto_grid(k).points == 101
-    gib = 2**30
-    if limit == "physical memory":
-        monkeypatch.setattr(oracle.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": gib // 4096}.get)
-    else:
-        monkeypatch.setattr(oracle.resource, "getrlimit", lambda which: (gib, oracle.resource.RLIM_INFINITY))
-
-    def no_dense(*args):
-        raise AssertionError("the dense matrix was built")
-
-    monkeypatch.setattr(oracle, "_dense", no_dense)
-    tracemalloc.start()
-    try:
-        with pytest.raises(GridError, match=f"needs {16 * 101**4} bytes, more than {limit} \\({gib} bytes\\)"):
-            discretize(k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 32 * 101**3  # the coupled factors tried first, no more
-
-
-def test_dense_two_mode_matrix_beyond_room_left_under_address_limit_is_refused(monkeypatch):
-    # the limit is above the 16 * 101^4 bytes of the matrix, but the process
-    # already holds more address space than the difference
-    k = evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0)))
-    nbytes, in_use = 16 * 101**4, 2**28
-    limit = nbytes + 2**26
-    monkeypatch.setattr(oracle.resource, "getrlimit", lambda which: (limit, oracle.resource.RLIM_INFINITY))
-    monkeypatch.setattr(oracle, "_address_space_in_use", lambda: in_use)
-
-    def no_dense(*args):
-        raise AssertionError("the dense matrix was built")
-
-    monkeypatch.setattr(oracle, "_dense", no_dense)
-    tracemalloc.start()
-    try:
-        with pytest.raises(GridError, match=f"needs {nbytes} bytes, more than the address-space limit "
-                                            f"\\({limit} bytes\\) less the {in_use} bytes in use"):
-            discretize(k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 32 * 101**3
-
-
-def test_address_space_in_use_reads_zero_when_unreadable(monkeypatch):
-    if os.path.exists("/proc/self/statm"):
-        assert oracle._address_space_in_use() > 0
-
-    def unreadable(*args, **kwargs):
-        raise OSError("no such file")
-
-    monkeypatch.setattr(oracle, "open", unreadable, raising=False)
-    assert oracle._address_space_in_use() == 0
 
 
 COUPLED = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])
 
 
-@pytest.mark.parametrize("pxx, pyy, half_width, factored", [
+# two-mode kernels that the dense matrix once took: axis-aligned factors would
+# overflow or underflow although the kernel itself stays in range
+FORMER_DENSE = [
     # y1 y2 coupling in Im pyy: the y diagonal would reach exp(0.95 L^2) at the corners
-    (1j * np.eye(2), 1j * np.array([[1.0, 0.95], [0.95, 1.0]]), 30.0, False),
-    # the x and y diagonals each reach exp(0.5 L^2): no factor overflows at
-    # L = 28.3, their product does
-    (COUPLED, COUPLED, 25.0, True),
-    (COUPLED, COUPLED, 28.3, False),
+    (1j * np.eye(2), 1j * np.array([[1.0, 0.95], [0.95, 1.0]]), 30.0),
+    # x and y diagonals each reaching exp(0.5 L^2)
+    (COUPLED, COUPLED, 25.0),
+    (COUPLED, COUPLED, 28.3),
     # x1 x2 coupling in Im pxx: the x diagonal reaches exp(0.5 L^2) = exp(695)
-    # while axis factors underflow, so an underflowed entry could matter
-    (COUPLED, 1j * np.eye(2), 30.0, True),
-    (COUPLED, 1j * np.eye(2), 37.28, False),
-])
-def test_two_mode_factors_out_of_range_give_the_dense_matrix(pxx, pyy, half_width, factored):
+    (COUPLED, 1j * np.eye(2), 30.0),
+    (COUPLED, 1j * np.eye(2), 37.28),
+]
+
+
+def former_dense_kernel(pxx, pyy, half_width):
     k = GaussianKernel(1.0, pxx=pxx, pxy=np.zeros((2, 2)), pyy=pyy, lx=np.zeros(2), ly=np.zeros(2))
-    grid = GridSpec(n=2, half_width=half_width, points=64)
-    mat = discretize(k, grid)
-    assert isinstance(mat, np.ndarray) != factored
-    xs = grid.nodes()
-    rows = np.random.default_rng(6).choice(len(xs), size=40, replace=False)
+    return k, GridSpec(n=2, half_width=half_width, points=64)
+
+
+def pointwise_gap(k, grid, op, rng):
+    """Largest gap of 40 rows e_r M from k(S x_r, S x_j) h^2, relative to the largest reference entry."""
+    xs = grid.nodes() @ op.rotation.T
+    rows = rng.choice(len(xs), size=40, replace=False)
     ref = k(xs[rows][:, None, :], xs[None, :, :]) * grid.h**2
-    got = np.array([np.eye(1, len(xs), r)[0] @ mat for r in rows])
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    got = np.array([np.eye(1, len(xs), r)[0] @ op for r in rows])
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pxx, pyy, half_width", FORMER_DENSE)
+def test_two_mode_kernels_of_the_former_dense_route_are_factored(pxx, pyy, half_width):
+    k, grid = former_dense_kernel(pxx, pyy, half_width)
+    op = discretize(k, grid)
+    assert isinstance(op, FactoredGridMatrix)
+    assert pointwise_gap(k, grid, op, np.random.default_rng(6)) <= 1e-13
+
+
+def weak_strong_kernel(rng):
+    """Two-mode kernel with one weak (0.05) and one strong (2) decay axis in Im pxx and in Im pyy.
+
+    Each block is rotated at random; the cross block couples the modes.
+    """
+    def rotated(rates):
+        turn = rng.uniform(0.0, np.pi)
+        r = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+        return r @ np.diag(rates) @ r.T
+
+    re = 0.3 * rng.standard_normal((4, 4))
+    hess = (re + re.T).astype(complex)
+    hess[:2, :2] += 1j * rotated([0.05, 2.0])
+    hess[2:, 2:] += 1j * rotated([0.05, 2.0])
+    hess[:2, 2:] += 0.01j * rng.standard_normal((2, 2))
+    hess[2:, :2] = hess[:2, 2:].T
+    lin = 0.4 * rng.standard_normal(4) + 0.02j * rng.standard_normal(4)
+    return GaussianKernel(0.7 - 0.4j, pxx=hess[:2, :2], pxy=hess[:2, 2:], pyy=hess[2:, 2:],
+                          lx=lin[:2], ly=lin[2:], c0=0.3 + 0.1j)
+
+
+def test_two_mode_factors_are_bounded_and_match_the_rotated_kernel():
+    """Factors of modulus at most 1 hold K(S x_i, S x_j) h^2 to 1e-12 of its largest entry.
+
+    The five kernels the dense matrix once took, then 20 seeded kernels with
+    one weak and one strong decay axis, on 64-point grids.  The weak axes
+    (c_b = 0.05) cancel in the complete squares, hence 1e-12 rather than 1e-13.
+    """
+    rng = np.random.default_rng(16)
+    cases = [former_dense_kernel(*case) for case in FORMER_DENSE]
+    for _ in range(20):
+        k = weak_strong_kernel(rng)
+        cases.append((k, GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)))
+    for k, grid in cases:
+        op = discretize(k, grid)
+        assert np.max(np.abs(op.g1)) <= 1.0 and np.max(np.abs(op.g2)) <= 1.0
+        assert pointwise_gap(k, grid, op, rng) <= 1e-12
+
+
+def test_two_mode_factors_that_underflow_where_the_kernel_matters_are_refused():
+    # the scale amplitude h^2 = 6e-302 turns the edges of dx subnormal while
+    # the entries they carry are not negligible against the peak
+    def kernel(amplitude):
+        return GaussianKernel(amplitude, pxx=1j * np.eye(2), pxy=0.2 * np.eye(2), pyy=1j * np.eye(2),
+                              lx=np.zeros(2), ly=np.zeros(2))
+
+    grid = GridSpec(2, 8.0, 64)
+    with pytest.raises(GridError, match="underflow where the kernel is not negligible"):
+        discretize(kernel(1e-300), grid)
+    assert isinstance(discretize(kernel(1e-290), grid), FactoredGridMatrix)
 
 
 def test_two_mode_overflowing_kernel_is_refused_before_any_matrix():
