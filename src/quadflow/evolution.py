@@ -26,9 +26,9 @@ from .positivity import PositivityReport, positivity_margins, strict_positivity
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
+    _canonical_residuals,
     canonical_log,
     cayley,
-    check_canonical,
     expm,
     sigma_transpose,
     standard_j,
@@ -66,22 +66,25 @@ class EvolutionSpec:
         return self.q.n
 
 
-def _pairing(km: np.ndarray):
-    """Contraction rates, pair product residuals and eigenvalue_pairing's failure masks of a stack."""
+def _pairing(km: np.ndarray, kbm: np.ndarray):
+    """Contraction rates, pair product residuals and eigenvalue_pairing's failure masks of a stack.
+
+    kbm holds conj(K)^{-1} = sigma_transpose(conj(K)) of each member.
+    """
     n = km.shape[-1] // 2
-    eigs = np.linalg.eigvals(sigma_transpose(np.conj(km)) @ km)  # conj(K)^{-1} K
-    eigs = np.take_along_axis(eigs, np.argsort(np.abs(eigs), axis=-1), axis=-1)
-    small, large = eigs[:, :n], eigs[:, 2 * n - 1 : n - 1 : -1]
-    resid = np.max(np.abs(small * large - 1.0), axis=-1)
-    mu = np.sort(small.real, axis=-1)
+    eigs = np.linalg.eigvals(kbm @ km)
     mod = np.abs(eigs)
+    eigs = eigs[np.arange(len(eigs))[:, None], mod.argsort(axis=-1)]
+    small, large = eigs[:, :n], eigs[:, 2 * n - 1 : n - 1 : -1]
+    resid = np.abs(small * large - 1.0).max(axis=-1)
+    mu = np.sort(small.real, axis=-1)
     # a zero eigenvalue fails the pairing mask; keep it out of the log
     log_mod = np.log(np.where(mod > 0.0, mod, np.inf))
     return mu, resid, (
-        np.any(np.abs(log_mod) < TOLERANCES["boundary"], axis=-1),
+        (np.abs(log_mod) < TOLERANCES["boundary"]).any(axis=-1),
         resid > TOLERANCES["pairing"],
-        np.max(np.abs(small.imag), axis=-1) > 1e-8 * np.max(np.abs(small), axis=-1),
-        np.any(mu <= 0.0, axis=-1),
+        np.abs(small.imag).max(axis=-1) > 1e-8 * np.abs(small).max(axis=-1),
+        (mu <= 0.0).any(axis=-1),
     )
 
 
@@ -94,7 +97,9 @@ def eigenvalue_pairing(k: CanonicalTransform) -> np.ndarray:
     TOLERANCES["boundary"] of the unit circle cannot be assigned to a pair
     side and raise BoundarySpectrumError.
     """
-    mu, resid, (boundary, unpaired, unreal, nonpositive) = _pairing(k.matrix[None])
+    km = k.matrix[None]
+    mu, resid, masks = _pairing(km, sigma_transpose(np.conj(km)))
+    boundary, unpaired, unreal, nonpositive = masks
     if boundary[0]:
         raise BoundarySpectrumError(
             "eigenvalue within boundary tolerance of the unit circle; "
@@ -147,9 +152,11 @@ class DecompositionData:
     norm: float          # operator norm of the shifted evolution
 
 
-def _centers(km: np.ndarray, v: np.ndarray):
-    """Shift centers and decompose's failure mask (non-finite centers) of a stack."""
-    kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
+def _centers(km: np.ndarray, kbm: np.ndarray, v: np.ndarray):
+    """Shift centers and decompose's failure mask (non-finite centers) of a stack.
+
+    kbm holds conj(K)^{-1} of each member, as for _pairing.
+    """
     eye = np.eye(km.shape[-1])
     vi = v.imag[..., None]
     # the systems are real, but real solves round differently (last digits, in
@@ -163,7 +170,8 @@ def _centers(km: np.ndarray, v: np.ndarray):
 def decompose(spec: EvolutionSpec) -> DecompositionData:
     """Compute centers, phase, contraction rates, and norm for q(z - v)."""
     k = spec.transform
-    a1, a2, failed = _centers(k.matrix[None], spec.v[None])
+    km = k.matrix[None]
+    a1, a2, failed = _centers(km, sigma_transpose(np.conj(km)), spec.v[None])
     if failed[0]:
         raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
@@ -197,24 +205,29 @@ def center_path(
     """Decompose a parametrized family, flagging members that lose positivity.
 
     Each item is (parameter, generator, shift).  Failures are recorded, not
-    dropped, so a sweep keeps its full index structure.  Members of equal
+    dropped, so a sweep keeps its full index structure; a member whose flow
+    is not canonical (an overflowed flow, say) fails alone.  Members of equal
     mode count run through flow, certificate and decomposition as one stack;
     the flows come from one call of expm (Padé scaling and squaring, degree
     and scaling chosen per member).
     """
     items = list(items)
-    out = [CenterSample(param=p, a1=None, a2=None, ok=False) for p, _, _ in items]
-    for n in sorted({q.n for _, q, _ in items}):
-        idx = [i for i, (_, q, _) in enumerate(items) if q.n == n]
-        v = np.array([np.asarray(items[i][2], dtype=complex).reshape(2 * n) for i in idx])
-        km = expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
-        check_canonical(km)
-        strict = np.flatnonzero(positivity_margins(km) > TOLERANCES["positivity"])
-        a1, a2, failed = _centers(km[strict], v[strict])
-        for row in np.flatnonzero(~(failed | np.any(_pairing(km[strict])[2], axis=0))):
+    modes = [q.n for _, q, _ in items]
+    a1s, a2s = [None] * len(items), [None] * len(items)
+    for n in sorted(set(modes)):
+        idx = [i for i, m in enumerate(modes) if m == n]
+        v = np.array([items[i][2] for i in idx], dtype=complex).reshape(len(idx), 2 * n)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed flow fails its check
+            km = expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
+            canonical = np.flatnonzero(~_canonical_residuals(km)[2])
+        strict = canonical[positivity_margins(km[canonical]) > TOLERANCES["positivity"]]
+        km = km[strict]
+        kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
+        a1, a2, failed = _centers(km, kbm, v[strict])
+        for row in np.flatnonzero(~(failed | np.any(_pairing(km, kbm)[2], axis=0))):
             i = idx[strict[row]]
-            out[i] = CenterSample(param=items[i][0], a1=a1[row], a2=a2[row], ok=True)
-    return out
+            a1s[i], a2s[i] = a1[row], a2[row]
+    return [CenterSample(p, a1, a2, a1 is not None) for (p, _, _), a1, a2 in zip(items, a1s, a2s)]
 
 
 def critical_time(theta: float) -> float:

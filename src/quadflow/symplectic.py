@@ -56,9 +56,16 @@ def _check_square_even(m: np.ndarray, what: str) -> int:
 
 
 def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
-    """(M + M^T) / 2, rejecting M whose asymmetry exceeds TOLERANCES["sym"], relative."""
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.T) > TOLERANCES["sym"] * scale:
+    """(M + M^T) / 2, rejecting non-finite M and M whose asymmetry exceeds TOLERANCES["sym"].
+
+    The test is |M - M^T|_F <= tol * max(|M|_F, 1), taken in squares.
+    """
+    mm = np.vdot(m, m).real  # |M|_F^2: NaN or inf for a non-finite M
+    if not (mm < np.inf) and not np.isfinite(m).all():
+        bad = [tuple(i.tolist()) for i in np.argwhere(~np.isfinite(m))]
+        raise ValueError(f"{what} has non-finite entries at {bad}")
+    d = m - m.T
+    if not (np.vdot(d, d).real <= TOLERANCES["sym"] ** 2 * max(mm, 1.0)):
         raise ValueError(f"{what} is not symmetric within tolerance")
     return (m + m.T) / 2.0
 
@@ -301,15 +308,24 @@ class CanonicalTransform:
         return self.matrix.shape[0] // 2
 
 
+def _canonical_residuals(m: np.ndarray):
+    """|K^T J K - J|, its scale 1 + |K|^2 and the failure mask, per member of a (B, 2n, 2n) stack.
+
+    A non-finite member, such as an overflowed flow, fails.
+    """
+    j = standard_j(m.shape[-1] // 2)
+    scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
+    resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
+    return resid, scale, ~(resid <= TOLERANCES["canonical"] * scale)  # NaN fails
+
+
 def check_canonical(m: np.ndarray) -> None:
     """Raise ValueError for the first member of a (B, 2n, 2n) stack with K^T J K != J.
 
     A non-finite member, such as an overflowed flow, fails the check.
     """
-    j = standard_j(m.shape[-1] // 2)
-    scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
-    resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
-    bad = np.flatnonzero(~(resid <= TOLERANCES["canonical"] * scale))  # NaN fails
+    resid, scale, failed = _canonical_residuals(m)
+    bad = np.flatnonzero(failed)
     if bad.size:
         raise ValueError(
             f"matrix is not canonical: |K^T J K - J| = {resid[bad[0]]:.3e} "

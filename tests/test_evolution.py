@@ -207,6 +207,29 @@ def test_center_path_matches_loop_reference():
             assert sample.a1 is None and sample.a2 is None
 
 
+@pytest.mark.parametrize("s", [400.0, 900.0])
+def test_center_path_fails_overflowed_members_alone(s):
+    """A finite Hessian whose flow overflows fails its member, not its stack."""
+    good = mixed_family(7, 40)
+    bad = [
+        (100.0 + k, QuadraticForm(-1j * s * np.eye(2 * n)), np.ones(2 * n))
+        for k, n in enumerate((1, 2, 1))
+    ]
+    items = good[:5] + bad[:1] + good[5:30] + bad[1:] + good[30:]
+    samples = {sample.param: sample for sample in center_path(items)}
+    assert len(samples) == len(items)
+    for param, _, _ in bad:
+        assert not samples[param].ok and samples[param].a1 is None and samples[param].a2 is None
+    reference = center_path(good)
+    assert any(ref.ok for ref in reference)
+    for ref in reference:
+        sample = samples[ref.param]
+        assert sample.ok == ref.ok
+        if ref.ok:
+            assert sample.a1.tobytes() == ref.a1.tobytes()
+            assert sample.a2.tobytes() == ref.a2.tobytes()
+
+
 # -- composition --------------------------------------------------------------
 
 

@@ -280,6 +280,15 @@ def test_kernel_to_evolution_rejects_indefinite_phase():
     assert "eigenvalues" in str(err.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["pxx", "pyy"])
+def test_kernel_refuses_non_finite_phase(value, name):
+    blocks = {"pxx": 1j * np.eye(2), "pyy": 1j * np.eye(2)}
+    blocks[name][1, 1] = complex(0.0, value)
+    with pytest.raises(ValueError, match=rf"{name} has non-finite entries at \[\(1, 1\)\]"):
+        GaussianKernel(amplitude=1.0, pxy=0.5 * np.eye(2), lx=np.zeros(2), ly=np.zeros(2), **blocks)
+
+
 def test_degenerate_cross_block_rejected():
     k = GaussianKernel(
         amplitude=1.0,

@@ -1,4 +1,6 @@
 """Symplectic linear algebra: forms, flows, logarithms."""
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadflow import (
+    TOLERANCES,
     CanonicalTransform,
     QuadraticForm,
     QuadflowError,
@@ -100,6 +103,48 @@ def test_quadratic_form_rejects_asymmetric():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         QuadraticForm(m)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetry_check_threshold(n, scale):
+    """|M - M^T|_F just under TOLERANCES["sym"] * max(|M|_F, 1) passes; just over is refused."""
+    rng = np.random.default_rng(20 + n)
+    m = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    h = scale * (m + m.T)
+    e = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    e = (e - e.T) / np.linalg.norm(e - e.T)  # antisymmetric, unit Frobenius norm
+    bound = TOLERANCES["sym"] * max(np.linalg.norm(h), 1.0)
+    # M = h + c e has M - M^T = 2 c e
+    QuadraticForm(h + 0.99 * bound / 2.0 * e)
+    with pytest.raises(ValueError, match="not symmetric"):
+        QuadraticForm(h + 1.01 * bound / 2.0 * e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetrized_hessian_bits(n):
+    """The accepted Hessian is (h + h^T) / 2 to the last bit, signed zeros included."""
+    rng = np.random.default_rng(40 + n)
+    shape = (2 * n, 2 * n)
+    for _ in range(20):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        h = m + m.T + 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # zeros of either sign in either part, next to parts of either sign
+        zeros = rng.random((2,) + shape) < 0.3
+        zeros |= np.swapaxes(zeros, 1, 2)
+        h.real[zeros[0]] = rng.choice([0.0, -0.0], size=zeros[0].sum())
+        h.imag[zeros[1]] = rng.choice([0.0, -0.0], size=zeros[1].sum())
+        assert QuadraticForm(h).hess.tobytes() == ((h + h.T) / 2).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 2)])
+@pytest.mark.parametrize("imag", [False, True])
+def test_quadratic_form_refuses_non_finite(value, entry, imag):
+    h = -1j * np.eye(4)
+    h[entry] = h[entry[::-1]] = complex(0.0, value) if imag else value
+    with pytest.raises(ValueError, match=r"non-finite entries at \[.*" + re.escape(str(entry))):
+        QuadraticForm(h)
 
 
 @settings(max_examples=25, deadline=None)
