@@ -102,25 +102,34 @@ def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
 def auto_grid(k: GaussianKernel) -> GridSpec:
     """Choose a grid from the kernel's Gaussian envelope and phase frequency.
 
-    L covers the envelope down to _EPS_TAIL; h resolves both the envelope
-    (h <= 0.02 L) and the oscillation of the real phase part through a
-    gradient bound.  The resulting N is clamped to the per-dimension caps;
-    the frequency bound is conservative for entire Gaussian integrands, and
-    discretize() still certifies the tail on the actual grid.
+    L covers the envelope down to _EPS_TAIL.  h = min(0.02 L, max(h_grad,
+    h_env)) resolves the real phase's oscillation by the coarser of two
+    bounds: h_grad = pi / (4 f), f the phase gradient at the box corner, and
+    h_env = 2 pi / k_max, k_max the bandwidth of K's Fourier envelope (see
+    _grid_for).  No grid is finer than h_grad alone gives, and a kernel with
+    Re phi'' = 0 and Re l = 0 keeps h = 0.02 L.  N is clamped to the
+    per-dimension caps; discretize() still certifies the tail on the grid.
     """
     return _grid_for(k, *_envelope(k))
 
 
 def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
-    n = k.n
-    half_width = max(6.0, float(np.sqrt(2.0 * np.log(1.0 / _EPS_TAIL) / lam_min)))
-    re_lin = np.concatenate([k.lx, k.ly]).real
+    """auto_grid's rule, never finer than h_grad.  With phi'' = R + iA, |K^(k)| is a
+    Gaussian of covariance A + R A^-1 R about k_c = Re l - R A^-1 Im l; k_max reads
+    the rotation invariants |k_c| and largest variance of each n x n block.
+    """
+    n, log_tail = k.n, np.log(1.0 / _EPS_TAIL)
+    half_width = max(6.0, float(np.sqrt(2.0 * log_tail / lam_min)))
+    lin = np.concatenate([k.lx, k.ly])
     max_freq = float(
-        np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(re_lin)
+        np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(lin.real)
     )
-    h_bound = 0.02 * half_width
-    if max_freq > 0.0:
-        h_bound = min(h_bound, np.pi / (4.0 * max_freq))
+    sol = np.linalg.solve(hess.imag, np.column_stack([hess.real, lin.imag]))
+    cov, k_c = hess.imag + hess.real @ sol[:, :-1], lin.real - hess.real @ sol[:, -1]
+    k_max = max(np.linalg.norm(k_c[b]) + np.sqrt(2.0 * log_tail * np.linalg.eigvalsh(cov[b, b])[-1])
+                for b in (slice(0, n), slice(n, None)))
+    h_grad = np.pi / (4.0 * max_freq) if max_freq > 0.0 else np.inf
+    h_bound = min(0.02 * half_width, max(h_grad, 2.0 * np.pi / k_max))
     points = int(np.ceil(2.0 * half_width / h_bound)) + 1
     points = min(max(points, _MIN_POINTS), _MAX_POINTS[n])
     return GridSpec(n=n, half_width=half_width, points=points)

@@ -11,6 +11,7 @@ from quadflow import (
     GridError,
     GridSpec,
     auto_grid,
+    decompose,
     discretize,
     evolution_to_kernel,
     grid_trace,
@@ -67,16 +68,110 @@ def test_auto_grid_heat():
 
 
 def test_auto_grid_resolves_oscillation():
+    # a real phase in x alone multiplies by a unimodular function: the norm stays e^{-1/2}
     k = heat_kernel(1.0)
-    osc = GaussianKernel(
-        amplitude=k.amplitude,
-        pxx=k.pxx + 3.0 * np.eye(1),  # fast real phase
-        pxy=k.pxy,
-        pyy=k.pyy,
-        lx=k.lx,
-        ly=k.ly,
+
+    def twin(re_pxx):
+        return GaussianKernel(k.amplitude, k.pxx + re_pxx * np.eye(1), k.pxy, k.pyy, k.lx, k.ly)
+
+    assert kernel_norm(twin(3.0)) == pytest.approx(np.exp(-0.5), rel=1e-12)
+    assert auto_grid(twin(10.0)).points > 101  # a faster phase still refines the grid
+
+
+def gradient_rule_grid(k):
+    """auto_grid's rule with the corner-gradient oscillation step alone, the reference for N."""
+    hess = k.phase_hessian()
+    lam_min = float(np.min(np.linalg.eigvalsh(hess.imag)))
+    half_width = max(6.0, float(np.sqrt(2.0 * np.log(1.0 / oracle._EPS_TAIL) / lam_min)))
+    re_lin = np.concatenate([k.lx, k.ly]).real
+    max_freq = float(
+        np.linalg.norm(hess.real, 2) * np.sqrt(2 * k.n) * half_width + np.linalg.norm(re_lin)
     )
-    assert auto_grid(osc).points > auto_grid(k).points
+    h_bound = 0.02 * half_width
+    if max_freq > 0.0:
+        h_bound = min(h_bound, np.pi / (4.0 * max_freq))
+    points = int(np.ceil(2.0 * half_width / h_bound)) + 1
+    points = min(max(points, oracle._MIN_POINTS), oracle._MAX_POINTS[k.n])
+    return GridSpec(n=k.n, half_width=half_width, points=points)
+
+
+def rotated_member(rng, shifted):
+    """One-mode rotated oscillator at a compact complex time, drawn as in the oracle benchmark."""
+    theta, t1, depth = rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0), rng.uniform(0.05, 1.5)
+    t2 = -np.arcsinh(np.abs(np.tan(theta) * np.sin(t1))) - depth
+    v = 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) if shifted else np.zeros(2)
+    return EvolutionSpec(QuadraticForm((t1 + 1j * t2) * q_theta(theta).hess), v)
+
+
+def coupled_oscillating_generator():
+    """Two rotated oscillators at compact complex times, modes mixed by a rotation of 0.5."""
+    hess = np.zeros((4, 4), dtype=complex)
+    for axes, (theta, t1, t2) in (([0, 2], (0.4, 1.0, -1.0)), ([1, 3], (-0.7, -2.0, -1.3))):
+        hess[np.ix_(axes, axes)] = (t1 + 1j * t2) * q_theta(theta).hess
+    c, s = np.cos(0.5), np.sin(0.5)
+    rot = np.kron(np.eye(2), np.array([[c, -s], [s, c]]))
+    return QuadraticForm(rot @ hess @ rot.T)
+
+
+def faster_phase(k, scale):
+    """The kernel with Re phi'' scaled by ``scale``."""
+    hess = k.phase_hessian()
+    hess = scale * hess.real + 1j * hess.imag
+    n = k.n
+    return GaussianKernel(k.amplitude, hess[:n, :n], hess[:n, n:], hess[n:, n:], k.lx, k.ly, k.c0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_auto_grid_keeps_the_heat_grids(n):
+    # no real phase: the Fourier-envelope step never enters
+    kernels = [heat_kernel(s, n) for s in (0.02, 0.1, 1.0, 4.0)]
+    if n == 2:
+        kernels.append(evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0))))
+    for k in kernels:
+        assert auto_grid(k) == gradient_rule_grid(k)
+
+
+def test_auto_grid_is_never_finer_than_the_gradient_rule():
+    rng = np.random.default_rng(60)
+    kernels = [evolution_to_kernel(rotated_member(rng, shifted)) for shifted in (False, True) * 20]
+    for n in (1, 2):
+        kernels += [faster_phase(random_kernel(rng, n), scale) for scale in (0.1, 1.0, 4.0, 30.0)]
+    for k in kernels:
+        grid, old = auto_grid(k), gradient_rule_grid(k)
+        assert grid.half_width == old.half_width and grid.points <= old.points
+    # the oscillating one-mode members drop from ~500 points to the 101 of the envelope floor
+    assert sum(auto_grid(k).points == 101 for k in kernels[:40]) >= 30
+
+
+def test_oscillating_kernels_match_the_closed_form_on_their_automatic_grid():
+    rng = np.random.default_rng(61)
+    specs = [rotated_member(rng, shifted) for shifted in (False, True) * 12]
+    specs.append(EvolutionSpec(coupled_oscillating_generator()))
+    for spec in specs:
+        k = evolution_to_kernel(spec)
+        assert np.any(k.phase_hessian().real != 0)
+        try:
+            mat = discretize(k)
+        except GridError as err:
+            # an envelope centred far off the origin-centred box is refused, never mis-measured
+            assert "tail bound violated" in str(err)
+            continue
+        assert operator_norm(mat) == pytest.approx(decompose(spec).norm, rel=1e-10)
+    assert isinstance(mat, FactoredGridMatrix) and mat.g1.shape[0] == mat.shape[0]  # coupled modes
+
+
+def test_auto_grid_points_are_rotation_invariant():
+    # the two-mode grid lives in the kernel's own y axes: N may depend only on invariants
+    rng = np.random.default_rng(62)
+    points = []
+    for _ in range(8):
+        k = faster_phase(random_kernel(rng, 2), 4.0)
+        s = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        turned = GaussianKernel(k.amplitude, s.T @ k.pxx @ s, s.T @ k.pxy @ s, s.T @ k.pyy @ s,
+                                k.lx @ s, k.ly @ s, k.c0)
+        points.append(auto_grid(k).points)
+        assert auto_grid(turned).points == points[-1]
+    assert any(101 < p < oracle._MAX_POINTS[2] for p in points)  # set by the envelope step
 
 
 def test_auto_grid_rejects_flat_envelope():

@@ -121,6 +121,24 @@ def test_symmetry_check_threshold(n, scale):
         QuadraticForm(h + 1.01 * bound / 2.0 * e)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_symmetry_check_threshold_where_the_frobenius_square_overflows(scale):
+    """Past |M|_F ~ 1.3e154 the same relative threshold holds, and no entry of the result overflows."""
+    with pytest.raises(ValueError, match="not symmetric"):
+        QuadraticForm(np.array([[1e160, 1e159], [0.0, 1.0]]))
+    rng = np.random.default_rng(30)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = scale * (m + m.T)
+    e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    e = (e - e.T) / np.linalg.norm(e - e.T)
+    bound = TOLERANCES["sym"] * scale * np.linalg.norm(m + m.T)
+    QuadraticForm(h + 0.99 * bound / 2.0 * e)
+    with pytest.raises(ValueError, match="not symmetric"):
+        QuadraticForm(h + 1.01 * bound / 2.0 * e)
+    big = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
+    assert np.array_equal(QuadraticForm(big).hess, big)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetrized_hessian_bits(n):
     """The accepted Hessian is (h + h^T) / 2 to the last bit, signed zeros included."""
