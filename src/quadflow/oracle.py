@@ -102,37 +102,43 @@ def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
 def auto_grid(k: GaussianKernel) -> GridSpec:
     """Choose a grid from the kernel's Gaussian envelope and phase frequency.
 
-    L covers the envelope down to _EPS_TAIL.  h = min(0.02 L, max(h_grad,
-    h_env)) resolves the real phase's oscillation by the coarser of two
-    bounds: h_grad = pi / (4 f), f the phase gradient at the box corner, and
-    h_env = 2 pi / k_max, k_max the bandwidth of K's Fourier envelope (see
-    _grid_for).  No grid is finer than h_grad alone gives, and a kernel with
-    Re phi'' = 0 and Re l = 0 keeps h = 0.02 L.  N is clamped to the
-    per-dimension caps; discretize() still certifies the tail on the grid.
+    L covers the envelope down to _EPS_TAIL.  h = min(0.02 L, max(h_grad, h_env)), where
+    h_grad = pi / (4 f), f the phase gradient at the box corner, and h_env = 2 pi / k_max,
+    k_max the Fourier bandwidth of K and of its diagonal K(x, x) (see _grid_for), each
+    resolve the real phase: no grid is finer than h_grad gives, and Re phi'' = 0 = Re l
+    keeps h = 0.02 L.  N is clamped to the caps; discretize() certifies the tail on the grid.
     """
     return _grid_for(k, *_envelope(k))
 
 
 def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
-    """auto_grid's rule, never finer than h_grad.  With phi'' = R + iA, |K^(k)| is a
-    Gaussian of covariance A + R A^-1 R about k_c = Re l - R A^-1 Im l; k_max reads
-    the rotation invariants |k_c| and largest variance of each n x n block.
-    """
+    """auto_grid's rule.  k_max bounds, to _EPS_TAIL, the x and y frequencies of K relative
+    to their peak (rotation invariants of the n x n blocks of its _fourier_envelope) and
+    those of the diagonal K(x, x) relative to |f^(0)|, the integral that grid_trace takes."""
     n, log_tail = k.n, np.log(1.0 / _EPS_TAIL)
     half_width = max(6.0, float(np.sqrt(2.0 * log_tail / lam_min)))
     lin = np.concatenate([k.lx, k.ly])
     max_freq = float(
         np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(lin.real)
     )
-    sol = np.linalg.solve(hess.imag, np.column_stack([hess.real, lin.imag]))
-    cov, k_c = hess.imag + hess.real @ sol[:, :-1], lin.real - hess.real @ sol[:, -1]
+    cov, k_c = _fourier_envelope(hess, lin)
     k_max = max(np.linalg.norm(k_c[b]) + np.sqrt(2.0 * log_tail * np.linalg.eigvalsh(cov[b, b])[-1])
                 for b in (slice(0, n), slice(n, None)))
+    cov, k_c = _fourier_envelope(k.pxx + k.pxy + k.pxy.T + k.pyy, k.lx + k.ly)  # of K(x, x)
+    decay = 2.0 * log_tail + k_c @ np.linalg.solve(cov, k_c)  # |f^| < _EPS_TAIL |f^(0)| past k_max
+    k_max = max(k_max, np.linalg.norm(k_c) + np.sqrt(decay * np.linalg.eigvalsh(cov)[-1]))
     h_grad = np.pi / (4.0 * max_freq) if max_freq > 0.0 else np.inf
     h_bound = min(0.02 * half_width, max(h_grad, 2.0 * np.pi / k_max))
     points = int(np.ceil(2.0 * half_width / h_bound)) + 1
     points = min(max(points, _MIN_POINTS), _MAX_POINTS[n])
     return GridSpec(n=n, half_width=half_width, points=points)
+
+
+def _fourier_envelope(phi: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For f(z) = exp(i z.phi z / 2 + i lin.z), phi = R + iA, |f^| is a Gaussian: its
+    covariance A + R A^-1 R and its centre Re lin - R A^-1 Im lin."""
+    sol = np.linalg.solve(phi.imag, np.column_stack([phi.real, lin.imag]))
+    return phi.imag + phi.real @ sol[:, :-1], lin.real - phi.real @ sol[:, -1]
 
 
 class FactoredGridMatrix:

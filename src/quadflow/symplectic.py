@@ -58,15 +58,15 @@ def _check_square_even(m: np.ndarray, what: str) -> int:
 def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
     """(M + M^T) / 2, rejecting non-finite M and M whose asymmetry exceeds TOLERANCES["sym"].
 
-    The test is |M - M^T|_F <= tol * max(|M|_F, 1), taken in squares, on M
-    scaled by its largest modulus when |M|_F^2 overflows.
+    The test is |M - M^T|_F <= tol * max(|M|_F, 1), taken in squares, on M scaled by
+    its largest real or imaginary part (a modulus may overflow) when |M|_F^2 overflows.
     """
     t, mm = m, np.vdot(m, m).real  # |M|_F^2: NaN or inf for a non-finite M
     if not (mm < np.inf):
         if not np.isfinite(m).all():
             bad = [tuple(i.tolist()) for i in np.argwhere(~np.isfinite(m))]
             raise ValueError(f"{what} has non-finite entries at {bad}")
-        t = m / np.abs(m).max()
+        t = m / max(np.abs(m.real).max(), np.abs(m.imag).max())
         mm = np.vdot(t, t).real
     d = t - t.T
     if not (np.vdot(d, d).real <= TOLERANCES["sym"] ** 2 * max(mm, 1.0)):

@@ -137,6 +137,11 @@ def test_symmetry_check_threshold_where_the_frobenius_square_overflows(scale):
         QuadraticForm(h + 1.01 * bound / 2.0 * e)
     big = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.0]])
     assert np.array_equal(QuadraticForm(big).hess, big)
+    # a modulus past the largest float: 1.5e308 (1 + i) has |z| = 2.1e308
+    with pytest.raises(ValueError, match="not symmetric"):
+        QuadraticForm(np.array([[1.5e308 + 1.5e308j, 1e307], [0.0, 1.0]]))
+    big = np.array([[1.5e308 + 1.5e308j, 1e290j], [1e290j, 1.0]])
+    assert np.array_equal(QuadraticForm(big).hess, big)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
