@@ -30,18 +30,21 @@ from .symplectic import (
     canonical_log,
     cayley,
     expm,
+    set_frozen,
     sigma_transpose,
     standard_j,
     symplectic_form,
 )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EvolutionSpec:
     """Quadratic generator plus complex phase-space shift, q(z - v).
 
     Construction runs the strict positivity certificate on the time-1 flow
-    and rejects generators outside the compact class.
+    and rejects generators outside the compact class.  The spec is
+    immutable and v is a read-only copy of the shift given, so the kernel
+    that kernels.evolution_to_kernel stores on it, once, stays its kernel.
     """
 
     q: QuadraticForm
@@ -51,15 +54,11 @@ class EvolutionSpec:
 
     def __post_init__(self):
         n = self.q.n
-        if self.v is None:
-            self.v = np.zeros(2 * n, dtype=complex)
-        self.v = np.asarray(self.v, dtype=complex).reshape(2 * n)
-        self.transform = self.q.transform
-        self.report = strict_positivity(self.transform)
-        if not self.report.is_strict:
-            raise PositivityError(
-                f"flow is not strictly positive: {self.report}", margin=self.report.margin
-            )
+        v = np.asarray(np.zeros(2 * n) if self.v is None else self.v, dtype=complex).reshape(2 * n)
+        report = strict_positivity(self.q.transform)
+        set_frozen(self, v=v.copy(), transform=self.q.transform, report=report)
+        if not report.is_strict:
+            raise PositivityError(f"flow is not strictly positive: {report}", margin=report.margin)
 
     @property
     def n(self) -> int:

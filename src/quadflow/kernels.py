@@ -17,19 +17,20 @@ from .config import TOLERANCES
 from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
-from .symplectic import (CanonicalTransform, QuadraticForm, canonical_log, gauss_logdet,
-                         herm_max_eig, symmetrize)
+from .symplectic import (CanonicalTransform, QuadraticForm, block2, canonical_log, gauss_logdet,
+                         herm_max_eig, set_frozen, symmetrize)
 
 # scale of the linear phase terms drawn by random_nondegenerate
 _SHIFT_SCALE = 0.5
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GaussianKernel:
     """Kernel amplitude * exp(i phi(x, y)) with quadratic phase.
 
     phi(x, y) = x.(pxx x)/2 + x.(pxy y) + y.(pyy y)/2 + lx.x + ly.y + c0.
     pxx and pyy are symmetric; the y-x cross block is pxy transposed.
+    Immutable, every array a read-only copy, so one kernel can be shared.
     """
 
     amplitude: complex
@@ -41,30 +42,23 @@ class GaussianKernel:
     c0: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        self.pxx = np.asarray(self.pxx, dtype=complex)
-        self.pxy = np.asarray(self.pxy, dtype=complex)
-        self.pyy = np.asarray(self.pyy, dtype=complex)
-        if self.pxx.ndim != 2:
-            raise ValueError(f"pxx must be a square matrix, got shape {self.pxx.shape}")
-        n = self.pxx.shape[0]
-        for name in ("pxx", "pyy"):
-            m = getattr(self, name)
+        pxx, pxy, pyy = (np.asarray(m, dtype=complex) for m in (self.pxx, self.pxy, self.pyy))
+        if pxx.ndim != 2:
+            raise ValueError(f"pxx must be a square matrix, got shape {pxx.shape}")
+        n = pxx.shape[0]
+        for name, m in (("pxx", pxx), ("pyy", pyy), ("pxy", pxy)):
             if m.shape != (n, n):
                 raise ValueError(f"{name} must be {n} x {n}")
-            setattr(self, name, symmetrize(m, name))
-        if self.pxy.shape != (n, n):
-            raise ValueError(f"pxy must be {n} x {n}")
-        self.lx = np.asarray(self.lx, dtype=complex).reshape(n)
-        self.ly = np.asarray(self.ly, dtype=complex).reshape(n)
-        self.amplitude = complex(self.amplitude)
-        self.c0 = complex(self.c0)
+        lx, ly = (np.asarray(l, dtype=complex).reshape(n).copy() for l in (self.lx, self.ly))
+        set_frozen(self, amplitude=complex(self.amplitude), pxx=symmetrize(pxx, "pxx"), pxy=pxy.copy(),
+                   pyy=symmetrize(pyy, "pyy"), lx=lx, ly=ly, c0=complex(self.c0))
 
     @property
     def n(self) -> int:
         return self.pxx.shape[0]
 
     def phase_hessian(self) -> np.ndarray:
-        return np.block([[self.pxx, self.pxy], [self.pxy.T, self.pyy]])
+        return block2(self.pxx, self.pxy, self.pxy.T, self.pyy)
 
     def nondegeneracy_margin(self) -> float:
         """Smallest eigenvalue of Im phi''; positive for compact smoothing kernels."""
@@ -147,15 +141,24 @@ def evolution_to_kernel(
     integrability is checked once, by quantize; formal reaches only that
     check.  Either way the amplitude carries the sign of the Mehler
     prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
+    The first certified call for a spec stores the kernel on it (the spec and
+    the kernel are immutable), and every later call returns that kernel.  A
+    formal=True call returns the stored kernel if there is one, and never
+    stores its own.
     """
     if isinstance(spec, QuadraticForm):
         if formal:
             return quantize(mehler_symbol(spec), formal=True)
         spec = EvolutionSpec(spec)
-    sym = mehler_symbol(spec.q)
-    if np.any(spec.v != 0):
-        sym = two_sided_shift(spec.v, sym)
-    return quantize(sym, formal=formal)
+    stored = vars(spec)
+    if "_kernel" not in stored:
+        sym = mehler_symbol(spec.q)
+        if np.any(spec.v != 0):
+            sym = two_sided_shift(spec.v, sym)
+        if formal:
+            return quantize(sym, formal=True)
+        stored["_kernel"] = quantize(sym)
+    return stored["_kernel"]
 
 
 def _cross_block_inverse(k: GaussianKernel) -> np.ndarray:
@@ -178,9 +181,7 @@ def kernel_transform(k: GaussianKernel) -> tuple[CanonicalTransform, np.ndarray]
     """
     n = k.n
     pyx_inv = _cross_block_inverse(k)
-    top = np.hstack([-pyx_inv @ k.pyy, -pyx_inv])
-    bottom = np.hstack([k.pxy - k.pxx @ pyx_inv @ k.pyy, -k.pxx @ pyx_inv])
-    mat = np.vstack([top, bottom])
+    mat = block2(-pyx_inv @ k.pyy, -pyx_inv, k.pxy - k.pxx @ pyx_inv @ k.pyy, -k.pxx @ pyx_inv)
     w = np.concatenate([-pyx_inv @ k.ly, k.lx - k.pxx @ pyx_inv @ k.ly])
     return CanonicalTransform(mat), w
 
@@ -205,6 +206,8 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     Requires Im phi'' positive definite, checked here; the recovered flow is
     certified by EvolutionSpec.  c is the ratio of the two kernels at the
     origin, taken from amplitudes and constant phases so it cannot underflow.
+    The kernel of spec built for c stays stored on spec, so a later
+    evolution_to_kernel(spec) returns it without quantizing again.
     """
     margin = k.nondegeneracy_margin()
     if margin <= 0.0:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PositivityError
-from .kernels import GaussianKernel, evolution_to_kernel, quantize
-from .symbols import mehler_symbol
+from .kernels import GaussianKernel, evolution_to_kernel
 from .symplectic import QuadraticForm
 
 # rotation generator on one mode: d/dt exp(t H0) circles phase space

@@ -9,7 +9,7 @@ of an evolution to the other, and exact degree-2 polynomial symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,29 +18,33 @@ from .errors import SymbolConvergenceError
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
+    block2,
     cayley,
     gauss_logdet,
     hamilton_matrix,
     herm_max_eig,
+    set_frozen,
     sigma_transpose,
     standard_j,
     symplectic_form,
 )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GaussianSymbol:
-    """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n)."""
+    """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n).
+
+    Immutable, g and l read-only copies, so one symbol can be shared.
+    """
 
     c: complex
     g: np.ndarray
     l: np.ndarray
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=complex)
-        self.g = (self.g + self.g.T) / 2.0
-        self.l = np.asarray(self.l, dtype=complex).reshape(self.g.shape[0])
-        self.c = complex(self.c)
+        g = np.asarray(self.g, dtype=complex)
+        l = np.asarray(self.l, dtype=complex).reshape(g.shape[0]).copy()
+        set_frozen(self, c=complex(self.c), g=(g + g.T) / 2.0, l=l)
 
     @property
     def n(self) -> int:
@@ -63,7 +67,18 @@ def mehler_symbol(q: QuadraticForm) -> GaussianSymbol:
     invertible.  Integrability of the symbol (Gaussian decay) is checked
     where an integral over it is taken, in quantize and weyl_sharp; for a
     strictly positive flow it always holds.
+    The symbol is computed on the first call for a form and stored on it, as
+    q.transform is; later calls return that same immutable symbol.  A call
+    that raises stores nothing.
     """
+    stored = vars(q)  # where functools.cached_property keeps q.transform
+    if "_mehler_symbol" not in stored:
+        stored["_mehler_symbol"] = _mehler(q)
+    return stored["_mehler_symbol"]
+
+
+def _mehler(q: QuadraticForm) -> GaussianSymbol:
+    """The formula of mehler_symbol, run once per form."""
     eigs_h = np.linalg.eigvals(hamilton_matrix(q) / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
         raise SymbolConvergenceError("cosh factor vanishes; no closed-form symbol")
@@ -102,7 +117,7 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
                 f"{name} symbol lacks Gaussian decay; sharp product integral diverges"
             )
     j = standard_j(n)
-    m = np.block([[a.g, -1j * j], [1j * j, b.g]])
+    m = block2(a.g, -1j * j, 1j * j, b.g)
     p = np.vstack([2.0 * a.g, 2.0 * b.g])
     l0 = np.concatenate([a.l, b.l])
     m_inv = np.linalg.inv(m)

@@ -88,6 +88,22 @@ def gauss_logdet(x: np.ndarray) -> complex:
     return complex(np.sum(np.log(np.linalg.eigvals(x))))
 
 
+def block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Complex [[a, b], [c, d]] for four square blocks of one size: np.block's bits, built in place."""
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n), dtype=complex)
+    out[:n, :n], out[:n, n:], out[n:, :n], out[n:, n:] = a, b, c, d
+    return out
+
+
+def set_frozen(obj, **values) -> None:
+    """Set fields of a frozen dataclass in its __post_init__; arrays, which it must own, become read-only."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 def cayley(m: np.ndarray) -> np.ndarray:
     """Cayley transform (1 + M)^{-1} (1 - M); for M = exp(H) it is -tanh(H/2)."""
     eye = np.eye(m.shape[0])
@@ -253,9 +269,7 @@ class QuadraticForm:
     def __post_init__(self):
         h = np.asarray(self.hess, dtype=complex)
         _check_square_even(h, "Hessian")
-        h = symmetrize(h, "Hessian")
-        h.flags.writeable = False
-        object.__setattr__(self, "hess", h)
+        set_frozen(self, hess=symmetrize(h, "Hessian"))
 
     @functools.cached_property
     def transform(self) -> "CanonicalTransform":

@@ -78,6 +78,18 @@ def test_norm_matches_pairing_product():
 # -- shifted decompositions ---------------------------------------------------
 
 
+def test_spec_owns_a_read_only_copy_of_its_shift():
+    # the kernel stored on a spec is computed from v, so v cannot change under it
+    v = np.array([0.3, 0.1j])
+    spec = EvolutionSpec(heat_generator(1.0), v)
+    v[0] = 5.0
+    assert np.array_equal(spec.v, [0.3, 0.1j])
+    with pytest.raises(ValueError, match="read-only"):
+        spec.v[0] = 5.0
+    with pytest.raises(AttributeError):
+        spec.v = np.zeros(2)
+
+
 def test_decompose_unshifted_is_trivial():
     d = decompose(EvolutionSpec(heat_generator(1.0)))
     assert np.allclose(d.a1, 0.0)

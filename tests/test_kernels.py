@@ -1,4 +1,5 @@
 """Gaussian integral kernels: quantization, composition, shifts, brackets."""
+import dataclasses
 import sys
 
 import numpy as np
@@ -37,7 +38,7 @@ from quadflow import (
     weyl_sharp,
 )
 from quadflow.models import heat_generator
-from quadflow.symplectic import logm
+from quadflow.symplectic import block2, logm
 
 RNG_POINTS = [
     (np.array([0.3]), np.array([-0.5])),
@@ -221,6 +222,86 @@ def test_kernel_to_evolution_round_trip():
     assert np.allclose(spec2.q.hess, spec.q.hess, atol=1e-9)
     assert np.allclose(spec2.v, v, atol=1e-9)
     assert c == pytest.approx(1.0, abs=1e-9)
+    # the phase Hessian, assembled in place, has the bits of np.block
+    assert np.array_equal(k.phase_hessian(), np.block([[k.pxx, k.pxy], [k.pxy.T, k.pyy]]))
+    g, j = mehler_symbol(spec.q).g, np.array([[0.0, -1.0], [1.0, 0.0]])  # weyl_sharp's blocks
+    assert np.array_equal(block2(g, -1j * j, 1j * j, 2.0 * g), np.block([[g, -1j * j], [1j * j, 2.0 * g]]))
+
+
+def test_round_trip_kernel_is_quantized_once(monkeypatch):
+    # kernel_to_evolution stores the kernel it builds for c on the recovered
+    # spec; a formal call reads a stored kernel but never stores its own
+    calls = []
+    quantize_ = quadflow.kernels.quantize
+
+    def counted(sym, formal=False):
+        calls.append(formal)
+        return quantize_(sym, formal=formal)
+
+    monkeypatch.setattr(quadflow.kernels, "quantize", counted)
+    spec = EvolutionSpec(perturbed_heat(0.9, 5), np.array([0.4 + 0.2j, -0.3 + 0.6j]))
+    back, _ = kernel_to_evolution(evolution_to_kernel(spec))
+    assert calls == [False, False]
+    assert evolution_to_kernel(back) is evolution_to_kernel(back, formal=True)
+    assert calls == [False, False]
+    fresh = EvolutionSpec(spec.q, spec.v)
+    evolution_to_kernel(fresh, formal=True)
+    evolution_to_kernel(fresh)
+    assert calls == [False, False, True, False]
+
+
+def shifted_generators(count=20, seed=90):
+    """One- and two-mode shifted generators R - i P, drawn as in the kernel_calculus benchmark."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = 1 + i % 2
+        a = rng.standard_normal((2 * n, 2 * n))
+        r = rng.standard_normal((2 * n, 2 * n))
+        hess = (r + r.T) / 2.0 - 1j * (a @ a.T / (2 * n) + 0.2 * np.eye(2 * n))
+        yield hess, 0.5 * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
+
+
+def same_bits(a, b):
+    fields = [f.name for f in dataclasses.fields(a)]
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def test_stored_symbols_and_kernels_equal_fresh_ones():
+    for hess, v in shifted_generators():
+        spec = EvolutionSpec(QuadraticForm(hess), v)
+        kern = evolution_to_kernel(spec)
+        back, _ = kernel_to_evolution(kern)
+        stored = [mehler_symbol(spec.q), two_sided_shift(v, mehler_symbol(spec.q)), evolution_to_kernel(spec),
+                  mehler_symbol(back.q), evolution_to_kernel(back)]
+        assert stored[2] is kern
+        fresh = [mehler_symbol(QuadraticForm(hess)), two_sided_shift(v, mehler_symbol(QuadraticForm(hess))),
+                 evolution_to_kernel(EvolutionSpec(QuadraticForm(hess), v)),
+                 mehler_symbol(QuadraticForm(back.q.hess)),
+                 evolution_to_kernel(EvolutionSpec(QuadraticForm(back.q.hess), back.v))]
+        assert all(same_bits(a, b) for a, b in zip(stored, fresh))
+
+
+@pytest.mark.parametrize("name", ["amplitude", "pxx", "c0", "extra"])
+def test_kernel_attributes_cannot_be_assigned(name):
+    kern = evolution_to_kernel(EvolutionSpec(perturbed_heat(0.9, 5), np.array([0.4 + 0.2j, -0.3j])))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(kern, name, 0.0)
+
+
+@pytest.mark.parametrize("name", ["pxx", "pxy", "pyy", "lx", "ly"])
+def test_kernel_arrays_are_read_only_copies(name):
+    # a stored kernel is shared by every later caller, and a caller's arrays
+    # written after construction do not reach it
+    spec = EvolutionSpec(perturbed_heat(0.9, 5), np.array([0.4 + 0.2j, -0.3j]))
+    kern = evolution_to_kernel(spec)
+    before = getattr(kern, name).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(kern, name)[0] = 7.0
+    assert np.array_equal(getattr(evolution_to_kernel(spec), name), before)
+    parts = {f: np.array(getattr(kern, f)) for f in ("pxx", "pxy", "pyy", "lx", "ly")}
+    made = GaussianKernel(amplitude=1.0, **parts)
+    parts[name][0] = 7.0
+    assert np.array_equal(getattr(made, name), before)
 
 
 @pytest.mark.parametrize("c0", [0.7 + 40j, 0.7 - 40j])

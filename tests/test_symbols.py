@@ -1,15 +1,21 @@
 """Weyl symbols: closed forms, sharp products, shifts, crossings."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import quadflow
 from quadflow import (
+    EvolutionSpec,
     GaussianSymbol,
     PolynomialSymbol,
+    QuadflowError,
     QuadraticForm,
     ShiftOp,
     SymbolConvergenceError,
     crossing,
+    evolution_to_kernel,
     flow,
     hamilton_matrix,
     inverse,
@@ -83,6 +89,66 @@ def test_rotation_symbol_is_oscillatory():
     sym = mehler_symbol(q_theta(0.0))
     assert sym.c == pytest.approx(1.0 / np.cos(0.5), rel=1e-12)
     assert np.allclose(sym.g, -1j * np.tan(0.5) * np.eye(2), atol=1e-12)
+
+
+def test_mehler_formula_runs_once_per_form(monkeypatch):
+    # the symbol is stored on its (immutable) form: repeated calls, and the
+    # kernel of a spec on the same form, reuse it; another form computes its own
+    calls = []
+    formula = quadflow.symbols._mehler
+
+    def counted(q):
+        calls.append(q)
+        return formula(q)
+
+    monkeypatch.setattr(quadflow.symbols, "_mehler", counted)
+    q, other = perturbed_heat(1.1, 2), perturbed_heat(1.1, 2)
+    sym = mehler_symbol(q)
+    assert mehler_symbol(q) is sym and mehler_symbol(q) is sym
+    evolution_to_kernel(EvolutionSpec(q, np.array([0.2 + 0.1j, -0.3j])))
+    evolution_to_kernel(q, formal=True)
+    assert calls == [q]
+    assert mehler_symbol(other) is not sym
+    assert calls == [q, other]
+
+
+def test_formal_call_leaves_the_certified_checks_standing():
+    # the symbol of 0.7 i (x^2 - xi^2)/2 decays in momentum only: a formal
+    # kernel first, from the stored symbol, does not let a certified call pass
+    q = QuadraticForm(0.7 * np.diag([1j, -1j]))
+    kern = evolution_to_kernel(q, formal=True)
+    assert np.all(np.isfinite(kern.pxx))
+    sym = mehler_symbol(q)
+    with pytest.raises(SymbolConvergenceError):
+        quantize(sym)
+    with pytest.raises(SymbolConvergenceError):
+        weyl_sharp(sym, sym)
+    with pytest.raises(QuadflowError):
+        evolution_to_kernel(q)
+    assert evolution_to_kernel(q, formal=True).amplitude == kern.amplitude
+
+
+@pytest.mark.parametrize("write", [
+    lambda sym: setattr(sym, "c", 1.0),
+    lambda sym: setattr(sym, "g", np.zeros((2, 2))),
+    lambda sym: setattr(sym, "extra", 1.0),
+    lambda sym: sym.g.__setitem__((0, 0), 1.0),
+    lambda sym: sym.l.__setitem__(0, 1.0),
+], ids=["c", "g", "new attribute", "g entry", "l entry"])
+def test_symbols_are_immutable(write):
+    # a stored symbol is shared by every later caller, so none can change it
+    sym = mehler_symbol(perturbed_heat(1.1, 2))
+    before = (sym.c, sym.g.copy(), sym.l.copy())
+    with pytest.raises((dataclasses.FrozenInstanceError, ValueError)):
+        write(sym)
+    assert sym.c == before[0] and np.array_equal(sym.g, before[1]) and np.array_equal(sym.l, before[2])
+
+
+def test_symbol_owns_its_arrays():
+    g, l = -np.eye(2, dtype=complex), np.array([0.3, 0.1j])
+    sym = GaussianSymbol(c=1.0, g=g, l=l)
+    g[0, 0], l[0] = 5.0, 5.0
+    assert sym.g[0, 0] == -1.0 and sym.l[0] == 0.3
 
 
 def test_symbol_transform_round_trip():
