@@ -104,7 +104,7 @@ def test_mehler_formula_runs_once_per_form(monkeypatch):
     monkeypatch.setattr(quadflow.symbols, "_mehler", counted)
     q, other = perturbed_heat(1.1, 2), perturbed_heat(1.1, 2)
     sym = mehler_symbol(q)
-    assert mehler_symbol(q) is sym and mehler_symbol(q) is sym
+    assert mehler_symbol(q) is sym
     evolution_to_kernel(EvolutionSpec(q, np.array([0.2 + 0.1j, -0.3j])))
     evolution_to_kernel(q, formal=True)
     assert calls == [q]
