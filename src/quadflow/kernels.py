@@ -17,7 +17,7 @@ from .config import TOLERANCES
 from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
-from .symplectic import (CanonicalTransform, QuadraticForm, block2, canonical_log, gauss_logdet,
+from .symplectic import (CanonicalTransform, QuadraticForm, block2, canonical_log, gauss_integrate,
                          herm_max_eig, set_frozen, symmetrize)
 
 # scale of the linear phase terms drawn by random_nondegenerate
@@ -88,47 +88,30 @@ class GaussianKernel:
 def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     """Integral kernel of the Weyl operator of a Gaussian symbol.
 
-    This is where a symbol's integrability is checked.  The momentum
-    integral over exp(i (x-y).xi) a((x+y)/2, xi) converges only when the
-    momentum block of the symbol exponent has negative definite real part.
-    Certified mode demands full Gaussian decay of the symbol, which implies
-    the block condition (Cauchy interlacing); formal=True checks the
-    momentum block alone.
+    This is where a symbol's integrability is checked.  The kernel is
+    (2 pi)^{-n} int exp(i (x-y).xi) a((x+y)/2, xi) dxi, a Gaussian integral
+    over the inner variable xi with the outer variables (x, y); it converges
+    only when the momentum block of the symbol exponent has negative definite
+    real part, which gauss_integrate checks.  Certified mode also demands full
+    Gaussian decay of the symbol, which implies the block condition (Cauchy
+    interlacing); formal=True skips that policy check.
     """
     n = sym.n
-    g_xi = sym.g[n:, n:]
-    if herm_max_eig(g_xi if formal else sym.g) >= -TOLERANCES["definite"]:
-        raise SymbolConvergenceError(
-            "momentum-block integral diverges for this symbol" if formal
-            else "symbol lacks Gaussian decay; pass formal=True to quantize anyway"
-        )
-    g_ww = sym.g[:n, :n]
-    s = -np.linalg.inv(g_xi)
-    p = 2.0 * sym.g[n:, :n]
-    l_w, l_xi = sym.l[:n], sym.l[n:]
-    sp = s @ p
-    q1 = g_ww + 0.25 * p.T @ sp
-    sym_sp = (sp + sp.T) / 2.0
-    alpha = 0.25 * q1 - 0.25 * s + 0.25j * sym_sp
-    beta = 0.25 * q1 + 0.25 * s + 0.125j * (sp - sp.T)
-    gamma = 0.25 * q1 - 0.25 * s - 0.25j * sym_sp
-    s_lxi = s @ l_xi
-    base = 0.5 * l_w + 0.25 * p.T @ s_lxi
-    px = base + 0.5j * s_lxi
-    py = base - 0.5j * s_lxi
-    e0 = 0.25 * l_xi @ s_lxi
-    # Gaussian momentum integral: pi^{n/2} det(-G_xi)^{-1/2}, principal branch
-    det_factor = np.exp(-0.5 * gauss_logdet(-g_xi))
-    amplitude = sym.c * (2.0 ** -n) * (np.pi ** (-n / 2.0)) * det_factor
-    return GaussianKernel(
-        amplitude=amplitude,
-        pxx=-2j * alpha,
-        pxy=-2j * beta,
-        pyy=-2j * gamma,
-        lx=-1j * px,
-        ly=-1j * py,
-        c0=-1j * e0,
-    )
+    if not formal and herm_max_eig(sym.g) >= -TOLERANCES["definite"]:
+        raise SymbolConvergenceError("symbol lacks Gaussian decay; pass formal=True to quantize anyway")
+    g_ww, g_wxi, l_w = 0.25 * sym.g[:n, :n], 0.5 * sym.g[:n, n:], 0.5 * sym.l[:n]
+    turn = 0.5j * np.eye(n)  # a at w = (x+y)/2, and 2 (x, y).[[turn], [-turn]] xi = i (x-y).xi
+    s, lin, const, log_pref = gauss_integrate(
+        block2(g_ww, g_ww, g_ww, g_ww), np.vstack([g_wxi + turn, g_wxi - turn]), sym.g[n:, n:],
+        np.concatenate([l_w, l_w]), sym.l[n:], "momentum-block integral")
+    return _kernel_of_exponent(sym.c * (2.0 * np.pi) ** -n * np.exp(log_pref), s, lin, const)
+
+
+def _kernel_of_exponent(amplitude, s: np.ndarray, lin: np.ndarray, const) -> GaussianKernel:
+    """The kernel amplitude * exp(z.S z + lin.z + const), z = (x, y): i phi is the exponent."""
+    n = s.shape[0] // 2
+    return GaussianKernel(amplitude=amplitude, pxx=-2j * s[:n, :n], pxy=-2j * s[:n, n:],
+                          pyy=-2j * s[n:, n:], lx=-1j * lin[:n], ly=-1j * lin[n:], c0=-1j * const)
 
 
 def evolution_to_kernel(
@@ -237,29 +220,20 @@ def kernel_adjoint(k: GaussianKernel) -> GaussianKernel:
 def kernel_compose(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     """Kernel of the operator product, integrating out the middle variable.
 
-    Requires Im(p1yy + p2xx) positive definite so the middle Gaussian
-    integral converges.
+    int K1(x, m) K2(m, y) dm is a Gaussian integral over the inner variable m
+    with the outer variables (x, y), its exponent (i/2) times the phase
+    Hessian.  gauss_integrate requires Im(p1yy + p2xx) positive definite, to
+    twice TOLERANCES["definite"], so the middle integral converges.
     """
     if k1.n != k2.n:
         raise ValueError("kernel dimensions differ")
-    n = k1.n
-    mid = k1.pyy + k2.pxx
-    if np.min(np.linalg.eigvalsh(mid.imag)) <= TOLERANCES["definite"]:
-        raise SymbolConvergenceError("middle integral of the composition diverges")
-    w = np.linalg.inv(mid)
-    lmid = k1.ly + k2.lx
-    p1xy, p2yx = k1.pxy, k2.pxy.T
-    det_factor = np.exp(-0.5 * gauss_logdet(-0.5j * mid))
-    amplitude = k1.amplitude * k2.amplitude * (np.pi ** (n / 2.0)) * det_factor
-    return GaussianKernel(
-        amplitude=amplitude,
-        pxx=k1.pxx - p1xy @ w @ p1xy.T,
-        pxy=-p1xy @ w @ k2.pxy,
-        pyy=k2.pyy - p2yx @ w @ k2.pxy,
-        lx=k1.lx - p1xy @ w @ lmid,
-        ly=k2.ly - p2yx @ w @ lmid,
-        c0=k1.c0 + k2.c0 - 0.5 * lmid @ w @ lmid,
-    )
+    zero = np.zeros((k1.n, k1.n))
+    s, lin, const, log_pref = gauss_integrate(
+        0.5j * block2(k1.pxx, zero, zero, k2.pyy), 0.5j * np.vstack([k1.pxy, k2.pxy.T]),
+        0.5j * (k1.pyy + k2.pxx), 1j * np.concatenate([k1.lx, k2.ly]), 1j * (k1.ly + k2.lx),
+        "middle integral of the composition")
+    amplitude = k1.amplitude * k2.amplitude * np.exp(log_pref)
+    return _kernel_of_exponent(amplitude, s, lin, const + 1j * (k1.c0 + k2.c0))
 
 
 def kernel_left_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:

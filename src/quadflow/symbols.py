@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES
 from .errors import SymbolConvergenceError
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
     block2,
     cayley,
-    gauss_logdet,
+    gauss_integrate,
     hamilton_matrix,
-    herm_max_eig,
     set_frozen,
     sigma_transpose,
     standard_j,
@@ -102,31 +100,20 @@ def symbol_transform(sym: GaussianSymbol) -> np.ndarray:
 def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
     """Sharp (Moyal) product of two Gaussian symbols, closed form.
 
-    c(z) = pi^{-2n} iint a(z+u) b(z+w) exp(-2 i sigma(u, w)) du dw, evaluated
-    by completing the square in the joint (u, w) variables.  Requires both
-    symbols to have negative definite real exponent parts; otherwise the
-    integral diverges and SymbolConvergenceError is raised.
+    c(z) = pi^{-2n} iint a(z+u) b(z+w) exp(-2 i sigma(u, w)) du dw, a Gaussian
+    integral over the inner variables (u, w) with the outer variable z.  It
+    converges when the Hermitian part of block2(a.g, -iJ, iJ, b.g), which is
+    blockdiag(Re a.g, Re b.g), is negative definite, that is when both
+    symbols have Gaussian decay; gauss_integrate checks it and raises
+    SymbolConvergenceError otherwise.
     """
     if a.n != b.n:
         raise ValueError("symbol dimensions differ")
-    n = a.n
-    tol = TOLERANCES["definite"]
-    for sym, name in ((a, "left"), (b, "right")):
-        if herm_max_eig(sym.g) >= -tol:
-            raise SymbolConvergenceError(
-                f"{name} symbol lacks Gaussian decay; sharp product integral diverges"
-            )
-    j = standard_j(n)
-    m = block2(a.g, -1j * j, 1j * j, b.g)
-    p = np.vstack([2.0 * a.g, 2.0 * b.g])
-    l0 = np.concatenate([a.l, b.l])
-    m_inv = np.linalg.inv(m)
-    # integral of exp(zeta.M zeta + L.zeta) over R^{4n}:
-    #   pi^{2n} det(-M)^{-1/2} exp(-L.(M^{-1} L)/4)
-    logdet = gauss_logdet(-m)
-    g = a.g + b.g - 0.25 * p.T @ m_inv @ p
-    l = a.l + b.l - 0.5 * p.T @ m_inv @ l0
-    c = a.c * b.c * np.exp(-0.5 * logdet) * np.exp(-0.25 * l0 @ m_inv @ l0)
+    j = standard_j(a.n)
+    g, l, const, log_pref = gauss_integrate(
+        a.g + b.g, np.hstack([a.g, b.g]), block2(a.g, -1j * j, 1j * j, b.g),
+        a.l + b.l, np.concatenate([a.l, b.l]), "sharp product integral")
+    c = a.c * b.c * np.pi ** (-2 * a.n) * np.exp(log_pref) * np.exp(const)
     return GaussianSymbol(c=complex(c), g=g, l=l)
 
 

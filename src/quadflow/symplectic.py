@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_DIM, TOLERANCES
-from .errors import QuadflowError
+from .errors import QuadflowError, SymbolConvergenceError
 
 
 @functools.lru_cache(maxsize=MAX_DIM)
@@ -75,8 +75,8 @@ def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def herm_max_eig(m: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian part (M + M^*) / 2."""
-    return float(np.max(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
+    """Largest eigenvalue of the Hermitian part (M + M^*) / 2; eigvalsh sorts, and halving is exact."""
+    return float(np.linalg.eigvalsh(m + m.conj().T)[-1]) / 2.0
 
 
 def gauss_logdet(x: np.ndarray) -> complex:
@@ -86,6 +86,24 @@ def gauss_logdet(x: np.ndarray) -> complex:
     Spec X stays in the right half-plane, where this branch is continuous in X.
     """
     return complex(np.sum(np.log(np.linalg.eigvals(x))))
+
+
+def gauss_integrate(a_zz, a_zu, a_uu, l_z, l_u, what: str):
+    """Integral over u in R^k of exp(z.A_zz z + 2 z.A_zu u + u.A_uu u + l_z.z + l_u.u).
+
+    The A blocks are complex symmetric where square.  Completing the square
+    gives pi^{k/2} det(-A_uu)^{-1/2} exp(z.S z + l.z + const) with the Schur
+    complement S = A_zz - A_zu A_uu^{-1} A_zu^T, l = l_z - A_zu A_uu^{-1} l_u and
+    const = -l_u.A_uu^{-1} l_u / 4.  Returns (S, l, const, log of the prefactor).
+    The integral converges when the Hermitian part of A_uu is negative definite;
+    the one check, to TOLERANCES["definite"], raises SymbolConvergenceError.
+    """
+    if herm_max_eig(a_uu) >= -TOLERANCES["definite"]:
+        raise SymbolConvergenceError(f"{what} diverges")
+    w = np.linalg.inv(a_uu)
+    t, w_l = a_zu @ w, w @ l_u
+    log_pref = 0.5 * a_uu.shape[0] * np.log(np.pi) - 0.5 * gauss_logdet(-a_uu)
+    return a_zz - t @ a_zu.T, l_z - a_zu @ w_l, -0.25 * (l_u @ w_l), log_pref
 
 
 def block2(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -310,16 +328,17 @@ class CanonicalTransform:
     """Complex linear canonical transformation, K^T J K = J.
 
     The identity is verified at construction to relative tolerance
-    TOLERANCES["canonical"].
+    TOLERANCES["canonical"].  matrix is a read-only copy, so the symbols and
+    kernels stored on a form or spec stay true to it.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         _check_square_even(m, "canonical matrix")
         check_canonical(m[None])
-        object.__setattr__(self, "matrix", m)
+        set_frozen(self, matrix=m)
 
     @property
     def n(self) -> int:

@@ -454,6 +454,18 @@ def test_composition_law_matches_kernel_product():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def test_sharp_product_and_kernel_product_agree_with_their_sign():
+    # two routes to the kernel of a^w b^w, compared pointwise with no sign freedom
+    rng = np.random.default_rng(95)
+    for (h1, v1), (h2, v2) in zip(shifted_generators(40, seed=93), shifted_generators(40, seed=94)):
+        a, b = (two_sided_shift(v, mehler_symbol(QuadraticForm(h))) for h, v in ((h1, v1), (h2, v2)))
+        via_sharp = quantize(weyl_sharp(a, b))
+        via_kernels = kernel_compose(quantize(a), quantize(b))
+        x, y = rng.standard_normal((2, 4, a.n))
+        want = via_kernels(x, y)
+        assert np.all(np.abs(via_sharp(x, y) - want) <= 1e-12 * np.abs(want))
+
+
 # -- shifts on kernels --------------------------------------------------------
 
 

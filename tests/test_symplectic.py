@@ -12,6 +12,7 @@ from quadflow import (
     CanonicalTransform,
     QuadraticForm,
     QuadflowError,
+    SymbolConvergenceError,
     bar_inverse,
     canonical_log,
     flow,
@@ -24,7 +25,7 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
-from quadflow.symplectic import expm, gauss_logdet, logm
+from quadflow.symplectic import expm, gauss_integrate, gauss_logdet, logm
 
 
 def random_form(n: int, seed: int, scale: float = 0.6) -> QuadraticForm:
@@ -191,6 +192,16 @@ def test_form_owns_its_time_one_flow():
         q.hess[0, 0] = 1.0  # read-only, so the cached flow cannot go stale
 
 
+def test_canonical_transform_owns_a_read_only_matrix():
+    m = flow(random_form(1, 22, scale=0.5)).matrix.copy()
+    k = CanonicalTransform(m)
+    m[0, 0] = 5.0
+    assert k.matrix[0, 0] != 5.0
+    q = random_form(1, 23, scale=0.5)
+    with pytest.raises(ValueError, match="read-only"):
+        q.transform.matrix[0, 0] = 5.0  # the symbols and kernels stored on q cannot go stale
+
+
 def test_inverse_and_bar_inverse():
     q = random_form(2, 9, scale=0.5)
     k = flow(q)
@@ -290,6 +301,63 @@ def test_gauss_logdet_matches_logm_trace(n):
         x = a @ a.conj().T / n + 0.1 * np.eye(n) + 4j * b @ b.conj().T / n
         ref = np.trace(scipy.linalg.logm(x))
         assert abs(gauss_logdet(x) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
+def gaussian_exponent(m: int, k: int, seed: int):
+    """Seeded complex symmetric blocks and complex linear terms, Re A_uu <= -I/2."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((m + k, m + k)) + 1j * rng.standard_normal((m + k, m + k))
+    a = (r + r.T) / 2.0
+    a[m:, m:] -= (np.max(np.linalg.eigvalsh(a[m:, m:].real)) + 0.5) * np.eye(k)
+    l = rng.standard_normal(m + k) + 1j * rng.standard_normal(m + k)
+    return a[:m, :m], a[:m, m:], a[m:, m:], l[:m], l[m:]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gauss_integrate_matches_quadrature(m):
+    a_zz, a_zu, a_uu, l_z, l_u = gaussian_exponent(m, 1, seed=40 + m)
+    u = np.linspace(-16.0, 16.0, 3201)
+    s, lin, const, log_pref = gauss_integrate(a_zz, a_zu, a_uu, l_z, l_u, "test integral")
+    for z in np.random.default_rng(m).standard_normal((3, m)):
+        vals = np.exp(z @ a_zz @ z + 2.0 * (z @ a_zu)[0] * u + a_uu[0, 0] * u**2 + l_z @ z + l_u[0] * u)
+        # the quadrature's rounding scales with the integral of |f|, which cancellation can leave far above |ref|
+        ref = np.trapezoid(vals, u)
+        got = np.exp(z @ s @ z + lin @ z + const + log_pref)
+        assert abs(got - ref) <= 1e-14 * np.trapezoid(np.abs(vals), u)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gauss_integrate_in_one_step_equals_one_coordinate_after_the_other(m):
+    a_zz, a_zu, a_uu, l_z, l_u = gaussian_exponent(m, 2, seed=50 + m)
+    s, lin, const, log_pref = gauss_integrate(a_zz, a_zu, a_uu, l_z, l_u, "joint integral")
+    # u2 first, with (z, u1) outer, then u1
+    s1, lin1, const1, log1 = gauss_integrate(
+        np.block([[a_zz, a_zu[:, :1]], [a_zu[:, :1].T, a_uu[:1, :1]]]), np.vstack([a_zu[:, 1:], a_uu[:1, 1:]]),
+        a_uu[1:, 1:], np.append(l_z, l_u[0]), l_u[1:], "inner integral")
+    s2, lin2, const2, log2 = gauss_integrate(s1[:m, :m], s1[:m, m:], s1[m:, m:], lin1[:m], lin1[m:], "outer integral")
+    assert np.allclose(s2, s, rtol=0.0, atol=1e-12 * np.abs(s).max())
+    assert np.allclose(lin2, lin, rtol=0.0, atol=1e-12 * np.abs(lin).max())
+    total = const + log_pref
+    assert abs(const1 + const2 + log1 + log2 - total) <= 1e-12 * (1.0 + abs(total))
+
+
+def test_gauss_integrate_over_every_variable_returns_only_the_constant():
+    _, _, a_uu, _, l_u = gaussian_exponent(0, 2, seed=60)
+    s, lin, const, log_pref = gauss_integrate(np.zeros((0, 0)), np.zeros((0, 2)), a_uu, np.zeros(0), l_u, "trace")
+    assert s.shape == (0, 0) and lin.shape == (0,)
+    u = np.linspace(-12.0, 12.0, 801)
+    uu = np.stack(np.meshgrid(u, u, indexing="ij"), axis=-1)
+    vals = np.exp(np.einsum("...i,ij,...j->...", uu, a_uu, uu) + uu @ l_u)
+    ref = np.trapezoid(np.trapezoid(vals, u), u)
+    assert abs(np.exp(const + log_pref) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("a_uu", [[[0.1 + 1.0j]], [[-1.0 + 0.5j, 0.3j], [0.3j, 0.2 - 1.0j]], [[-1e-10]]])
+def test_gauss_integrate_refuses_a_divergent_inner_block(a_uu):
+    a_uu = np.array(a_uu, dtype=complex)
+    k = a_uu.shape[0]
+    with pytest.raises(SymbolConvergenceError, match="test integral diverges"):
+        gauss_integrate(np.zeros((1, 1)), np.zeros((1, k)), a_uu, np.zeros(1), np.zeros(k), "test integral")
 
 
 def test_scaled_form():
