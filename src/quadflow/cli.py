@@ -27,10 +27,11 @@ from .evolution import (
     compose_evolutions,
     decompose,
 )
-from .kernels import GaussianKernel, evolution_to_kernel, kernel_to_evolution
+from .kernels import GaussianKernel, evolution_to_kernel, kernel_to_evolution, quantize
 from .models import q_theta, rho_compact, rho_log_growth
 from .oracle import GridSpec, auto_grid, discretize, operator_norm
 from .positivity import strict_positivity
+from .symbols import mehler_symbol
 from .symplectic import QuadraticForm
 
 import json
@@ -245,7 +246,6 @@ def _cmd_compose(args) -> int:
         "hessian": result.spec.q.hess,
         "v": result.spec.v,
         "factor": result.factor,
-        "sign_ambiguous": result.sign_ambiguous,
         "margin": result.spec.report.margin,
     }
     _write_output(_dump_json(report) + "\n", args.output)
@@ -259,7 +259,7 @@ def _cmd_kernel(args) -> int:
         if args.formal:
             if v is not None and np.any(v != 0):
                 raise ValueError("formal mode supports unshifted generators only")
-            kern = evolution_to_kernel(q, formal=True)
+            kern = quantize(mehler_symbol(q), formal=True)
         else:
             kern = evolution_to_kernel(EvolutionSpec(q, v))
         report = {key: getattr(kern, key) for key in _KERNEL_KEYS}

@@ -23,6 +23,7 @@ from .errors import (
     QuadflowError,
 )
 from .positivity import PositivityReport, positivity_margins, strict_positivity
+from .symbols import mehler_symbol, weyl_sharp
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
@@ -247,14 +248,11 @@ class CompositionResult:
     """Composite of two shifted evolutions as a single shifted evolution.
 
     The product of the quantized evolutions equals
-    sign * factor * (quantized evolution of spec), with an overall sign that
-    the closed-form amplitude leaves unresolved; sign_ambiguous is always
-    True and consumers must pin the sign against a reference value.
+    factor * (quantized evolution of spec), sign included.
     """
 
     spec: EvolutionSpec
     factor: complex
-    sign_ambiguous: bool = True
 
 
 def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResult:
@@ -263,6 +261,10 @@ def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResul
     The composed flow is K3 = K1 K2.  Raises CompositionClassError when the
     product leaves the strictly positive class (the composite then has no
     certified generator here).
+    The shifts contribute the cocycle exponential, which has no sign freedom.
+    The sign is the branch of the Mehler square root: the principal log of K3
+    flips it at each 2 pi wrap.  The unshifted sharp product's constant over
+    mehler_symbol(q3).c is exactly that sign, +-1, and it is folded into factor.
     """
     if s1.n != s2.n:
         raise ValueError("evolution dimensions differ")
@@ -282,6 +284,9 @@ def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResul
         0.5j * (symplectic_form(s1.v - v3, w1) + symplectic_form(u2, s2.v - v3))
     )
     q3 = canonical_log(k3)
+    probe = weyl_sharp(mehler_symbol(s1.q), mehler_symbol(s2.q)).c / mehler_symbol(q3).c
+    if probe.real < 0.0:
+        factor = -factor
     return CompositionResult(spec=EvolutionSpec(q3, v3), factor=complex(factor))
 
 

@@ -17,7 +17,7 @@ from .config import TOLERANCES
 from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
-from .symplectic import (CanonicalTransform, QuadraticForm, block2, canonical_log, gauss_integrate,
+from .symplectic import (CanonicalTransform, block2, canonical_log, gauss_integrate,
                          herm_max_eig, set_frozen, symmetrize)
 
 # scale of the linear phase terms drawn by random_nondegenerate
@@ -114,32 +114,21 @@ def _kernel_of_exponent(amplitude, s: np.ndarray, lin: np.ndarray, const) -> Gau
                           pyy=-2j * s[n:, n:], lx=-1j * lin[:n], ly=-1j * lin[n:], c0=-1j * const)
 
 
-def evolution_to_kernel(
-    spec: EvolutionSpec | QuadraticForm, formal: bool = False
-) -> GaussianKernel:
+def evolution_to_kernel(spec: EvolutionSpec) -> GaussianKernel:
     """Integral kernel of the quantized flow of a (possibly shifted) generator.
 
-    Accepts an EvolutionSpec (certified at construction) or a bare
-    QuadraticForm, which is certified here unless formal=True.  The symbol's
-    integrability is checked once, by quantize; formal reaches only that
-    check.  Either way the amplitude carries the sign of the Mehler
+    The spec is certified at construction; the symbol's integrability is
+    checked once, by quantize.  The amplitude carries the sign of the Mehler
     prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
-    The first certified call for a spec stores the kernel on it (the spec and
-    the kernel are immutable), and every later call returns that kernel.  A
-    formal=True call returns the stored kernel if there is one, and never
-    stores its own.
+    The first call for a spec stores the kernel on it (the spec and the kernel
+    are immutable), and every later call returns that kernel.  The formal
+    kernel of a bare form is quantize(mehler_symbol(q), formal=True).
     """
-    if isinstance(spec, QuadraticForm):
-        if formal:
-            return quantize(mehler_symbol(spec), formal=True)
-        spec = EvolutionSpec(spec)
     stored = vars(spec)
     if "_kernel" not in stored:
         sym = mehler_symbol(spec.q)
         if np.any(spec.v != 0):
             sym = two_sided_shift(spec.v, sym)
-        if formal:
-            return quantize(sym, formal=True)
         stored["_kernel"] = quantize(sym)
     return stored["_kernel"]
 

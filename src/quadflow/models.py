@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PositivityError
-from .kernels import GaussianKernel, evolution_to_kernel
+from .kernels import GaussianKernel, quantize
+from .symbols import mehler_symbol
 from .symplectic import QuadraticForm
 
 # rotation generator on one mode: d/dt exp(t H0) circles phase space
@@ -170,8 +171,7 @@ def bargmann_rotation_kernel(t: float) -> GaussianKernel:
     positive); valid for 0 < t < pi where the momentum integral converges.
     It equals bargmann_reference_kernel(t), amplitude sign included.
     """
-    q = QuadraticForm(t * bargmann_generator().hess)
-    return evolution_to_kernel(q, formal=True)
+    return quantize(mehler_symbol(QuadraticForm(t * bargmann_generator().hess)), formal=True)
 
 
 def bargmann_reference_kernel(t: float) -> GaussianKernel:

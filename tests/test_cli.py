@@ -13,6 +13,8 @@ from quadflow import (
     EvolutionSpec,
     QuadraticForm,
     decompose,
+    evolution_to_kernel,
+    kernel_compose,
     models,
 )
 from quadflow.cli import main
@@ -120,7 +122,13 @@ def test_compose_heat_semigroup(tmp_path, capsys):
     assert np.allclose(rep["v"]["re"], 0.0) and np.allclose(rep["v"]["im"], 0.0)
     assert rep["factor"]["re"] == pytest.approx(1.0, rel=1e-12)
     assert rep["factor"]["im"] == pytest.approx(0.0, abs=1e-12)
-    assert rep["sign_ambiguous"] is True
+    assert set(rep) == {"hessian", "v", "factor", "margin"}
+    cplx = lambda node: np.array(node["re"]) + 1j * np.array(node["im"])
+    heat = evolution_to_kernel(EvolutionSpec(QuadraticForm(cplx(HEAT["hessian"]))))
+    composed = evolution_to_kernel(EvolutionSpec(QuadraticForm(cplx(rep["hessian"])), cplx(rep["v"])))
+    x, y = np.random.default_rng(4).standard_normal((2, 5, 1))
+    want = kernel_compose(heat, heat)(x, y)
+    assert np.all(np.abs(cplx(rep["factor"]) * composed(x, y) - want) <= 1e-9 * np.abs(want))
     assert rep["margin"] == pytest.approx(1.0 - np.exp(-4.0), rel=1e-10)
 
 

@@ -15,7 +15,9 @@ from quadflow import (
     critical_time,
     decompose,
     eigenvalue_pairing,
+    evolution_to_kernel,
     flow,
+    kernel_compose,
     norm_quadratic,
     norm_shifted,
     real_log_exists,
@@ -252,7 +254,10 @@ def test_compose_heat_semigroup():
     assert np.allclose(result.spec.q.hess, heat_generator(1.5).hess, atol=1e-10)
     assert np.allclose(result.spec.v, 0.0)
     assert result.factor == pytest.approx(1.0)
-    assert result.sign_ambiguous
+    product = kernel_compose(evolution_to_kernel(s1), evolution_to_kernel(s2))
+    x, y = np.random.default_rng(3).standard_normal((2, 5, 1))
+    want = product(x, y)
+    assert np.all(np.abs(result.factor * evolution_to_kernel(result.spec)(x, y) - want) <= 1e-9 * np.abs(want))
 
 
 def test_compose_transform_is_product():

@@ -229,25 +229,20 @@ def test_kernel_to_evolution_round_trip():
 
 
 def test_round_trip_kernel_is_quantized_once(monkeypatch):
-    # kernel_to_evolution stores the kernel it builds for c on the recovered
-    # spec; a formal call reads a stored kernel but never stores its own
+    # kernel_to_evolution stores the kernel it builds for c on the recovered spec
     calls = []
     quantize_ = quadflow.kernels.quantize
 
-    def counted(sym, formal=False):
-        calls.append(formal)
-        return quantize_(sym, formal=formal)
+    def counted(sym):
+        calls.append(sym)
+        return quantize_(sym)
 
     monkeypatch.setattr(quadflow.kernels, "quantize", counted)
     spec = EvolutionSpec(perturbed_heat(0.9, 5), np.array([0.4 + 0.2j, -0.3 + 0.6j]))
     back, _ = kernel_to_evolution(evolution_to_kernel(spec))
-    assert calls == [False, False]
-    assert evolution_to_kernel(back) is evolution_to_kernel(back, formal=True)
-    assert calls == [False, False]
-    fresh = EvolutionSpec(spec.q, spec.v)
-    evolution_to_kernel(fresh, formal=True)
-    evolution_to_kernel(fresh)
-    assert calls == [False, False, True, False]
+    assert len(calls) == 2
+    assert evolution_to_kernel(back) is evolution_to_kernel(back)
+    assert len(calls) == 2
 
 
 def shifted_generators(count=20, seed=90):
@@ -436,7 +431,7 @@ def test_compose_divergent_middle_raises():
 
 def test_composition_law_matches_kernel_product():
     # product of quantized evolutions vs the composed spec, including the
-    # scalar cocycle; only a global sign stays ambiguous
+    # scalar cocycle and the sign, with no sign freedom
     v1 = np.array([0.2 + 0.1j, -0.3 + 0.2j])
     v2 = np.array([-0.1 + 0.3j, 0.2 - 0.1j])
     s1 = EvolutionSpec(perturbed_heat(0.8, 41), v1)
@@ -444,14 +439,55 @@ def test_composition_law_matches_kernel_product():
     result = compose_evolutions(s1, s2)
     lhs = kernel_compose(evolution_to_kernel(s1), evolution_to_kernel(s2))
     rhs = evolution_to_kernel(result.spec)
-    x0, y0 = RNG_POINTS[0]
-    ratio = complex(lhs(x0, y0)) / (result.factor * complex(rhs(x0, y0)))
-    assert abs(abs(ratio) - 1.0) < 1e-9
-    assert min(abs(ratio - 1.0), abs(ratio + 1.0)) < 1e-9
     for x, y in RNG_POINTS:
         got = complex(lhs(x, y))
-        want = ratio * result.factor * complex(rhs(x, y))
+        want = result.factor * complex(rhs(x, y))
         assert got == pytest.approx(want, rel=1e-9)
+
+
+def oscillator_pair(times_a, times_b, rng):
+    """Shifted harmonic oscillators at complex times, one mode per entry of times_a."""
+    n = len(times_a)
+    return tuple(
+        EvolutionSpec(QuadraticForm(np.diag(np.tile(times, 2))),
+                      0.3 * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)))
+        for times in (times_a, times_b)
+    )
+
+
+def composition_gap(s1, s2, rng):
+    """Composed spec's factor and the largest relative gap of factor * kernel(spec3) to K1 K2."""
+    result = compose_evolutions(s1, s2)
+    x, y = rng.standard_normal((2, 6, s1.n))
+    want = kernel_compose(evolution_to_kernel(s1), evolution_to_kernel(s2))(x, y)
+    got = result.factor * evolution_to_kernel(result.spec)(x, y)
+    return result.factor, float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("t1a, t1b", [(1.2, 0.8), (2.5, 2.5), (3.0, 4.0), (6.5, 5.5)])
+def test_composition_sign_survives_the_wrap_of_the_log(t1a, t1b):
+    # t1-sums 2, 5, 7, 12: the principal log of K3 wraps the sum at 5 and 7 by
+    # an odd number of 2 pi turns, which flips the Mehler sign of kernel(spec3)
+    rng = np.random.default_rng(int(10 * (t1a + t1b)))
+    s1, s2 = oscillator_pair([t1a - 0.3j], [t1b - 0.4j], rng)
+    _, gap = composition_gap(s1, s2, rng)
+    assert gap <= 1e-9
+
+
+def test_composition_sign_of_uncoupled_modes_is_the_product_of_their_signs():
+    # modes at t1-sums 5 and 2: the two-mode factor is the product of the
+    # one-mode factors, and one of them carries the wrap's -1
+    rng = np.random.default_rng(57)
+    s1, s2 = oscillator_pair([2.5 - 0.3j, 1.2 - 0.2j], [2.5 - 0.4j, 0.8 - 0.5j], rng)
+    factor, gap = composition_gap(s1, s2, rng)
+    assert gap <= 1e-9
+    modes = []
+    for j in (0, 1):
+        one = [EvolutionSpec(QuadraticForm(s.q.hess[j::2, j::2]), s.v[j::2]) for s in (s1, s2)]
+        mode_factor, mode_gap = composition_gap(*one, rng)
+        assert mode_gap <= 1e-9
+        modes.append(mode_factor)
+    assert factor == pytest.approx(modes[0] * modes[1], rel=1e-12)
 
 
 def test_sharp_product_and_kernel_product_agree_with_their_sign():

@@ -106,7 +106,7 @@ def test_mehler_formula_runs_once_per_form(monkeypatch):
     sym = mehler_symbol(q)
     assert mehler_symbol(q) is sym
     evolution_to_kernel(EvolutionSpec(q, np.array([0.2 + 0.1j, -0.3j])))
-    evolution_to_kernel(q, formal=True)
+    quantize(mehler_symbol(q), formal=True)
     assert calls == [q]
     assert mehler_symbol(other) is not sym
     assert calls == [q, other]
@@ -116,7 +116,7 @@ def test_formal_call_leaves_the_certified_checks_standing():
     # the symbol of 0.7 i (x^2 - xi^2)/2 decays in momentum only: a formal
     # kernel first, from the stored symbol, does not let a certified call pass
     q = QuadraticForm(0.7 * np.diag([1j, -1j]))
-    kern = evolution_to_kernel(q, formal=True)
+    kern = quantize(mehler_symbol(q), formal=True)
     assert np.all(np.isfinite(kern.pxx))
     sym = mehler_symbol(q)
     with pytest.raises(SymbolConvergenceError):
@@ -124,8 +124,8 @@ def test_formal_call_leaves_the_certified_checks_standing():
     with pytest.raises(SymbolConvergenceError):
         weyl_sharp(sym, sym)
     with pytest.raises(QuadflowError):
-        evolution_to_kernel(q)
-    assert evolution_to_kernel(q, formal=True).amplitude == kern.amplitude
+        evolution_to_kernel(EvolutionSpec(q))
+    assert quantize(mehler_symbol(q), formal=True).amplitude == kern.amplitude
 
 
 @pytest.mark.parametrize("write", [
