@@ -30,7 +30,9 @@ class GaussianKernel:
 
     phi(x, y) = x.(pxx x)/2 + x.(pxy y) + y.(pyy y)/2 + lx.x + ly.y + c0.
     pxx and pyy are symmetric; the y-x cross block is pxy transposed.
-    Immutable, every array a read-only copy, so one kernel can be shared.
+    Immutable, every array read-only and written by no one, so one kernel can
+    be shared.  The constructor checks outside input (shapes, symmetry,
+    finiteness); the kernels the package builds itself skip it, via _trusted.
     """
 
     amplitude: complex
@@ -52,6 +54,13 @@ class GaussianKernel:
         lx, ly = (np.asarray(l, dtype=complex).reshape(n).copy() for l in (self.lx, self.ly))
         set_frozen(self, amplitude=complex(self.amplitude), pxx=symmetrize(pxx, "pxx"), pxy=pxy.copy(),
                    pyy=symmetrize(pyy, "pyy"), lx=lx, ly=ly, c0=complex(self.c0))
+
+    @classmethod
+    def _trusted(cls, amplitude, pxx, pxy, pyy, lx, ly, c0) -> "GaussianKernel":
+        """A kernel of complex arrays no one else writes, pxx and pyy exactly symmetric; no checks."""
+        k = object.__new__(cls)
+        set_frozen(k, amplitude=complex(amplitude), pxx=pxx, pxy=pxy, pyy=pyy, lx=lx, ly=ly, c0=complex(c0))
+        return k
 
     @property
     def n(self) -> int:
@@ -108,10 +117,17 @@ def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
 
 
 def _kernel_of_exponent(amplitude, s: np.ndarray, lin: np.ndarray, const) -> GaussianKernel:
-    """The kernel amplitude * exp(z.S z + lin.z + const), z = (x, y): i phi is the exponent."""
-    n = s.shape[0] // 2
-    return GaussianKernel(amplitude=amplitude, pxx=-2j * s[:n, :n], pxy=-2j * s[:n, n:],
-                          pyy=-2j * s[n:, n:], lx=-1j * lin[:n], ly=-1j * lin[n:], c0=-1j * const)
+    """The kernel amplitude * exp(z.S z + lin.z + const), z = (x, y): i phi is the exponent.
+
+    S, a Schur complement, is symmetric up to rounding; its diagonal blocks are
+    symmetrized as GaussianKernel does, and a non-finite S is refused.
+    """
+    if not np.isfinite(s).all():
+        raise ValueError("phase of the Gaussian integral has non-finite entries")
+    n, p = s.shape[0] // 2, -2j * s
+    pxx, pyy = p[:n, :n], p[n:, n:]
+    return GaussianKernel._trusted(amplitude, (pxx + pxx.T) / 2.0, p[:n, n:].copy(), (pyy + pyy.T) / 2.0,
+                                   -1j * lin[:n], -1j * lin[n:], -1j * const)
 
 
 def evolution_to_kernel(spec: EvolutionSpec) -> GaussianKernel:
@@ -195,15 +211,9 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
 
 def kernel_adjoint(k: GaussianKernel) -> GaussianKernel:
     """Kernel of the adjoint operator, conj(K(y, x))."""
-    return GaussianKernel(
-        amplitude=np.conj(k.amplitude),
-        pxx=-np.conj(k.pyy),
-        pxy=-np.conj(k.pxy.T),
-        pyy=-np.conj(k.pxx),
-        lx=-np.conj(k.ly),
-        ly=-np.conj(k.lx),
-        c0=-np.conj(k.c0),
-    )
+    pxy = np.ascontiguousarray(-np.conj(k.pxy.T))
+    return GaussianKernel._trusted(np.conj(k.amplitude), -np.conj(k.pyy), pxy, -np.conj(k.pxx),
+                                   -np.conj(k.ly), -np.conj(k.lx), -np.conj(k.c0))
 
 
 def kernel_compose(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
@@ -232,7 +242,7 @@ def kernel_left_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:
     """
     n = k.n
     vx, vxi = s.v[:n], s.v[n:]
-    return GaussianKernel(
+    return GaussianKernel._trusted(
         amplitude=k.amplitude * s.phase,
         pxx=k.pxx,
         pxy=k.pxy,
@@ -247,7 +257,7 @@ def kernel_right_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:
     """Kernel of the operator of k composed after (phase * S_v)."""
     n = k.n
     vx, vxi = s.v[:n], s.v[n:]
-    return GaussianKernel(
+    return GaussianKernel._trusted(
         amplitude=k.amplitude * s.phase,
         pxx=k.pxx,
         pxy=k.pxy,

@@ -32,7 +32,9 @@ from .symplectic import (
 class GaussianSymbol:
     """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n).
 
-    Immutable, g and l read-only copies, so one symbol can be shared.
+    Immutable, g and l read-only and written by no one, so one symbol can be
+    shared.  The constructor converts and symmetrizes outside input; the
+    symbols the package builds itself skip it, via _trusted.
     """
 
     c: complex
@@ -43,6 +45,13 @@ class GaussianSymbol:
         g = np.asarray(self.g, dtype=complex)
         l = np.asarray(self.l, dtype=complex).reshape(g.shape[0]).copy()
         set_frozen(self, c=complex(self.c), g=(g + g.T) / 2.0, l=l)
+
+    @classmethod
+    def _trusted(cls, c, g, l) -> "GaussianSymbol":
+        """A symbol of complex arrays no one else writes, g exactly symmetric; no checks."""
+        sym = object.__new__(cls)
+        set_frozen(sym, c=complex(c), g=g, l=l)
+        return sym
 
     @property
     def n(self) -> int:
@@ -80,7 +89,7 @@ def _mehler(q: QuadraticForm) -> GaussianSymbol:
     eigs_h = np.linalg.eigvals(hamilton_matrix(q) / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
         raise SymbolConvergenceError("cosh factor vanishes; no closed-form symbol")
-    g = 1j * standard_j(q.n) @ cayley(q.transform.matrix)
+    g = 1j * standard_j(q.n) @ cayley(q.transform.matrix)  # symmetric up to rounding
     # one eigenvalue of each +-lambda_j pair, matched to the nearest negative; no
     # log, whose cut the two rounded cosh values of a pair could straddle
     rest, half = list(eigs_h), []
@@ -88,7 +97,7 @@ def _mehler(q: QuadraticForm) -> GaussianSymbol:
         half.append(rest.pop())
         rest.pop(int(np.argmin(np.abs(np.add(rest, half[-1])))))
     c = 1.0 / np.prod(np.cosh(half))
-    return GaussianSymbol(c=complex(c), g=g, l=np.zeros(2 * q.n))
+    return GaussianSymbol._trusted(c, (g + g.T) / 2.0, np.zeros(2 * q.n, dtype=complex))
 
 
 def symbol_transform(sym: GaussianSymbol) -> np.ndarray:
@@ -114,14 +123,14 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
         a.g + b.g, np.hstack([a.g, b.g]), block2(a.g, -1j * j, 1j * j, b.g),
         a.l + b.l, np.concatenate([a.l, b.l]), "sharp product integral")
     c = a.c * b.c * np.pi ** (-2 * a.n) * np.exp(log_pref) * np.exp(const)
-    return GaussianSymbol(c=complex(c), g=g, l=l)
+    return GaussianSymbol._trusted(c, (g + g.T) / 2.0, l)
 
 
 def two_sided_shift(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of (shift by v) . a^w . (shift by v)^{-1}, i.e. a(z - v)."""
     v = np.asarray(v, dtype=complex).reshape(2 * a.n)
     c = a.c * np.exp(v @ a.g @ v - a.l @ v)
-    return GaussianSymbol(c=c, g=a.g, l=a.l - 2.0 * a.g @ v)
+    return GaussianSymbol._trusted(c, a.g, a.l - 2.0 * a.g @ v)
 
 
 def shift_left(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
@@ -139,7 +148,7 @@ def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
     v = np.asarray(v, dtype=complex).reshape(2 * a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
     l, turn = a.l - a.g @ v, 1j * (standard_j(a.n) @ v)
-    return GaussianSymbol(c=c, g=a.g, l=l - turn if left else l + turn)
+    return GaussianSymbol._trusted(c, a.g, l - turn if left else l + turn)
 
 
 @dataclass(eq=False)

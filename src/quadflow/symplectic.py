@@ -348,12 +348,14 @@ class CanonicalTransform:
 def _canonical_residuals(m: np.ndarray):
     """|K^T J K - J|, its scale 1 + |K|^2 and the failure mask, per member of a (B, 2n, 2n) stack.
 
-    A non-finite member, such as an overflowed flow, fails.
+    A non-finite member, such as an overflowed flow, fails, and so does one whose
+    scale overflows (entries beyond about 1e154), against which anything would pass.
     """
     j = standard_j(m.shape[-1] // 2)
-    scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
-    resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
-    return resid, scale, ~(resid <= TOLERANCES["canonical"] * scale)  # NaN fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
+        resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
+    return resid, scale, ~(resid <= TOLERANCES["canonical"] * scale) | (scale == np.inf)  # NaN fails
 
 
 def check_canonical(m: np.ndarray) -> None:

@@ -221,9 +221,12 @@ def test_center_path_matches_loop_reference():
             assert sample.a1 is None and sample.a2 is None
 
 
-@pytest.mark.parametrize("s", [400.0, 900.0])
+@pytest.mark.parametrize("s", [355.0, 400.0, 900.0])
 def test_center_path_fails_overflowed_members_alone(s):
-    """A finite Hessian whose flow overflows fails its member, not its stack."""
+    """A finite Hessian whose flow overflows fails its member, not its stack.
+
+    At s = 355 the flow is finite, but |K|_F^2, the scale of its canonical check, overflows.
+    """
     good = mixed_family(7, 40)
     bad = [
         (100.0 + k, QuadraticForm(-1j * s * np.eye(2 * n)), np.ones(2 * n))

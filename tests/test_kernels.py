@@ -10,6 +10,7 @@ from quadflow import (
     DegenerateKernelError,
     EvolutionSpec,
     GaussianKernel,
+    GaussianSymbol,
     PolynomialKernel,
     PolynomialSymbol,
     QuadflowError,
@@ -34,6 +35,8 @@ from quadflow import (
     quantize,
     random_nondegenerate,
     real_shift_conjugate,
+    shift_left,
+    shift_right,
     two_sided_shift,
     weyl_sharp,
 )
@@ -299,6 +302,48 @@ def test_kernel_arrays_are_read_only_copies(name):
     assert np.array_equal(getattr(made, name), before)
 
 
+def bits(obj):
+    return [np.asarray(getattr(obj, f.name)).tobytes() for f in dataclasses.fields(obj)]
+
+
+def test_package_built_kernels_and_symbols_skip_the_input_checks(monkeypatch):
+    # the kernels and symbols the package builds equal, bit for bit, the checked ones
+    # built from their fields; they are sealed without running symmetrize, which a
+    # kernel_calculus member now calls only for its two forms and two canonical logs
+    calls = []
+    symmetrize = quadflow.symplectic.symmetrize
+
+    def counted(m, what):
+        calls.append(what)
+        return symmetrize(m, what)
+
+    for module in (quadflow.symplectic, quadflow.kernels):
+        monkeypatch.setattr(module, "symmetrize", counted)
+    gens = list(shifted_generators(count=8, seed=91))  # modes 1, 2, 1, 2, ...: pair members two apart
+    for (h1, v1), (h2, v2) in zip(gens[:2] + gens[4:6], gens[2:4] + gens[6:]):
+        del calls[:]
+        s1, s2 = EvolutionSpec(QuadraticForm(h1), v1), EvolutionSpec(QuadraticForm(h2), v2)
+        k1, k2 = evolution_to_kernel(s1), evolution_to_kernel(s2)
+        back, _ = kernel_to_evolution(k1)
+        composed = compose_evolutions(s1, s2)
+        a1, a2 = two_sided_shift(v1, mehler_symbol(s1.q)), two_sided_shift(v2, mehler_symbol(s2.q))
+        kernels = [k1, k2, evolution_to_kernel(back), evolution_to_kernel(composed.spec),
+                   kernel_compose(k1, k2), quantize(weyl_sharp(a1, a2))]
+        assert len(calls) == 4
+        shift = ShiftOp(v2, 0.3 - 0.4j)
+        kernels += [kernel_adjoint(k1), kernel_left_shift(shift, k1), kernel_right_shift(shift, k1),
+                    real_shift_conjugate(v1.real, k2, v2.real)]
+        symbols = [mehler_symbol(s1.q), a1, a2, weyl_sharp(a1, a2), shift_left(v1, a2), shift_right(v1, a2)]
+        for obj in kernels + symbols:
+            fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            assert bits(obj) == bits(type(obj)(**fields))
+            assert all(type(x) is complex or x.dtype == complex and not x.flags.writeable for x in fields.values())
+        for kern in kernels:
+            assert np.array_equal(kern.pxx, kern.pxx.T) and np.array_equal(kern.pyy, kern.pyy.T)
+            assert all(a.flags.c_contiguous for a in (kern.pxx, kern.pxy, kern.pyy))
+        assert all(np.array_equal(sym.g, sym.g.T) for sym in symbols)
+
+
 @pytest.mark.parametrize("c0", [0.7 + 40j, 0.7 - 40j])
 def test_kernel_to_evolution_scalar_where_origin_value_is_extreme(c0):
     # exp(i c0) scales the value at the origin by e^{-40} or e^{+40}
@@ -363,6 +408,13 @@ def test_kernel_refuses_non_finite_phase(value, name):
     blocks[name][1, 1] = complex(0.0, value)
     with pytest.raises(ValueError, match=rf"{name} has non-finite entries at \[\(1, 1\)\]"):
         GaussianKernel(amplitude=1.0, pxy=0.5 * np.eye(2), lx=np.zeros(2), ly=np.zeros(2), **blocks)
+
+
+def test_composition_refuses_non_finite_phase():
+    # the middle integral overflows: the Schur complement of the composition is infinite
+    big = GaussianKernel(amplitude=1.0, pxx=[[1j]], pxy=[[1e200]], pyy=[[1j]], lx=[0.0], ly=[0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        kernel_compose(big, big)
 
 
 def test_degenerate_cross_block_rejected():

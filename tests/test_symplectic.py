@@ -95,6 +95,15 @@ def test_canonical_transform_rejects_garbage():
         CanonicalTransform(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+def test_canonical_transform_refuses_overflowing_scale():
+    # det diag(1e160, 1) = 1e160; |K|_F^2 overflows the relative scale to inf,
+    # and against it any finite residual would pass
+    m = np.diag([1e160, 1.0])
+    assert not is_canonical(m)
+    with pytest.raises(ValueError, match="not canonical"):
+        CanonicalTransform(m)
+
+
 def test_quadratic_form_rejects_odd_dimension():
     with pytest.raises(ValueError):
         QuadraticForm(np.eye(3))
