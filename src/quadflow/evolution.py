@@ -98,7 +98,12 @@ def eigenvalue_pairing(k: CanonicalTransform) -> np.ndarray:
     side and raise BoundarySpectrumError.
     """
     km = k.matrix[None]
-    mu, resid, masks = _pairing(km, sigma_transpose(np.conj(km)))
+    return _checked_rates(km, sigma_transpose(np.conj(km)))
+
+
+def _checked_rates(km: np.ndarray, kbm: np.ndarray) -> np.ndarray:
+    """eigenvalue_pairing of a stack of one, K and conj(K)^{-1} given; raises as it does."""
+    mu, resid, masks = _pairing(km, kbm)
     boundary, unpaired, unreal, nonpositive = masks
     if boundary[0]:
         raise BoundarySpectrumError(
@@ -171,7 +176,8 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     """Compute centers, phase, contraction rates, and norm for q(z - v)."""
     k = spec.transform
     km = k.matrix[None]
-    a1, a2, failed = _centers(km, sigma_transpose(np.conj(km)), spec.v[None])
+    kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
+    a1, a2, failed = _centers(km, kbm, spec.v[None])
     if failed[0]:
         raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
@@ -179,7 +185,7 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     if exponent.real > np.log(np.finfo(float).max):
         raise QuadflowError(f"log growth factor {exponent.real:.6g} overflows a float")
     phase = np.exp(exponent)
-    mu = eigenvalue_pairing(k)
+    mu = _checked_rates(km, kbm)
     norm = float(abs(phase) * np.prod(mu**0.25))
     return DecompositionData(mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm)
 

@@ -18,7 +18,7 @@ from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
 from .symplectic import (CanonicalTransform, block2, canonical_log, gauss_integrate,
-                         herm_max_eig, set_frozen, symmetrize)
+                         gauss_reduce, herm_max_eig, set_frozen, symmetrize)
 
 # scale of the linear phase terms drawn by random_nondegenerate
 _SHIFT_SCALE = 0.5
@@ -101,18 +101,19 @@ def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     (2 pi)^{-n} int exp(i (x-y).xi) a((x+y)/2, xi) dxi, a Gaussian integral
     over the inner variable xi with the outer variables (x, y); it converges
     only when the momentum block of the symbol exponent has negative definite
-    real part, which gauss_integrate checks.  Certified mode also demands full
-    Gaussian decay of the symbol, which implies the block condition (Cauchy
-    interlacing); formal=True skips that policy check.
+    real part, which gauss_integrate checks when formal=True.  Certified mode
+    demands full Gaussian decay of the symbol instead, which implies the block
+    condition (Cauchy interlacing), so it solves one Hermitian eigenproblem.
     """
     n = sym.n
     if not formal and herm_max_eig(sym.g) >= -TOLERANCES["definite"]:
         raise SymbolConvergenceError("symbol lacks Gaussian decay; pass formal=True to quantize anyway")
     g_ww, g_wxi, l_w = 0.25 * sym.g[:n, :n], 0.5 * sym.g[:n, n:], 0.5 * sym.l[:n]
     turn = 0.5j * np.eye(n)  # a at w = (x+y)/2, and 2 (x, y).[[turn], [-turn]] xi = i (x-y).xi
-    s, lin, const, log_pref = gauss_integrate(
-        block2(g_ww, g_ww, g_ww, g_ww), np.vstack([g_wxi + turn, g_wxi - turn]), sym.g[n:, n:],
-        np.concatenate([l_w, l_w]), sym.l[n:], "momentum-block integral")
+    blocks = (block2(g_ww, g_ww, g_ww, g_ww), np.vstack([g_wxi + turn, g_wxi - turn]), sym.g[n:, n:],
+              np.concatenate([l_w, l_w]), sym.l[n:])
+    s, lin, const, log_pref = (gauss_integrate(*blocks, "momentum-block integral") if formal
+                               else gauss_reduce(*blocks))
     return _kernel_of_exponent(sym.c * (2.0 * np.pi) ** -n * np.exp(log_pref), s, lin, const)
 
 

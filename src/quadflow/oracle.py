@@ -18,9 +18,13 @@ they couple the factors are N^2 x N, 32 N^3 bytes (33 MiB at N = 101), and a
 product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
-4N - 1 complex ones for its phase.  The operator norm is one Golub-Kahan
-bidiagonalization for dense and factored matrices alike: products with M
-and M* (the latter without a conjugated copy), no reorthogonalization, and
+4N - 1 complex ones for its phase.  Entries below the smallest normal float
+become exact zeros, as in the two-mode factors, since a subnormal entry
+slows every product it enters; a kernel whose largest entry lies within
+1/_EPS_TAIL of that float, where a flushed entry need not be negligible, is
+refused.  The operator norm is one Golub-Kahan bidiagonalization for dense
+and factored matrices alike: products with M and M* (the latter without a
+conjugated copy), no reorthogonalization, one preallocated bidiagonal, and
 a stop when the residual of the top Ritz pair certifies the estimate.
 """
 from __future__ import annotations
@@ -41,7 +45,7 @@ _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
 _NORM_REL_TOL = 1e-10  # residual, relative to the estimate, at which the norm stops
 _NORM_MAX_STEPS = 200  # Golub-Kahan steps before ConvergenceError
-_ROW_BLOCK = 32  # rows per block of the one-mode modulus
+_BLOCK_ENTRIES = 1 << 14  # entries per block of the one-mode modulus: N = 101 in one block
 # exp(x) overflows above _LOG_MAX, is subnormal (loses precision) below
 # _LOG_NORMAL and leaves no nonzero float below _LOG_TINY
 _LOG_MAX = float(np.log(np.finfo(float).max))
@@ -199,15 +203,18 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
-    exponentials (row, column and Toeplitz factors).  At n = 2 the kernel is
-    first taken in its own y axes, K'(x, y) = K(S x, S y) with S the
-    eigenvectors of Im pyy (S = I when Im pyy is diagonal), and the grid,
-    the certificate and the matrix are those of K'.  The same S on both
-    sides keeps norms and traces, and the automatic grid, which reads only
-    rotation invariants, is chosen from K.  The result is a
-    FactoredGridMatrix with factors of modulus at most 1: 32 N^2 bytes when
-    the modes do not couple (0.3 MiB at N = 101), 32 N^3 bytes when they do
-    (33 MiB; the dense matrix would take 16 N^4 bytes, 1.55 GiB).
+    exponentials (row, column and Toeplitz factors).  Entries below the
+    smallest normal float are exact zeros; that flush is certified when the
+    largest entry is at least that float over _EPS_TAIL, and the kernel is
+    refused otherwise.  At n = 2 the kernel is first taken in its own y
+    axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy (S = I
+    when Im pyy is diagonal), and the grid, the certificate and the matrix
+    are those of K'.  The same S on both sides keeps norms and traces, and
+    the automatic grid, which reads only rotation invariants, is chosen from
+    K.  The result is a FactoredGridMatrix with factors of modulus at most
+    1: 32 N^2 bytes when the modes do not couple (0.3 MiB at N = 101),
+    32 N^3 bytes when they do (33 MiB; the dense matrix would take 16 N^4
+    bytes, 1.55 GiB).
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -223,6 +230,9 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
     if grid.n == 1:
+        # _one_mode flushes entries below the smallest normal float, negligible only below this peak
+        if peak + log_scale + np.log(_EPS_TAIL) < _LOG_NORMAL:
+            raise GridError("one-mode matrix entries underflow where the kernel is not negligible")
         return _one_mode(k, grid)
     return _factored(k, grid, peak + log_scale, rotation)
 
@@ -244,7 +254,8 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     """The one-mode matrix as modulus times phase, with 4N - 1 complex exponentials.
 
     The modulus exp(-Im phi + log|amplitude h|) is taken with real
-    exponentials in blocks of rows.  With x y = (x^2 + y^2)/2 - (x - y)^2/2,
+    exponentials in blocks of about _BLOCK_ENTRIES entries, and is an exact
+    zero where it would be subnormal.  With x y = (x^2 + y^2)/2 - (x - y)^2/2,
     the phase exp(i Re phi + i arg(amplitude)) is r_i t_{i-j} c_j: a row
     vector, a column vector and a Toeplitz factor, read as a view of its
     2N - 1 values.  Every factor has modulus 1 and cannot overflow.
@@ -260,12 +271,16 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     lag = np.exp(-0.5j * b.real * (grid.h * np.arange(points - 1, -points, -1)) ** 2)
     toeplitz = np.lib.stride_tricks.sliding_window_view(lag, points)[::-1]
     mat = np.empty((points, points), dtype=complex)
-    for start in range(0, points, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    block_rows = max(1, _BLOCK_ENTRIES // points)
+    for start in range(0, points, block_rows):
+        rows = slice(start, start + block_rows)
         modulus = np.multiply.outer(-b.imag * x[rows], x)
         modulus += row_log[rows, None]
         modulus += col_log
+        # a subnormal entry slows every product it enters; discretize certified it negligible
+        low = modulus < _LOG_NORMAL
         np.exp(modulus, out=modulus)
+        modulus[low] = 0.0
         block = mat[rows]
         np.multiply(toeplitz[rows], col, out=block)
         block *= row[rows, None]
@@ -413,22 +428,23 @@ def operator_norm(mat) -> float:
     size = mat.shape[1]
     v = np.exp(2j * np.pi * np.sqrt(2.0) * np.arange(size) ** 2) / np.sqrt(size)
     u = mat @ v
-    alphas, betas = [], []
-    for _ in range(_NORM_MAX_STEPS):
+    # the upper bidiagonal: alpha_k on the diagonal, beta_k above it; B_k is its leading k x k block
+    b = np.zeros((_NORM_MAX_STEPS, _NORM_MAX_STEPS + 1))
+    for k in range(_NORM_MAX_STEPS):
         alpha = _finite_norm(u, "alpha")
         if alpha == 0.0:
             # M v_k lies in span(U_{k-1}), whose singular values [B | beta e]
             # holds exactly; at the first step, M vanishes on the start vector
-            return float(np.linalg.norm(_bidiagonal(alphas, betas), 2)) if alphas else 0.0
+            return float(np.linalg.norm(b[:k, :k + 1], 2)) if k else 0.0
         u /= alpha
-        alphas.append(alpha)
+        b[k, k] = alpha
         w = np.conj(np.conj(u) @ mat)
         w -= alpha * v
         beta = _finite_norm(w, "beta")
-        p, sigma, _ = np.linalg.svd(_bidiagonal(alphas, betas))
+        p, sigma, _ = np.linalg.svd(b[:k + 1, :k + 1])
         if beta * abs(p[-1, 0]) <= _NORM_REL_TOL * sigma[0]:
             return float(sigma[0])
-        betas.append(beta)
+        b[k, k + 1] = beta
         v = w / beta
         u = mat @ v - beta * u
     raise ConvergenceError(f"Golub-Kahan norm did not converge in {_NORM_MAX_STEPS} steps")
@@ -439,15 +455,6 @@ def _finite_norm(vec: np.ndarray, name: str) -> float:
     if not np.isfinite(norm):
         raise ConvergenceError(f"Golub-Kahan norm produced a non-finite {name} {norm}")
     return norm
-
-
-def _bidiagonal(alphas: list[float], betas: list[float]) -> np.ndarray:
-    """Upper bidiagonal with alphas on the diagonal and betas above it."""
-    b = np.zeros((len(alphas), len(betas) + 1))
-    i, j = np.arange(len(alphas)), np.arange(len(betas))
-    b[i, i] = alphas
-    b[j, j + 1] = betas
-    return b
 
 
 def kernel_norm(k: GaussianKernel, grid: GridSpec | None = None) -> float:

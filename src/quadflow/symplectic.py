@@ -100,6 +100,12 @@ def gauss_integrate(a_zz, a_zu, a_uu, l_z, l_u, what: str):
     """
     if herm_max_eig(a_uu) >= -TOLERANCES["definite"]:
         raise SymbolConvergenceError(f"{what} diverges")
+    return gauss_reduce(a_zz, a_zu, a_uu, l_z, l_u)
+
+
+def gauss_reduce(a_zz, a_zu, a_uu, l_z, l_u):
+    """gauss_integrate's reduction without its convergence check: for a caller that has
+    already certified a negative definite Hermitian part of A_uu."""
     w = np.linalg.inv(a_uu)
     t, w_l = a_zu @ w, w @ l_u
     log_pref = 0.5 * a_uu.shape[0] * np.log(np.pi) - 0.5 * gauss_logdet(-a_uu)

@@ -124,6 +124,24 @@ def test_decompose_phase_recombines():
     assert d.norm == pytest.approx(abs(d.phase) * float(np.prod(d.mu**0.25)), rel=1e-12)
 
 
+def test_decompose_forms_the_bar_inverse_once(monkeypatch):
+    # centers and contraction rates share conj(K)^{-1}; the rates match eigenvalue_pairing's bits
+    import quadflow.evolution as ev
+
+    spec = EvolutionSpec(perturbed_heat(1.1, 21), np.array([0.4 + 0.3j, -0.2 + 0.5j]))
+    calls = []
+    sigma_transpose = ev.sigma_transpose
+
+    def counted(m):
+        calls.append(m.shape)
+        return sigma_transpose(m)
+
+    monkeypatch.setattr(ev, "sigma_transpose", counted)
+    d = decompose(spec)
+    assert len(calls) == 1
+    assert np.array_equal(d.mu, eigenvalue_pairing(spec.transform))
+
+
 def test_norm_ignores_real_shifts():
     q = perturbed_heat(1.0, 5)
     v = np.array([0.2 + 0.4j, -0.3 + 0.1j])

@@ -107,6 +107,25 @@ def test_quantize_formal_skips_decay_gate():
     assert np.all(np.isfinite(k.pxx))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_certified_quantize_solves_one_hermitian_eigenproblem(monkeypatch, n):
+    # full decay of the symbol implies the momentum-block check (Cauchy interlacing)
+    sym = mehler_symbol(heat_generator(0.8, n=n))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    quantize(sym)
+    assert calls == [(2 * n, 2 * n)]
+    calls.clear()
+    quantize(sym, formal=True)
+    assert calls == [(n, n)]
+
+
 def test_quantize_refuses_divergent_momentum_block():
     # purely oscillatory symbol: no regularization makes the xi integral
     # converge, formal mode included

@@ -274,6 +274,31 @@ def test_one_mode_build_with_fast_cross_phase_matches_pointwise_kernel(re_pxy):
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_one_mode_matrices_hold_no_subnormal_entry():
+    # entries below the smallest normal float are flushed to exact zeros: the
+    # heat kernels at s = 0.05 and 0.3 held 118 and more subnormal entries before
+    rng = np.random.default_rng(21)
+    kernels = [heat_kernel(0.05), heat_kernel(0.3)]
+    kernels += [evolution_to_kernel(rotated_member(rng, shifted)) for shifted in (False, True) * 4]
+    for k in kernels:
+        modulus = np.abs(discretize(k))
+        assert not np.any((modulus > 0.0) & (modulus < np.finfo(float).tiny))
+    assert np.count_nonzero(np.abs(discretize(heat_kernel(0.3))) == 0.0) > 0  # the flush happened
+
+
+def test_one_mode_entries_that_underflow_where_the_kernel_matters_are_refused():
+    # the scale amplitude h = 2.5e-301 leaves the whole matrix within exp(-27.6)
+    # = 1e-12 of the smallest normal float, so a flushed entry is not negligible
+    def kernel(amplitude):
+        return GaussianKernel(amplitude, pxx=[[1j]], pxy=[[0.2]], pyy=[[1j]], lx=[0], ly=[0])
+
+    grid = GridSpec(1, 8.0, 64)
+    with pytest.raises(GridError, match="underflow where the kernel is not negligible"):
+        discretize(kernel(1e-300), grid)
+    mat = discretize(kernel(1e-290), grid)
+    assert isinstance(mat, np.ndarray) and np.max(np.abs(mat)) > 1e-291
+
+
 def test_discretize_refuses_overflowing_kernel():
     # |K| peaks near exp(1600) at x = -80, well inside the box; the edges are tiny
     k = GaussianKernel(1.0, pxx=0.5j * np.eye(1), pxy=0.2 * np.eye(1), pyy=0.5j * np.eye(1),
