@@ -25,10 +25,14 @@ slows every product it enters; a kernel whose largest entry lies within
 refused.  The operator norm is one Golub-Kahan bidiagonalization for dense
 and factored matrices alike: products with M and M* (the latter without a
 conjugated copy), no reorthogonalization, one preallocated bidiagonal, and
-a stop when the residual of the top Ritz pair certifies the estimate.
+a stop when the residual of the top Ritz pair certifies the estimate.  It
+starts from the row of M where M c peaks, c a fixed chirp, plus 1e-6 c: the
+row lies close to the top singular vector of a smooth kernel matrix, and
+the chirp term finds a top vector that the row misses but c does not.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,7 @@ _EPS_TAIL = 1e-12
 _MIN_DECAY = 1e-4
 _NORM_REL_TOL = 1e-10  # residual, relative to the estimate, at which the norm stops
 _NORM_MAX_STEPS = 200  # Golub-Kahan steps before ConvergenceError
+_NORM_START_GUARD = 1e-6  # weight of the chirp in the Golub-Kahan start vector
 _BLOCK_ENTRIES = 1 << 14  # entries per block of the one-mode modulus: N = 101 in one block
 # exp(x) overflows above _LOG_MAX, is subnormal (loses precision) below
 # _LOG_NORMAL and leaves no nonzero float below _LOG_TINY
@@ -74,15 +79,28 @@ class GridSpec:
         return 2.0 * self.half_width / (self.points - 1)
 
     def axis(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.points)
+        """The N points of one axis; read-only, built once per grid."""
+        return self._axis
 
     def nodes(self) -> np.ndarray:
-        """All grid nodes as an (N^n, n) array, axis-major order."""
+        """All grid nodes as an (N^n, n) array, axis-major order; read-only, built once per grid."""
+        return self._nodes
+
+    @functools.cached_property
+    def _axis(self) -> np.ndarray:
+        ax = np.linspace(-self.half_width, self.half_width, self.points)
+        ax.flags.writeable = False
+        return ax
+
+    @functools.cached_property
+    def _nodes(self) -> np.ndarray:
         ax = self.axis()
         if self.n == 1:
             return ax[:, None]
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        nodes = np.column_stack([xx.ravel(), yy.ravel()])
+        nodes.flags.writeable = False
+        return nodes
 
 
 def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
@@ -269,7 +287,9 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     col = np.exp(1j * (0.5 * (c.real + b.real) * x**2 + ly.real * x))
     # lag[m] = t_{N-1-m}, so row i of the Toeplitz factor is lag[N-1-i:2N-1-i]
     lag = np.exp(-0.5j * b.real * (grid.h * np.arange(points - 1, -points, -1)) ** 2)
-    toeplitz = np.lib.stride_tricks.sliding_window_view(lag, points)[::-1]
+    step = lag.strides[0]
+    toeplitz = np.lib.stride_tricks.as_strided(lag[points - 1:], (points, points), (-step, step),
+                                               writeable=False)
     mat = np.empty((points, points), dtype=complex)
     block_rows = max(1, _BLOCK_ENTRIES // points)
     for start in range(0, points, block_rows):
@@ -277,8 +297,10 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
         modulus = np.multiply.outer(-b.imag * x[rows], x)
         modulus += row_log[rows, None]
         modulus += col_log
-        # a subnormal entry slows every product it enters; discretize certified it negligible
+        # a subnormal entry slows every product it enters; discretize certified it negligible.
+        # np.exp takes a slow path below about -708, so flushed arguments are zeroed first
         low = modulus < _LOG_NORMAL
+        modulus[low] = 0.0
         np.exp(modulus, out=modulus)
         modulus[low] = 0.0
         block = mat[rows]
@@ -309,7 +331,7 @@ def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
     lift = 0.5 * decay * centre**2  # -min over y_b of the y_b terms of Im phi
     lift = lift.sum(axis=1) if coupled else np.add.outer(lift[:, 0], lift[:, 1]).ravel()
     scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
-    quad_x = 0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs)
+    quad_x = 0.5 * _node_quadratic(grid, k.pxx)
     factors = [1j * (quad_x + xs @ k.lx + k.c0) + lift + scale]
     for b in range(2):
         g = np.multiply.outer(1j * coupling[:, b], ax)
@@ -322,8 +344,10 @@ def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
     factors.append(1j * (k.pyy[0, 1] * xs[:, 0] * xs[:, 1] + xs @ k.ly.real))
     _in_range([f.real for f in factors], peak)
     for f in factors:
-        # a subnormal entry is certified negligible, and slows every product it enters
+        # a subnormal entry is certified negligible, and slows every product it enters;
+        # its argument is zeroed first, off np.exp's slow path
         low = f.real < _LOG_NORMAL
+        f[low] = 0.0
         np.exp(f, out=f)
         f[low] = 0.0
     return FactoredGridMatrix(*factors, rotation)
@@ -363,7 +387,24 @@ def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
         low = lin.min(axis=1)
     else:
         low = lin.sum(axis=1)
-    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - low
+    return -(0.5 * _node_quadratic(grid, a) + xs @ la + c0) - low
+
+
+def _node_quadratic(grid: GridSpec, a: np.ndarray) -> np.ndarray:
+    """x.a x at every grid node, axis-major, from outer products of per-axis terms.
+
+    The terms x_i a_ij x_j are summed in the order (0, 0), (0, 1), (1, 0),
+    (1, 1), as np.einsum("mi,ij,mj->m", nodes, a, nodes) sums them, so the
+    bits are einsum's, at a seventh of its cost on the N^2 nodes.
+    """
+    ax = grid.axis()
+    if grid.n == 1:
+        return ax * a[0, 0] * ax
+    quad = np.multiply.outer(ax * a[0, 1], ax)
+    quad += (ax * a[0, 0] * ax)[:, None]
+    quad += np.multiply.outer(ax, ax * a[1, 0])
+    quad += ax * a[1, 1] * ax
+    return quad.ravel()
 
 
 def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
@@ -413,20 +454,55 @@ def _in_range(logs: list[np.ndarray], peak: float) -> None:
 def operator_norm(mat) -> float:
     """Largest singular value by Golub-Kahan bidiagonalization, certified by its residual.
 
-    ``mat`` is a dense array or a FactoredGridMatrix.  Step k multiplies by M
-    and by M* (as conj(conj(u) M), with no conjugated copy of the matrix)
-    and extends the bidiagonal B_k with M V_k = U_k B_k.  With sigma the top
-    singular value of B_k and p its left singular vector, the Ritz pair
-    u = U_k p, v = V_k q has M v = sigma u and |M* u - sigma v| =
-    beta_k |p_k|, which bounds the distance from sigma to a singular value
-    of M; the iteration stops when that residual is at most _NORM_REL_TOL
-    sigma.  No vector is reorthogonalized, so memory stays at a few vectors.
-    The start vector is a fixed chirp, which no symmetry of a grid matrix
-    keeps orthogonal to its top singular vector.  Raises ConvergenceError at
-    the first non-finite alpha or beta and after _NORM_MAX_STEPS steps.
+    ``mat`` is a dense array or a FactoredGridMatrix; both take one path,
+    through ``@`` with a vector on either side.  With c a fixed chirp and
+    i = argmax |M c|, the start vector is conj(e_i M) / |e_i M| +
+    _NORM_START_GUARD c, normalized; the row is nonzero since (M c)_i is.
+    A row of a smooth kernel matrix lies close to the top right singular
+    vector, which cuts the steps (heat kernels on their automatic grids:
+    7.8 on average, against 10.2 from c alone).
+    The chirp term keeps _NORM_START_GUARD times c's component along every
+    right singular vector, so a row orthogonal to the top one does not hide
+    it: M = u1 v1* + 0.9 e_i v2* with u1_i = 0 has row i along v2, and the
+    row alone gives 0.9.  It does not cover a top vector orthogonal to c as
+    well, and the residual stop (see _golub_kahan) certifies a singular
+    value of M, not the largest one, so a start nearly orthogonal to the top
+    vector can still stop at a lower one.  A non-finite M c raises
+    ConvergenceError, and M c = 0 gives 0.0.
     """
-    size = mat.shape[1]
-    v = np.exp(2j * np.pi * np.sqrt(2.0) * np.arange(size) ** 2) / np.sqrt(size)
+    chirp = _chirp(mat.shape[1])
+    probe = mat @ chirp
+    if _finite_norm(probe, "alpha") == 0.0:
+        return 0.0  # M vanishes on the chirp
+    pick = np.zeros(mat.shape[0])
+    pick[np.argmax(np.abs(probe))] = 1.0
+    row = np.conj(pick @ mat)
+    start = row / _finite_norm(row, "alpha") + _NORM_START_GUARD * chirp
+    start /= _finite_norm(start, "alpha")
+    return _golub_kahan(mat, start)
+
+
+@functools.lru_cache(maxsize=16)
+def _chirp(size: int) -> np.ndarray:
+    """Unit vector exp(2 pi i sqrt(2) m^2) / sqrt(size); read-only, built once per size."""
+    chirp = np.exp(2j * np.pi * np.sqrt(2.0) * np.arange(size) ** 2) / np.sqrt(size)
+    chirp.flags.writeable = False
+    return chirp
+
+
+def _golub_kahan(mat, v: np.ndarray) -> float:
+    """Largest singular value of M by Golub-Kahan bidiagonalization from the unit vector v.
+
+    Step k multiplies by M and by M* (as conj(conj(u) M), with no conjugated
+    copy of the matrix) and extends the bidiagonal B_k with M V_k = U_k B_k.
+    With sigma the top singular value of B_k and p its left singular vector,
+    the Ritz pair u = U_k p, v = V_k q has M v = sigma u and
+    |M* u - sigma v| = beta_k |p_k|, which bounds the distance from sigma to
+    a singular value of M; the iteration stops when that residual is at most
+    _NORM_REL_TOL sigma.  No vector is reorthogonalized, so memory stays at
+    a few vectors.  Raises ConvergenceError at the first non-finite alpha or
+    beta and after _NORM_MAX_STEPS steps.
+    """
     u = mat @ v
     # the upper bidiagonal: alpha_k on the diagonal, beta_k above it; B_k is its leading k x k block
     b = np.zeros((_NORM_MAX_STEPS, _NORM_MAX_STEPS + 1))
@@ -451,7 +527,9 @@ def operator_norm(mat) -> float:
 
 
 def _finite_norm(vec: np.ndarray, name: str) -> float:
-    norm = float(np.linalg.norm(vec))
+    """Euclidean norm, summed as np.linalg.norm sums a complex vector, without its dispatch."""
+    re, im = vec.real, vec.imag
+    norm = float(np.sqrt(re.dot(re) + im.dot(im)))
     if not np.isfinite(norm):
         raise ConvergenceError(f"Golub-Kahan norm produced a non-finite {name} {norm}")
     return norm

@@ -50,6 +50,29 @@ def test_grid_spec_two_modes():
     assert nodes[63, 1] == 6.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_spec_arrays_are_built_once_and_read_only(n):
+    g = GridSpec(n=n, half_width=6.0, points=101)
+    ax, nodes = g.axis(), g.nodes()
+    assert g.axis() is ax and g.nodes() is nodes
+    assert np.array_equal(ax, np.linspace(-6.0, 6.0, 101))
+    grids = np.meshgrid(*[np.linspace(-6.0, 6.0, 101)] * n, indexing="ij")
+    assert np.array_equal(nodes, np.column_stack([x.ravel() for x in grids]))
+    for arr in (ax, nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_quadratic_matches_the_node_by_node_form(n):
+    rng = np.random.default_rng(22)
+    grid = GridSpec(n=n, half_width=7.0, points=101)
+    xs = grid.nodes()
+    for a in (rng.standard_normal((n, n)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        # the same products summed in the same order: einsum's bits
+        assert np.array_equal(oracle._node_quadratic(grid, a), np.einsum("mi,ij,mj->m", xs, a, xs))
+
+
 def test_grid_spec_validation():
     with pytest.raises(GridError):
         GridSpec(n=3, half_width=6.0, points=100)
@@ -726,6 +749,55 @@ def test_golub_kahan_norm_finds_top_vector_orthogonal_to_a_symmetric_start(point
     v1, v2 = x / np.linalg.norm(x), np.exp(-x**2) / np.linalg.norm(np.exp(-x**2))
     mat = np.outer(v1, v1) + 0.9 * np.outer(v2, v2)
     assert operator_norm(mat) == pytest.approx(1.0, abs=1e-12)
+
+
+def rank_two_guard_matrix(points):
+    """M = u1 v1* + 0.9 e_i v2*, singular values 1 and 0.9, with i = argmax |M c| for the chirp c.
+
+    The top left singular vector u1 is zero at row i and the second one is
+    e_i, so row i of M lies along v2 alone, orthogonal to the top right
+    singular vector v1; v1 is not orthogonal to c.
+    """
+    rng = np.random.default_rng(points)
+    chirp = oracle._chirp(points)
+    v2 = chirp + 0.1 * (rng.standard_normal(points) + 1j * rng.standard_normal(points)) / np.sqrt(points)
+    v2 /= np.linalg.norm(v2)
+    v1 = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    v1 -= np.vdot(v2, v1) * v2
+    v1 /= np.linalg.norm(v1)
+    i = points // 3
+    u1 = np.ones(points)
+    u1[i] = 0.0
+    u1 /= np.linalg.norm(u1)
+    mat = np.outer(u1, v1.conj()) + 0.9 * np.outer(np.eye(points)[i], v2.conj())
+    assert np.argmax(np.abs(mat @ chirp)) == i and abs(np.vdot(v1, chirp)) > 1e-3
+    assert np.allclose(np.linalg.svd(mat, compute_uv=False)[:3], [1.0, 0.9, 0.0], atol=1e-13)
+    return mat
+
+
+@pytest.mark.parametrize("points", [64, 400])
+def test_golub_kahan_row_start_is_guarded_by_the_chirp(points, monkeypatch):
+    mat = rank_two_guard_matrix(points)
+    assert operator_norm(mat) == pytest.approx(1.0, abs=1e-12)
+    # the row alone, without the chirp term, starts orthogonal to v1 and certifies 0.9
+    monkeypatch.setattr(oracle, "_NORM_START_GUARD", 0.0)
+    assert operator_norm(mat) == pytest.approx(0.9, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.3])
+def test_golub_kahan_row_start_takes_fewer_steps_than_the_chirp(s, monkeypatch):
+    mat = discretize(heat_kernel(s))
+    assert mat.shape == (101, 101)
+    top = float(np.linalg.svd(mat, compute_uv=False)[0])
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    got = operator_norm(mat)
+    row_steps = len(calls)
+    calls.clear()
+    oracle._golub_kahan(mat, oracle._chirp(101))
+    assert 0 < row_steps < len(calls)
+    assert abs(got - top) <= 1e-13 * top
 
 
 @pytest.mark.parametrize("points", [64, 400])
