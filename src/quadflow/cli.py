@@ -11,11 +11,12 @@ leaves the certified class, 4 input or validation error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import sys
 
 import numpy as np
 
-from .config import TOLERANCES, apply_env_overrides
+from .config import _IN_FORCE, tolerances_from_env
 from .errors import (
     CompositionClassError,
     PositivityError,
@@ -402,10 +403,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # --help exits 0; remap argparse usage errors onto the input-error code
         return 0 if exc.code == 0 else 4
-    saved = dict(TOLERANCES)
+    call = contextvars.copy_context()  # QUADFLOW_TOL's table is bound in it, for this call only
     try:
-        apply_env_overrides()
-        return args.func(args)
+        call.run(_IN_FORCE.set, tolerances_from_env())
+        return call.run(args.func, args)
     except PositivityError as exc:
         print(f"positivity failure: {exc}", file=sys.stderr)
         return 2
@@ -421,8 +422,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        TOLERANCES.update(saved)  # QUADFLOW_TOL holds for this call only
 
 
 if __name__ == "__main__":

@@ -1,11 +1,16 @@
-"""Numerical tolerances, adjustable through the QUADFLOW_TOL environment variable."""
+"""Numerical tolerances: one read-only table, rebound for one CLI call through QUADFLOW_TOL."""
 from __future__ import annotations
 
+import contextvars
 import os
+from types import MappingProxyType
+from typing import Mapping
 
-# Central tolerance table. Every threshold used by the certification code
-# lives here so the CLI can rebind them in one place.
-TOLERANCES: dict[str, float] = {
+# The tolerances of the certificates.  Not every threshold lives here: fixed
+# ones, which no QUADFLOW_TOL key rebinds, remain in evolution (_pairing,
+# _mehler_williamson, real_log_exists), symbols (_mehler, shift_symbol) and
+# symplectic.canonical_log.
+TOLERANCES: Mapping[str, float] = MappingProxyType({
     "sym": 1e-10,         # Hessian symmetry residual, relative
     "canonical": 1e-10,   # K^T J K - J residual, relative
     "positivity": 1e-9,   # strict positivity margin, absolute
@@ -15,20 +20,23 @@ TOLERANCES: dict[str, float] = {
     "pairing": 1e-8,      # pairing product residual |mu * mu' - 1|
     "degenerate": 1e-10,  # kernel cross-block singularity, scaled by ||phi''||
     "definite": 1e-9,     # definiteness margin for Gaussian integral convergence
-}
+})
 
 # Dimension cap: phase-space constructions reject n above this.
 MAX_DIM = 16
 
+# The table in force: TOLERANCES, unless quadflow.cli.main bound another for its call
+_IN_FORCE = contextvars.ContextVar("quadflow_tolerances", default=TOLERANCES)
+tolerances = _IN_FORCE.get  # tolerances() is the table in force in the current context
 
-def parse_tol_overrides(raw: str) -> dict[str, float]:
-    """Parse a "key=value,key=value" override string.
 
-    Unknown keys and malformed entries raise ValueError; an empty string
-    yields no overrides.
+def tolerances_from_env() -> Mapping[str, float]:
+    """A new table: TOLERANCES with QUADFLOW_TOL's "key=value,key=value" overrides; writes nothing.
+
+    Unknown keys and malformed entries raise ValueError.
     """
-    out: dict[str, float] = {}
-    for chunk in raw.split(","):
+    out = dict(TOLERANCES)
+    for chunk in os.environ.get("QUADFLOW_TOL", "").split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -39,11 +47,4 @@ def parse_tol_overrides(raw: str) -> dict[str, float]:
         if key not in TOLERANCES:
             raise ValueError(f"unknown tolerance key {key!r}; known: {sorted(TOLERANCES)}")
         out[key] = float(val)
-    return out
-
-
-def apply_env_overrides() -> dict[str, float]:
-    """Fold QUADFLOW_TOL overrides into TOLERANCES in place, returning them."""
-    overrides = parse_tol_overrides(os.environ.get("QUADFLOW_TOL", ""))
-    TOLERANCES.update(overrides)
-    return overrides
+    return MappingProxyType(out)

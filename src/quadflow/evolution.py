@@ -15,14 +15,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import tolerances
 from .errors import (
     BoundarySpectrumError,
     CompositionClassError,
     PositivityError,
     QuadflowError,
 )
-from .positivity import PositivityReport, positivity_margins, strict_positivity
+from .positivity import PositivityReport, positivity_verdicts, strict_positivity
 from .symbols import mehler_symbol, weyl_sharp
 from .symplectic import (
     CanonicalTransform,
@@ -81,8 +81,8 @@ def _pairing(km: np.ndarray, kbm: np.ndarray):
     # a zero eigenvalue fails the pairing mask; keep it out of the log
     log_mod = np.log(np.where(mod > 0.0, mod, np.inf))
     return mu, resid, (
-        (np.abs(log_mod) < TOLERANCES["boundary"]).any(axis=-1),
-        resid > TOLERANCES["pairing"],
+        (np.abs(log_mod) < tolerances()["boundary"]).any(axis=-1),
+        resid > tolerances()["pairing"],
         np.abs(small.imag).max(axis=-1) > 1e-8 * np.abs(small).max(axis=-1),
         (mu <= 0.0).any(axis=-1),
     )
@@ -226,7 +226,7 @@ def center_path(
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed flow fails its check
             km = expm(-standard_j(n) @ np.array([items[i][1].hess for i in idx]))
             canonical = np.flatnonzero(~_canonical_residuals(km)[2])
-        strict = canonical[positivity_margins(km[canonical]) > TOLERANCES["positivity"]]
+        strict = canonical[positivity_verdicts(km[canonical])[1]]
         km = km[strict]
         kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
         a1, a2, failed = _centers(km, kbm, v[strict])

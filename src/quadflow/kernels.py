@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import tolerances
 from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
@@ -106,7 +106,7 @@ def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     condition (Cauchy interlacing), so it solves one Hermitian eigenproblem.
     """
     n = sym.n
-    if not formal and herm_max_eig(sym.g) >= -TOLERANCES["definite"]:
+    if not formal and herm_max_eig(sym.g) >= -tolerances()["definite"]:
         raise SymbolConvergenceError("symbol lacks Gaussian decay; pass formal=True to quantize anyway")
     g_ww, g_wxi, l_w = 0.25 * sym.g[:n, :n], 0.5 * sym.g[:n, n:], 0.5 * sym.l[:n]
     turn = 0.5j * np.eye(n)  # a at w = (x+y)/2, and 2 (x, y).[[turn], [-turn]] xi = i (x-y).xi
@@ -154,7 +154,7 @@ def _cross_block_inverse(k: GaussianKernel) -> np.ndarray:
     pyx = k.pxy.T
     scale = np.linalg.norm(k.phase_hessian())
     smin = float(np.min(np.linalg.svd(pyx, compute_uv=False)))
-    if smin <= TOLERANCES["degenerate"] * max(scale, 1.0):
+    if smin <= tolerances()["degenerate"] * max(scale, 1.0):
         raise DegenerateKernelError(
             f"cross block of the phase is singular (smallest singular value {smin:.3e})"
         )
@@ -177,10 +177,13 @@ def kernel_transform(k: GaussianKernel) -> tuple[CanonicalTransform, np.ndarray]
 
 def kernel_shift_vector(k: GaussianKernel) -> np.ndarray:
     """Centered shift v with affine part w = (1 - K) v."""
-    trans, w = kernel_transform(k)
-    eye = np.eye(2 * k.n)
+    return _centered_shift(*kernel_transform(k))
+
+
+def _centered_shift(trans: CanonicalTransform, w: np.ndarray) -> np.ndarray:
+    """The v of (1 - K) v = w; QuadflowError when K has eigenvalue 1."""
     try:
-        return np.linalg.solve(eye - trans.matrix, w)
+        return np.linalg.solve(np.eye(len(w)) - trans.matrix, w)
     except np.linalg.LinAlgError as exc:
         raise QuadflowError("flow has eigenvalue 1; kernel has no centered shift") from exc
 
@@ -202,10 +205,7 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     if margin <= 0.0:
         raise QuadflowError(f"kernel is degenerate: Im phi'' has eigenvalues down to {margin:.6g}")
     trans, w = kernel_transform(k)
-    q = canonical_log(trans)
-    eye = np.eye(2 * k.n)
-    v = np.linalg.solve(eye - trans.matrix, w)
-    spec = EvolutionSpec(q, v)
+    spec = EvolutionSpec(canonical_log(trans), _centered_shift(trans, w))
     p = evolution_to_kernel(spec)
     return spec, (k.amplitude / p.amplitude) * np.exp(1j * (k.c0 - p.c0))
 

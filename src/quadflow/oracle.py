@@ -40,9 +40,9 @@ import numpy as np
 from .errors import ConvergenceError, GridError
 from .kernels import GaussianKernel
 
-# grid size caps per dimension: a dense matrix of 16 N^2 bytes at n = 1; at
-# n = 2, factors of 32 N^2 bytes (uncoupled modes) or 32 N^3 bytes (coupled
-# modes, 53 MiB at the cap)
+# grid size caps per dimension, on automatic and user grids alike: a dense
+# matrix of 16 N^2 bytes at n = 1; at n = 2, factors of 32 N^2 bytes
+# (uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the cap)
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -69,8 +69,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise GridError("grid oracle supports n = 1 and n = 2 only")
-        if self.points < _MIN_POINTS:
-            raise GridError(f"need at least {_MIN_POINTS} points per axis")
+        if not _MIN_POINTS <= self.points <= _MAX_POINTS[self.n]:
+            raise GridError(f"need {_MIN_POINTS} to {_MAX_POINTS[self.n]} points per axis at n = {self.n}, "
+                            f"got {self.points}")
         if not (np.isfinite(self.half_width) and self.half_width > 0):
             raise GridError(f"half width must be positive and finite, got {self.half_width}")
 
@@ -297,12 +298,7 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
         modulus = np.multiply.outer(-b.imag * x[rows], x)
         modulus += row_log[rows, None]
         modulus += col_log
-        # a subnormal entry slows every product it enters; discretize certified it negligible.
-        # np.exp takes a slow path below about -708, so flushed arguments are zeroed first
-        low = modulus < _LOG_NORMAL
-        modulus[low] = 0.0
-        np.exp(modulus, out=modulus)
-        modulus[low] = 0.0
+        _exp_flushed(modulus)  # discretize certified the flushed entries negligible
         block = mat[rows]
         np.multiply(toeplitz[rows], col, out=block)
         block *= row[rows, None]
@@ -344,13 +340,16 @@ def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
     factors.append(1j * (k.pyy[0, 1] * xs[:, 0] * xs[:, 1] + xs @ k.ly.real))
     _in_range([f.real for f in factors], peak)
     for f in factors:
-        # a subnormal entry is certified negligible, and slows every product it enters;
-        # its argument is zeroed first, off np.exp's slow path
-        low = f.real < _LOG_NORMAL
-        f[low] = 0.0
-        np.exp(f, out=f)
-        f[low] = 0.0
+        _exp_flushed(f)  # _in_range certified the flushed entries negligible
     return FactoredGridMatrix(*factors, rotation)
+
+
+def _exp_flushed(arg: np.ndarray) -> None:
+    """exp in place, 0 where subnormal (which slows every product); zeroed first, off np.exp's slow path."""
+    low = arg.real < _LOG_NORMAL
+    arg[low] = 0.0
+    np.exp(arg, out=arg)
+    arg[low] = 0.0
 
 
 def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):

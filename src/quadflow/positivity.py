@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOLERANCES
+from .config import tolerances
 from .symplectic import CanonicalTransform, QuadraticForm, cayley, herm_max_eig, standard_j
 
 
@@ -42,35 +42,35 @@ def _certificates(m: np.ndarray) -> np.ndarray:
     return (pi + np.conj(np.swapaxes(pi, -1, -2))) / 2.0
 
 
-def positivity_margins(m: np.ndarray) -> np.ndarray:
-    """Margin, the smallest eigenvalue of Pi(K), of each member of a stack of transforms."""
-    return np.min(np.linalg.eigvalsh(_certificates(m)), axis=-1)
+def positivity_verdicts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Margins (the smallest eigenvalue of Pi(K)), strict and boundary masks of a stack of transforms.
+
+    The one verdict of strict_positivity and evolution.center_path.
+    """
+    bound = tolerances()["positivity"]
+    margins = np.min(np.linalg.eigvalsh(_certificates(m)), axis=-1)
+    return margins, margins > bound, np.abs(margins) <= bound
 
 
 def strict_positivity(k: CanonicalTransform) -> PositivityReport:
     """Certify strict positivity of K."""
-    tol = TOLERANCES["positivity"]
-    margin = float(positivity_margins(k.matrix[None])[0])
-    return PositivityReport(
-        margin=margin,
-        is_strict=margin > tol,
-        boundary=abs(margin) <= tol,
-    )
+    (margin,), (strict,), (boundary,) = positivity_verdicts(k.matrix[None])
+    return PositivityReport(margin=float(margin), is_strict=bool(strict), boundary=bool(boundary))
 
 
 def mehler_integrable(k: CanonicalTransform) -> bool:
     """Whether the closed-form symbol of the quantized flow is integrable.
 
     Requires -1 to stay away from Spec K (the cosh factor must not vanish)
-    and the Hermitian part of i J (1+K)^{-1} (1-K) to be negative definite
-    (Gaussian decay of the symbol).
+    and the Hermitian part of i J (1+K)^{-1} (1-K) to be negative definite,
+    to the "definite" tolerance that quantize applies (Gaussian decay of the symbol).
     """
     m = k.matrix
     eigs = np.linalg.eigvals(m)
-    if np.min(np.abs(eigs + 1.0)) <= TOLERANCES["spectral"]:
+    if np.min(np.abs(eigs + 1.0)) <= tolerances()["spectral"]:
         return False
     g = 1j * standard_j(k.n) @ cayley(m)
-    return herm_max_eig(g) < -TOLERANCES["positivity"]
+    return herm_max_eig(g) < -tolerances()["definite"]
 
 
 def compactness_check(q: QuadraticForm) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DIM, TOLERANCES
+from .config import MAX_DIM, tolerances
 from .errors import QuadflowError, SymbolConvergenceError
 
 
@@ -69,7 +69,7 @@ def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
         t = m / max(np.abs(m.real).max(), np.abs(m.imag).max())
         mm = np.vdot(t, t).real
     d = t - t.T
-    if not (np.vdot(d, d).real <= TOLERANCES["sym"] ** 2 * max(mm, 1.0)):
+    if not (np.vdot(d, d).real <= tolerances()["sym"] ** 2 * max(mm, 1.0)):
         raise ValueError(f"{what} is not symmetric within tolerance")
     return (m + m.T) / 2.0 if t is m else m / 2.0 + m.T / 2.0  # the sum may overflow
 
@@ -98,7 +98,7 @@ def gauss_integrate(a_zz, a_zu, a_uu, l_z, l_u, what: str):
     The integral converges when the Hermitian part of A_uu is negative definite;
     the one check, to TOLERANCES["definite"], raises SymbolConvergenceError.
     """
-    if herm_max_eig(a_uu) >= -TOLERANCES["definite"]:
+    if herm_max_eig(a_uu) >= -tolerances()["definite"]:
         raise SymbolConvergenceError(f"{what} diverges")
     return gauss_reduce(a_zz, a_zu, a_uu, l_z, l_u)
 
@@ -361,7 +361,7 @@ def _canonical_residuals(m: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
         resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
-    return resid, scale, ~(resid <= TOLERANCES["canonical"] * scale) | (scale == np.inf)  # NaN fails
+    return resid, scale, ~(resid <= tolerances()["canonical"] * scale) | (scale == np.inf)  # NaN fails
 
 
 def check_canonical(m: np.ndarray) -> None:
@@ -374,7 +374,7 @@ def check_canonical(m: np.ndarray) -> None:
     if bad.size:
         raise ValueError(
             f"matrix is not canonical: |K^T J K - J| = {resid[bad[0]]:.3e} "
-            f"exceeds {TOLERANCES['canonical']:.1e} * {scale[bad[0]]:.3e}"
+            f"exceeds {tolerances()['canonical']:.1e} * {scale[bad[0]]:.3e}"
         )
 
 
@@ -444,6 +444,6 @@ def canonical_log(k: CanonicalTransform) -> QuadraticForm:
         raise QuadflowError("matrix logarithm strays from the Hamiltonian class")
     q = quadratic_from_hamilton(h_proj)
     resid = np.linalg.norm(q.transform.matrix - m)
-    if resid > TOLERANCES["log"] * (1.0 + np.linalg.norm(m)):
+    if resid > tolerances()["log"] * (1.0 + np.linalg.norm(m)):
         raise QuadflowError(f"logarithm verification failed, |exp(H)-K| = {resid:.3e}")
     return q

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quadflow.cli import main
 HEAT = {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-1, 0], [0, -1]]}}
 SHIFTED = dict(HEAT, v={"re": [0.3, -0.1], "im": [0.2, 0.4]})
 ROTATION = {"hessian": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}}
+THIN = {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-1e-5, 0], [0, -1e-5]]}}  # margin 2e-5
 
 
 @pytest.fixture(autouse=True)
@@ -276,8 +278,7 @@ def test_contour_deterministic(capsys):
 
 
 def test_tolerance_override_flips_verdict(tmp_path, capsys, monkeypatch):
-    thin = {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-1e-5, 0], [0, -1e-5]]}}
-    spec = write_spec(tmp_path, thin)
+    spec = write_spec(tmp_path, THIN)
     rc, out, _ = run(capsys, ["check", spec])
     assert rc == 0
     assert json.loads(out)["margin"] == pytest.approx(2e-5, rel=1e-3)
@@ -295,6 +296,44 @@ def test_tolerance_override_holds_for_one_call(tmp_path, capsys, monkeypatch):
     assert run(capsys, ["check", spec])[0] == 2
     monkeypatch.delenv("QUADFLOW_TOL")
     assert run(capsys, ["check", spec])[0] == 0
+
+
+def test_tolerance_override_is_not_seen_by_another_thread(tmp_path, capsys, monkeypatch):
+    # QUADFLOW_TOL binds a table for the CLI call's own context; a thread started
+    # during the call runs library code under the defaults
+    seen = []
+    certify = quadflow.cli.strict_positivity
+    q = QuadraticForm(1j * np.array(THIN["hessian"]["im"]))
+
+    def with_thread(k):
+        worker = threading.Thread(target=lambda: seen.append(certify(q.transform)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return certify(k)
+
+    monkeypatch.setattr("quadflow.cli.strict_positivity", with_thread)
+    monkeypatch.setenv("QUADFLOW_TOL", "positivity=1e-3")
+    rc, out, _ = run(capsys, ["check", write_spec(tmp_path, THIN)])
+    assert rc == 2 and json.loads(out)["is_strict"] is False
+    assert len(seen) == 1 and seen[0].is_strict and seen[0].margin == pytest.approx(2e-5, rel=1e-3)
+
+
+def test_tolerance_table_is_read_only():
+    with pytest.raises(TypeError):
+        quadflow.TOLERANCES["positivity"] = 1.0
+    assert dict(quadflow.TOLERANCES) == {
+        "sym": 1e-10, "canonical": 1e-10, "positivity": 1e-9, "spectral": 1e-8, "log": 1e-9,
+        "boundary": 1e-7, "pairing": 1e-8, "degenerate": 1e-10, "definite": 1e-9,
+    }
+
+
+def test_input_error_under_tolerance_override_leaves_the_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QUADFLOW_TOL", "positivity=1e-3")
+    rc, out, err = run(capsys, ["norm", str(tmp_path / "missing.json")])
+    assert rc == 4 and out == "" and "input error" in err
+    q = QuadraticForm(1j * np.array(THIN["hessian"]["im"]))
+    assert quadflow.strict_positivity(q.transform).is_strict
 
 
 def test_tolerance_override_bad_key_exits_4(tmp_path, capsys, monkeypatch):
@@ -366,6 +405,16 @@ def test_nonfinite_grid_width_exits_4(tmp_path, capsys):
         rc, out, err = run(capsys, ["norm", spec, "--verify", "--grid", f"{width},64"])
         assert rc == 4 and out == ""
         assert f"half width must be positive and finite, got {width}" in err
+
+
+def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("discretize called")
+
+    monkeypatch.setattr("quadflow.cli.discretize", refuse)
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--verify", "--grid", "8,20000"])
+    assert rc == 4 and out == ""
+    assert "need 64 to 600 points per axis at n = 1, got 20000" in err
 
 
 def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):

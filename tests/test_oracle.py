@@ -81,6 +81,12 @@ def test_grid_spec_validation():
     for width in (-1.0, np.nan, np.inf):
         with pytest.raises(GridError, match="half width"):
             GridSpec(n=1, half_width=width, points=100)
+    # the automatic grid's caps bind user grids too, before any matrix is allocated
+    with pytest.raises(GridError, match="64 to 600 points per axis at n = 1, got 601"):
+        GridSpec(1, 8.0, 601)
+    with pytest.raises(GridError, match="64 to 120 points per axis at n = 2, got 121"):
+        GridSpec(2, 6.0, 121)
+    assert GridSpec(1, 8.0, 600).points == 600 and GridSpec(2, 6.0, 120).points == 120
 
 
 def test_auto_grid_heat():
