@@ -83,17 +83,15 @@ def _dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
+def _csv(header: str, rows) -> str:
+    """CSV text: strings as they are, numbers at 17 significant digits."""
+    cell = lambda x: x if isinstance(x, str) else f"{float(x):.17g}"
+    return "\n".join([header] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w") as fh:
             fh.write(text)
@@ -197,10 +195,15 @@ def _parse_grid(text: str | None, kern: GaussianKernel) -> GridSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report (a JSON object or CSV text), which main writes, and its exit code
 
 
-def _cmd_norm(args) -> int:
+def _spec_report(spec: EvolutionSpec, key: str, scalar) -> dict:
+    """The report of a spec with one scalar beside it: hessian, v, the scalar under key, margin."""
+    return {"hessian": spec.q.hess, "v": spec.v, key: scalar, "margin": spec.report.margin}
+
+
+def _cmd_norm(args) -> tuple[dict, int]:
     if args.grid is not None and not args.verify:
         raise ValueError("--grid needs --verify")
     spec = _load_evolution(args.spec)
@@ -223,11 +226,10 @@ def _cmd_norm(args) -> int:
             "half_width": grid.half_width,
             "points": grid.points,
         }
-    _write_output(_dump_json(report) + "\n", args.output)
-    return 0
+    return report, 0
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[dict, int]:
     q, _ = _parse_quadratic(_load_json(args.spec))
     report = strict_positivity(q.transform)
     out = {
@@ -235,25 +237,15 @@ def _cmd_check(args) -> int:
         "is_strict": report.is_strict,
         "boundary": report.boundary,
     }
-    _write_output(_dump_json(out) + "\n", args.output)
-    return 0 if report.is_strict else 2
+    return out, 0 if report.is_strict else 2
 
 
-def _cmd_compose(args) -> int:
-    s1 = _load_evolution(args.spec1)
-    s2 = _load_evolution(args.spec2)
-    result = compose_evolutions(s1, s2)
-    report = {
-        "hessian": result.spec.q.hess,
-        "v": result.spec.v,
-        "factor": result.factor,
-        "margin": result.spec.report.margin,
-    }
-    _write_output(_dump_json(report) + "\n", args.output)
-    return 0
+def _cmd_compose(args) -> tuple[dict, int]:
+    result = compose_evolutions(_load_evolution(args.spec1), _load_evolution(args.spec2))
+    return _spec_report(result.spec, "factor", result.factor), 0
 
 
-def _cmd_kernel(args) -> int:
+def _cmd_kernel(args) -> tuple[dict, int]:
     data = _load_json(args.spec)
     if args.direction == "to-kernel":
         q, v = _parse_quadratic(data)
@@ -263,23 +255,14 @@ def _cmd_kernel(args) -> int:
             kern = quantize(mehler_symbol(q), formal=True)
         else:
             kern = evolution_to_kernel(EvolutionSpec(q, v))
-        report = {key: getattr(kern, key) for key in _KERNEL_KEYS}
-        _write_output(_dump_json(report) + "\n", args.output)
-        return 0
+        return {key: getattr(kern, key) for key in _KERNEL_KEYS}, 0
     if args.formal:
         raise ValueError("--formal applies to --direction to-kernel only")
     spec, c = kernel_to_evolution(_parse_kernel(data))
-    report = {
-        "hessian": spec.q.hess,
-        "v": spec.v,
-        "c": c,
-        "margin": spec.report.margin,
-    }
-    _write_output(_dump_json(report) + "\n", args.output)
-    return 0
+    return _spec_report(spec, "c", c), 0
 
 
-def _cmd_contour(args) -> int:
+def _cmd_contour(args) -> tuple[str, int]:
     t1s = _parse_range(args.t1, "--t1")
     t2s = _parse_range(args.t2, "--t2")
     if np.any(t2s >= 0.0):
@@ -288,17 +271,15 @@ def _cmd_contour(args) -> int:
             "the compact region)"
         )
     v = _parse_shift(args.v)
-    theta = float(args.theta)
-    lines = ["t1,t2,value"]
+    rows = []
     for t1 in t1s:
         for t2 in t2s:
-            if rho_compact(theta, t1, t2):
-                value = float(np.log(rho_log_growth(theta, t1, t2, v) + 1.0))
+            if rho_compact(args.theta, t1, t2):
+                value = float(np.log(rho_log_growth(args.theta, t1, t2, v) + 1.0))
             else:
                 value = float("nan")
-            lines.append(",".join(_csv_cell(x) for x in (t1, t2, value)))
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+            rows.append((t1, t2, value))
+    return _csv("t1,t2,value", rows), 0
 
 
 def _fit_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -312,30 +293,26 @@ def _fit_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
     return center, radius
 
 
-def _cmd_centers(args) -> int:
+def _cmd_centers(args) -> tuple[str, int]:
     t1s = _parse_range(args.t1, "--t1")
-    t2 = float(args.t2)
-    if t2 >= 0.0:
+    if args.t2 >= 0.0:
         raise ValueError("--t2 must be negative (compact region)")
     v = _parse_shift(args.v)
-    theta = float(args.theta)
-    base = q_theta(theta).hess
-    items = [(float(t1), QuadraticForm((t1 + 1j * t2) * base), v) for t1 in t1s]
+    base = q_theta(args.theta).hess
+    items = [(float(t1), QuadraticForm((t1 + 1j * args.t2) * base), v) for t1 in t1s]
     samples = center_path(items)
     good = [s for s in samples if s.ok]
     nan = np.full(2, np.nan)  # the centers of a failed member
     center, radius = nan, np.nan  # no circle through fewer than three centers
     if len(good) >= 3:
         center, radius = _fit_circle(np.array([s.a1 for s in good]))
-    lines = ["t1,a1_x,a1_xi,a2_x,a2_xi,circle_residual,style"]
+    rows = []
     for s in samples:
         a1, a2 = (s.a1, s.a2) if s.ok else (nan, nan)
         resid = abs(float(np.linalg.norm(a1 - center)) - radius)
         # solid branch covers t1 in [0, pi], dotted the negative sweep
-        row = [s.param, *a1, *a2, resid, "solid" if s.param >= 0.0 else "dotted"]
-        lines.append(",".join(_csv_cell(x) for x in row))
-    _write_output("\n".join(lines) + "\n", args.output)
-    return 0
+        rows.append([s.param, *a1, *a2, resid, "solid" if s.param >= 0.0 else "dotted"])
+    return _csv("t1,a1_x,a1_xi,a2_x,a2_xi,circle_residual,style", rows), 0
 
 
 # ---------------------------------------------------------------------------
@@ -348,49 +325,43 @@ def _build_parser() -> argparse.ArgumentParser:
         "quadratic flows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)  # every subcommand's -o
+    out.add_argument("-o", "--output", default=None)
+    sweep = argparse.ArgumentParser(add_help=False)  # contour's and centers' shared options
+    sweep.add_argument("--theta", required=True, type=finite)
+    sweep.add_argument("--t1", required=True, help="start:stop:count")
+    sweep.add_argument("--v", default="0,1,0,0", help="shift re_x,im_x,re_xi,im_xi")
 
-    p_norm = sub.add_parser("norm", help="operator norm and decomposition of a spec")
+    p_norm = sub.add_parser("norm", parents=[out], help="operator norm and decomposition of a spec")
     p_norm.add_argument("spec")
     p_norm.add_argument("--verify", action="store_true", help="cross-check with the grid oracle")
     p_norm.add_argument("--grid", default=None, help="oracle grid as L,N (needs --verify)")
-    p_norm.add_argument("-o", "--output", default=None)
     p_norm.set_defaults(func=_cmd_norm)
 
-    p_check = sub.add_parser("check", help="strict positivity certificate of a spec")
+    p_check = sub.add_parser("check", parents=[out], help="strict positivity certificate of a spec")
     p_check.add_argument("spec")
-    p_check.add_argument("-o", "--output", default=None)
     p_check.set_defaults(func=_cmd_check)
 
-    p_comp = sub.add_parser("compose", help="compose two evolutions")
+    p_comp = sub.add_parser("compose", parents=[out], help="compose two evolutions")
     p_comp.add_argument("spec1")
     p_comp.add_argument("spec2")
-    p_comp.add_argument("-o", "--output", default=None)
     p_comp.set_defaults(func=_cmd_compose)
 
-    p_kern = sub.add_parser("kernel", help="convert between specs and kernels")
+    p_kern = sub.add_parser("kernel", parents=[out], help="convert between specs and kernels")
     p_kern.add_argument("spec")
     p_kern.add_argument(
         "--direction", choices=("to-kernel", "from-kernel"), default="to-kernel"
     )
     p_kern.add_argument("--formal", action="store_true",
                         help="skip positivity certification (to-kernel only)")
-    p_kern.add_argument("-o", "--output", default=None)
     p_kern.set_defaults(func=_cmd_kernel)
 
-    p_cont = sub.add_parser("contour", help="growth-factor contour data (CSV)")
-    p_cont.add_argument("--theta", required=True, type=finite)
-    p_cont.add_argument("--t1", required=True, help="start:stop:count")
+    p_cont = sub.add_parser("contour", parents=[out, sweep], help="growth-factor contour data (CSV)")
     p_cont.add_argument("--t2", required=True, help="start:stop:count, negative values")
-    p_cont.add_argument("--v", default="0,1,0,0", help="shift re_x,im_x,re_xi,im_xi")
-    p_cont.add_argument("-o", "--output", default=None)
     p_cont.set_defaults(func=_cmd_contour)
 
-    p_cent = sub.add_parser("centers", help="shift-center sweep data (CSV)")
-    p_cent.add_argument("--theta", required=True, type=finite)
+    p_cent = sub.add_parser("centers", parents=[out, sweep], help="shift-center sweep data (CSV)")
     p_cent.add_argument("--t2", required=True, type=finite)
-    p_cent.add_argument("--t1", required=True, help="start:stop:count")
-    p_cent.add_argument("--v", default="0,1,0,0", help="shift re_x,im_x,re_xi,im_xi")
-    p_cent.add_argument("-o", "--output", default=None)
     p_cent.set_defaults(func=_cmd_centers)
 
     return parser
@@ -406,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     call = contextvars.copy_context()  # QUADFLOW_TOL's table is bound in it, for this call only
     try:
         call.run(_IN_FORCE.set, tolerances_from_env())
-        return call.run(args.func, args)
+        report, code = call.run(args.func, args)
+        _write_output(report if isinstance(report, str) else _dump_json(report) + "\n", args.output)
+        return code
     except PositivityError as exc:
         print(f"positivity failure: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ tolerances = _IN_FORCE.get  # tolerances() is the table in force in the current 
 def tolerances_from_env() -> Mapping[str, float]:
     """A new table: TOLERANCES with QUADFLOW_TOL's "key=value,key=value" overrides; writes nothing.
 
-    Unknown keys and malformed entries raise ValueError.
+    Unknown keys, malformed entries and negative or non-finite values raise ValueError.
     """
     out = dict(TOLERANCES)
     for chunk in os.environ.get("QUADFLOW_TOL", "").split(","):
@@ -47,4 +47,6 @@ def tolerances_from_env() -> Mapping[str, float]:
         if key not in TOLERANCES:
             raise ValueError(f"unknown tolerance key {key!r}; known: {sorted(TOLERANCES)}")
         out[key] = float(val)
+        if not 0.0 <= out[key] < float("inf"):
+            raise ValueError(f"tolerance {key}={val.strip()} must be finite and non-negative")
     return MappingProxyType(out)

@@ -18,7 +18,7 @@ from .errors import DegenerateKernelError, QuadflowError, SymbolConvergenceError
 from .evolution import EvolutionSpec
 from .symbols import GaussianSymbol, PolynomialSymbol, ShiftOp, mehler_symbol, two_sided_shift
 from .symplectic import (CanonicalTransform, block2, canonical_log, gauss_integrate,
-                         gauss_reduce, herm_max_eig, set_frozen, symmetrize)
+                         gauss_reduce, herm_max_eig, require_finite, set_frozen, symmetrize)
 
 # scale of the linear phase terms drawn by random_nondegenerate
 _SHIFT_SCALE = 0.5
@@ -52,8 +52,10 @@ class GaussianKernel:
             if m.shape != (n, n):
                 raise ValueError(f"{name} must be {n} x {n}")
         lx, ly = (np.asarray(l, dtype=complex).reshape(n).copy() for l in (self.lx, self.ly))
-        set_frozen(self, amplitude=complex(self.amplitude), pxx=symmetrize(pxx, "pxx"), pxy=pxy.copy(),
-                   pyy=symmetrize(pyy, "pyy"), lx=lx, ly=ly, c0=complex(self.c0))
+        amplitude, c0 = complex(self.amplitude), complex(self.c0)
+        require_finite(amplitude=amplitude, pxy=pxy, lx=lx, ly=ly, c0=c0)
+        set_frozen(self, amplitude=amplitude, pxx=symmetrize(pxx, "pxx"), pxy=pxy.copy(),
+                   pyy=symmetrize(pyy, "pyy"), lx=lx, ly=ly, c0=c0)
 
     @classmethod
     def _trusted(cls, amplitude, pxx, pxy, pyy, lx, ly, c0) -> "GaussianKernel":

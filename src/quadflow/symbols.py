@@ -17,13 +17,16 @@ from .errors import SymbolConvergenceError
 from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
+    _check_square_even,
     block2,
     cayley,
     gauss_integrate,
     hamilton_matrix,
+    require_finite,
     set_frozen,
     sigma_transpose,
     standard_j,
+    symmetrize,
     symplectic_form,
 )
 
@@ -33,8 +36,8 @@ class GaussianSymbol:
     """Symbol a(z) = c * exp(z . (G z) + l . z), G complex symmetric (2n x 2n).
 
     Immutable, g and l read-only and written by no one, so one symbol can be
-    shared.  The constructor converts and symmetrizes outside input; the
-    symbols the package builds itself skip it, via _trusted.
+    shared.  The constructor checks outside input (shapes, symmetry of g,
+    finiteness); the symbols the package builds itself skip it, via _trusted.
     """
 
     c: complex
@@ -43,8 +46,10 @@ class GaussianSymbol:
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=complex)
-        l = np.asarray(self.l, dtype=complex).reshape(g.shape[0]).copy()
-        set_frozen(self, c=complex(self.c), g=(g + g.T) / 2.0, l=l)
+        _check_square_even(g, "g")
+        c, l = complex(self.c), np.asarray(self.l, dtype=complex).reshape(g.shape[0]).copy()
+        require_finite(c=c, l=l)
+        set_frozen(self, c=c, g=symmetrize(g, "g"), l=l)
 
     @classmethod
     def _trusted(cls, c, g, l) -> "GaussianSymbol":

@@ -74,6 +74,13 @@ def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
     return (m + m.T) / 2.0 if t is m else m / 2.0 + m.T / 2.0  # the sum may overflow
 
 
+def require_finite(**values) -> None:
+    """Raise ValueError naming the first of the arrays or scalars in values with a non-finite entry."""
+    for name, x in values.items():
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+
+
 def herm_max_eig(m: np.ndarray) -> float:
     """Largest eigenvalue of the Hermitian part (M + M^*) / 2; eigvalsh sorts, and halving is exact."""
     return float(np.linalg.eigvalsh(m + m.conj().T)[-1]) / 2.0

@@ -90,6 +90,35 @@ def test_norm_output_deterministic(tmp_path, capsys):
     assert outfile.read_text() == out1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["norm", "heat.json"], 0),
+    (["check", "heat.json"], 0),
+    (["check", "rotation.json"], 2),  # a failed certificate still reports
+    (["compose", "heat.json", "heat.json"], 0),
+    (["kernel", "heat.json"], 0),
+    (["kernel", "heat_kernel.json", "--direction", "from-kernel"], 0),
+    (["contour", "--theta", "0.3", "--t1", "0:2:3", "--t2=-1:-0.4:2"], 0),
+    (["centers", "--theta", "0.3", "--t2=-0.8", "--t1=-3:3:5"], 0),
+], ids=["norm", "check", "check-failed", "compose", "to-kernel", "from-kernel", "contour", "centers"])
+def test_output_file_holds_the_printed_report(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.chdir(tmp_path)
+    write_spec(tmp_path, HEAT, "heat.json")
+    write_spec(tmp_path, ROTATION, "rotation.json")
+    assert main(["kernel", "heat.json", "-o", "heat_kernel.json"]) == 0
+    rc, printed, _ = run(capsys, argv)
+    assert rc == code and printed
+    rc, out, _ = run(capsys, argv + ["-o", "report.out"])
+    assert rc == code and out == ""
+    assert (tmp_path / "report.out").read_text() == printed
+
+
+def test_failing_call_writes_nothing(tmp_path, capsys):
+    outfile = tmp_path / "report.json"
+    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, ROTATION), "-o", str(outfile)])
+    assert rc == 2 and out == "" and "positivity failure" in err
+    assert not outfile.exists()
+
+
 def test_check_strict_heat(tmp_path, capsys):
     rc, out, _ = run(capsys, ["check", write_spec(tmp_path, HEAT)])
     assert rc == 0
@@ -341,6 +370,17 @@ def test_tolerance_override_bad_key_exits_4(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, ["check", write_spec(tmp_path, HEAT)])
     assert rc == 4
     assert "unknown tolerance key" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+def test_tolerance_override_refuses_negative_and_non_finite_values(tmp_path, capsys, monkeypatch, value):
+    # the unitary rotation has margin 0: positivity=-1 would certify it strict
+    monkeypatch.setenv("QUADFLOW_TOL", f"positivity={value}")
+    rc, out, err = run(capsys, ["check", write_spec(tmp_path, ROTATION)])
+    assert rc == 4 and out == ""
+    assert f"input error: tolerance positivity={value} must be finite and non-negative" in err
+    monkeypatch.setenv("QUADFLOW_TOL", "positivity=0")  # zero stays valid
+    assert run(capsys, ["check", write_spec(tmp_path, HEAT)])[0] == 0
 
 
 def test_input_error_paths_exit_4(tmp_path, capsys):

@@ -429,6 +429,16 @@ def test_kernel_refuses_non_finite_phase(value, name):
         GaussianKernel(amplitude=1.0, pxy=0.5 * np.eye(2), lx=np.zeros(2), ly=np.zeros(2), **blocks)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["amplitude", "pxy", "lx", "ly", "c0"])
+def test_kernel_refuses_non_finite_amplitude_cross_block_and_linear_terms(value, name):
+    parts = {"amplitude": 1.0, "pxx": 1j * np.eye(2), "pxy": 0.5 * np.eye(2), "pyy": 1j * np.eye(2),
+             "lx": np.zeros(2), "ly": np.zeros(2), "c0": 0.0}
+    parts[name] = parts[name] + complex(0.0, value)  # a non-finite imaginary part in every entry
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GaussianKernel(**parts)
+
+
 def test_composition_refuses_non_finite_phase():
     # the middle integral overflows: the Schur complement of the composition is infinite
     big = GaussianKernel(amplitude=1.0, pxx=[[1j]], pxy=[[1e200]], pyy=[[1j]], lx=[0.0], ly=[0.0])

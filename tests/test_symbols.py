@@ -151,6 +151,18 @@ def test_symbol_owns_its_arrays():
     assert sym.g[0, 0] == -1.0 and sym.l[0] == 0.3
 
 
+@pytest.mark.parametrize("c, g, l, message", [
+    (1.0, [[1, 5], [0, 1]], [0, 0], "g is not symmetric within tolerance"),
+    (1.0, [[np.nan, 0], [0, 1]], [0, 0], r"g has non-finite entries at \[\(0, 0\)\]"),
+    (1.0, np.eye(3), [0, 0, 0], r"g must be a square matrix of even size, got \(3, 3\)"),
+    (np.nan, -np.eye(2), [0, 0], "c must be finite"),
+    (1.0, -np.eye(2), [0, np.inf], "l must be finite"),
+], ids=["asymmetric-g", "non-finite-g", "odd-g", "non-finite-c", "non-finite-l"])
+def test_symbol_refuses_bad_outside_input(c, g, l, message):
+    with pytest.raises(ValueError, match=message):
+        GaussianSymbol(c=c, g=g, l=l)
+
+
 def test_symbol_transform_round_trip():
     q = perturbed_heat(1.1, 2)
     sym = mehler_symbol(q)
