@@ -32,6 +32,7 @@ from .symplectic import (
     cayley,
     expm,
     set_frozen,
+    shift_vector,
     sigma_transpose,
     standard_j,
     symplectic_form,
@@ -55,7 +56,7 @@ class EvolutionSpec:
 
     def __post_init__(self):
         n = self.q.n
-        v = np.asarray(np.zeros(2 * n) if self.v is None else self.v, dtype=complex).reshape(2 * n)
+        v = shift_vector(np.zeros(2 * n) if self.v is None else self.v, n)
         report = strict_positivity(self.q.transform)
         set_frozen(self, v=v.copy(), transform=self.q.transform, report=report)
         if not report.is_strict:

@@ -20,9 +20,9 @@ product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
 become exact zeros, as in the two-mode factors, since a subnormal entry
-slows every product it enters; a kernel whose largest entry lies within
-1/_EPS_TAIL of that float, where a flushed entry need not be negligible, is
-refused.  The operator norm is one Golub-Kahan bidiagonalization for dense
+slows every product it enters; both builds run one flush certificate as
+they exponentiate, which refuses a flushed entry not below _EPS_TAIL times
+the peak.  The operator norm is one Golub-Kahan bidiagonalization for dense
 and factored matrices alike: products with M and M* (the latter without a
 conjugated copy), no reorthogonalization, one preallocated bidiagonal, and
 a stop when the residual of the top Ritz pair certifies the estimate.  It
@@ -223,9 +223,9 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
     exponentials (row, column and Toeplitz factors).  Entries below the
-    smallest normal float are exact zeros; that flush is certified when the
-    largest entry is at least that float over _EPS_TAIL, and the kernel is
-    refused otherwise.  At n = 2 the kernel is first taken in its own y
+    smallest normal float are exact zeros, here and in the two-mode factors;
+    the build refuses a kernel with a flushed entry that is not below
+    _EPS_TAIL times its peak.  At n = 2 the kernel is first taken in its own y
     axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy (S = I
     when Im pyy is diagonal), and the grid, the certificate and the matrix
     are those of K'.  The same S on both sides keeps norms and traces, and
@@ -247,13 +247,10 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         hess = k.phase_hessian()
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
-    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale)
+    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale) + log_scale
     if grid.n == 1:
-        # _one_mode flushes entries below the smallest normal float, negligible only below this peak
-        if peak + log_scale + np.log(_EPS_TAIL) < _LOG_NORMAL:
-            raise GridError("one-mode matrix entries underflow where the kernel is not negligible")
-        return _one_mode(k, grid)
-    return _factored(k, grid, peak + log_scale, rotation)
+        return _one_mode(k, grid, peak)
+    return _factored(k, grid, peak, rotation)
 
 
 def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
@@ -269,7 +266,7 @@ def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
                           k.lx @ s, k.ly @ s, k.c0), s
 
 
-def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
+def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
     """The one-mode matrix as modulus times phase, with 4N - 1 complex exponentials.
 
     The modulus exp(-Im phi + log|amplitude h|) is taken with real
@@ -298,7 +295,7 @@ def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
         modulus = np.multiply.outer(-b.imag * x[rows], x)
         modulus += row_log[rows, None]
         modulus += col_log
-        _exp_flushed(modulus)  # discretize certified the flushed entries negligible
+        _exp_certified([modulus], [peak], peak)
         block = mat[rows]
         np.multiply(toeplitz[rows], col, out=block)
         block *= row[rows, None]
@@ -338,18 +335,31 @@ def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
         g -= square
         factors.append(g)
     factors.append(1j * (k.pyy[0, 1] * xs[:, 0] * xs[:, 1] + xs @ k.ly.real))
-    _in_range([f.real for f in factors], peak)
-    for f in factors:
-        _exp_flushed(f)  # _in_range certified the flushed entries negligible
+    _exp_certified(factors, [float(f.real.max()) for f in factors], peak)
     return FactoredGridMatrix(*factors, rotation)
 
 
-def _exp_flushed(arg: np.ndarray) -> None:
-    """exp in place, 0 where subnormal (which slows every product); zeroed first, off np.exp's slow path."""
-    low = arg.real < _LOG_NORMAL
-    arg[low] = 0.0
-    np.exp(arg, out=arg)
-    arg[low] = 0.0
+def _exp_certified(logs: list[np.ndarray], tops: list[float], peak: float) -> None:
+    """exp in place of log-factors whose products are the matrix entries, once certified.
+
+    ``tops`` are the factors' largest real parts and ``peak`` the log-modulus of
+    the largest entry.  GridError when a product of tops overflows, or when an
+    entry below the smallest normal float in one factor, bounded through the
+    other tops, is not below _EPS_TAIL times the peak (entries are scanned only
+    when that float, so bounded, is not).  Those entries become exact zeros, as
+    a subnormal slows every product; zeroed before np.exp too, off its slow path.
+    """
+    if not sum(max(top, 0.0) for top in tops) < _LOG_MAX:
+        raise GridError("grid matrix factors overflow")
+    bound, total = peak + np.log(_EPS_TAIL), sum(tops)
+    for lg, top in zip(logs, tops):
+        others = total - top
+        low = lg.real < _LOG_NORMAL
+        if _LOG_NORMAL + others > bound and float(lg.real.max(initial=-np.inf, where=low)) + others > bound:
+            raise GridError("grid matrix entries underflow where the kernel is not negligible")
+        lg[low] = 0.0
+        np.exp(lg, out=lg)
+        lg[low] = 0.0
 
 
 def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
@@ -431,23 +441,6 @@ def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
             f"exceeds log(float max) = {_LOG_MAX:.6g}"
         )
     return peak
-
-
-def _in_range(logs: list[np.ndarray], peak: float) -> None:
-    """Refuse factors whose exponentials are not accurate wherever it matters.
-
-    ``logs`` are the factors' log-moduli and ``peak`` that of the largest
-    matrix entry.  No product of factors may overflow, and an entry that is
-    subnormal in one factor, bounded through the other factors' maxima, must
-    stay below _EPS_TAIL times the peak.  Raises GridError otherwise.
-    """
-    tops = [float(lg.max()) for lg in logs]
-    if not sum(max(top, 0.0) for top in tops) < _LOG_MAX:
-        raise GridError("two-mode axis factors overflow")
-    for lg, top in zip(logs, tops):
-        low = float(lg.max(initial=-np.inf, where=lg < _LOG_NORMAL))
-        if low + sum(tops) - top > peak + np.log(_EPS_TAIL):
-            raise GridError("two-mode axis factors underflow where the kernel is not negligible")
 
 
 def operator_norm(mat) -> float:

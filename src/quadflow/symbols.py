@@ -24,6 +24,7 @@ from .symplectic import (
     hamilton_matrix,
     require_finite,
     set_frozen,
+    shift_vector,
     sigma_transpose,
     standard_j,
     symmetrize,
@@ -133,7 +134,7 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
 
 def two_sided_shift(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of (shift by v) . a^w . (shift by v)^{-1}, i.e. a(z - v)."""
-    v = np.asarray(v, dtype=complex).reshape(2 * a.n)
+    v = shift_vector(v, a.n)
     c = a.c * np.exp(v @ a.g @ v - a.l @ v)
     return GaussianSymbol._trusted(c, a.g, a.l - 2.0 * a.g @ v)
 
@@ -150,7 +151,7 @@ def shift_right(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
 
 def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
     """a(z - v/2) exp(-+i sigma(z, v)), the minus sign for a shift on the left."""
-    v = np.asarray(v, dtype=complex).reshape(2 * a.n)
+    v = shift_vector(v, a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
     l, turn = a.l - a.g @ v, 1j * (standard_j(a.n) @ v)
     return GaussianSymbol._trusted(c, a.g, l - turn if left else l + turn)
@@ -168,9 +169,9 @@ class ShiftOp:
     phase: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=complex).reshape(-1)
-        if self.v.shape[0] % 2:
+        if np.size(self.v) % 2:
             raise ValueError("shift vector must have even length")
+        self.v = shift_vector(self.v, np.size(self.v) // 2)
         self.phase = complex(self.phase)
 
     @property
@@ -219,7 +220,7 @@ class CrossingData:
 
 
 def crossing(k: CanonicalTransform, v: np.ndarray) -> CrossingData:
-    v = np.asarray(v, dtype=complex).reshape(2 * k.n)
+    v = shift_vector(v, k.n)
     eye = np.eye(2 * k.n)
     u = (eye - sigma_transpose(k.matrix)) @ v
     w = (eye - k.matrix) @ v
@@ -240,10 +241,12 @@ class PolynomialSymbol:
     s: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=complex)
-        self.s = (self.s + self.s.T) / 2.0
-        self.lam = np.asarray(self.lam, dtype=complex).reshape(self.s.shape[0])
+        s = np.asarray(self.s, dtype=complex)
+        _check_square_even(s, "s")
+        self.s = symmetrize(s, "s")
+        self.lam = np.asarray(self.lam, dtype=complex).reshape(s.shape[0])
         self.c0 = complex(self.c0)
+        require_finite(c0=self.c0, lam=self.lam)
 
     @property
     def n(self) -> int:

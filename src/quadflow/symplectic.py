@@ -81,6 +81,13 @@ def require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def shift_vector(v, n: int) -> np.ndarray:
+    """An outside phase-space shift as 2n complex entries; ValueError for another size or a non-finite entry."""
+    v = np.asarray(v, dtype=complex).reshape(2 * n)
+    require_finite(v=v)
+    return v
+
+
 def herm_max_eig(m: np.ndarray) -> float:
     """Largest eigenvalue of the Hermitian part (M + M^*) / 2; eigvalsh sorts, and halving is exact."""
     return float(np.linalg.eigvalsh(m + m.conj().T)[-1]) / 2.0
@@ -209,24 +216,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     a member's 1-norm picks the lowest degree among 3, 5, 7, 9 that is
     accurate to unit roundoff, or else degree 13 after scaling the member
     by 2^-s, and the approximant is squared s times.  Degree and s depend on
-    the member alone, so its bits do not depend on its stack mates.
+    the member alone, so its bits do not depend on its stack mates, and a
+    single matrix is a batch of one.
     """
     a = np.asarray(a, dtype=complex)
     rank = np.searchsorted(_EXPM_THETA, _norm1(a))
-    if len(a) == 1:  # the scalar call: no grouping by degree
-        s = max(int(rank[0]) - 4, 0)
-        x = _pade_exp(a * 2.0**-s, _EXPM_DEGREES[min(rank[0], 4)])
-        for _ in range(s):
-            x = x @ x
-        return x
-    degree, s = np.minimum(rank, 4), np.maximum(rank - 4, 0)
     x = np.empty_like(a)
-    for j in set(degree.tolist()):
-        idx = np.flatnonzero(degree == j)
-        x[idx] = _pade_exp(a[idx] * 2.0 ** -s[idx, None, None], _EXPM_DEGREES[j])
-    for k in range(s.max(initial=0)):
-        idx = np.flatnonzero(s > k)
-        x[idx] = x[idx] @ x[idx]
+    for r in set(rank.tolist()):  # the members of one rank share degree and s
+        members, s = rank == r, max(r - 4, 0)
+        y = _pade_exp(a[members] * 2.0**-s, _EXPM_DEGREES[min(r, 4)])
+        for _ in range(s):
+            y = y @ y
+        x[members] = y
     return x
 
 

@@ -322,10 +322,32 @@ def test_one_mode_entries_that_underflow_where_the_kernel_matters_are_refused():
         return GaussianKernel(amplitude, pxx=[[1j]], pxy=[[0.2]], pyy=[[1j]], lx=[0], ly=[0])
 
     grid = GridSpec(1, 8.0, 64)
-    with pytest.raises(GridError, match="underflow where the kernel is not negligible"):
+    with pytest.raises(GridError, match="underflow where the kernel is not negligible") as one_mode:
         discretize(kernel(1e-300), grid)
     mat = discretize(kernel(1e-290), grid)
     assert isinstance(mat, np.ndarray) and np.max(np.abs(mat)) > 1e-291
+    # the two-mode factors are certified by the same function, with the same message
+    two_mode = GaussianKernel(1e-300, pxx=1j * np.eye(2), pxy=0.2 * np.eye(2), pyy=1j * np.eye(2),
+                              lx=np.zeros(2), ly=np.zeros(2))
+    with pytest.raises(GridError) as factored:
+        discretize(two_mode, GridSpec(2, 8.0, 64))
+    assert str(factored.value) == str(one_mode.value)
+
+
+def test_one_mode_matrix_near_the_smallest_normal_float_is_built_when_its_flush_is_negligible():
+    # Im phi = 150 (x^2 + y^2) drops from 3.9e-9 to 1.6e-17 of the peak between
+    # neighbouring rings of nodes; with the peak 2e-299 within 1e12 of the
+    # smallest normal float, every flushed entry (at most 3.1e-316) still lies
+    # below 1e-12 of the peak (2e-311), so the kernel is built, not refused
+    k = GaussianKernel(1e-296, pxx=[[300j]], pxy=[[0.2]], pyy=[[300j]], lx=[0], ly=[0])
+    grid = GridSpec(1, 8.0, 64)
+    xs = grid.nodes()
+    ref = k(xs[:, None, :], xs[None, :, :]) * grid.h
+    peak = np.max(np.abs(ref))
+    assert peak < 1e12 * np.finfo(float).tiny
+    mat = discretize(k, grid)
+    assert np.count_nonzero(mat == 0.0) > 0  # the flush happened
+    assert np.max(np.abs(mat - ref)) <= 1e-12 * peak
 
 
 def test_discretize_refuses_overflowing_kernel():
@@ -624,6 +646,18 @@ def test_coupled_two_mode_heat_is_verified_on_the_automatic_grid():
     assert isinstance(mat, FactoredGridMatrix) and mat.shape == (101**2, 101**2)
     assert operator_norm(mat) == pytest.approx(norm_quadratic(q), rel=1e-9)
     assert grid_trace(mat) == pytest.approx(heat_trace(0.3) * heat_trace(2.0), rel=1e-12)
+
+
+def test_coupled_two_mode_factors_hold_no_subnormal_entry():
+    # g2 of the rotated (0.3, 2) heat flow decays past the smallest normal float
+    # on its 64-point grid; the flush leaves exact zeros there
+    k = evolution_to_kernel(EvolutionSpec(rotated_heat_generator(0.3, 2.0)))
+    op = discretize(k, GridSpec(2, auto_grid(k).half_width, 64))
+    assert op.g1.shape == (64**2, 64)  # coupled factors
+    for factor in (op.dx, op.g1, op.g2, op.dy):
+        modulus = np.abs(factor)
+        assert not np.any((modulus > 0.0) & (modulus < np.finfo(float).tiny))
+    assert np.count_nonzero(op.g2 == 0.0) > 0
 
 
 COUPLED = 1j * np.array([[1.0, -0.5], [-0.5, 1.0]])

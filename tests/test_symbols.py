@@ -163,6 +163,41 @@ def test_symbol_refuses_bad_outside_input(c, g, l, message):
         GaussianSymbol(c=c, g=g, l=l)
 
 
+def shift_takers():
+    """Every public entry that takes an outside shift, as a function of the shift alone."""
+    q = heat_generator(0.5)
+    sym = mehler_symbol(q)
+    return {
+        "EvolutionSpec": lambda v: evolution_to_kernel(EvolutionSpec(q, v)),
+        "ShiftOp": ShiftOp,
+        "crossing": lambda v: crossing(flow(q), v),
+        "two_sided_shift": lambda v: two_sided_shift(v, sym),
+        "shift_left": lambda v: shift_left(v, sym),
+        "shift_right": lambda v: shift_right(v, sym),
+    }
+
+
+@pytest.mark.parametrize("v", [[np.nan, 0], [0, np.inf]], ids=["nan", "inf"])
+@pytest.mark.parametrize("taker", list(shift_takers()))
+def test_non_finite_shift_is_refused(taker, v):
+    # refused before any arithmetic: no NaN answer and no floating-point warning
+    take = shift_takers()[taker]
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="v must be finite"):
+        take(v)
+
+
+@pytest.mark.parametrize("c0, lam, s, message", [
+    (0, [0, 0], [[1, 5], [0, 1]], "s is not symmetric within tolerance"),
+    (0, [0, 0], [[np.nan, 0], [0, 1]], r"s has non-finite entries at \[\(0, 0\)\]"),
+    (0, [0, 0, 0], np.eye(3), r"s must be a square matrix of even size, got \(3, 3\)"),
+    (np.inf, [0, 0], np.eye(2), "c0 must be finite"),
+    (0, [np.nan, 0], np.eye(2), "lam must be finite"),
+], ids=["asymmetric-s", "non-finite-s", "odd-s", "non-finite-c0", "non-finite-lam"])
+def test_polynomial_symbol_refuses_bad_outside_input(c0, lam, s, message):
+    with pytest.raises(ValueError, match=message):
+        PolynomialSymbol(c0=c0, lam=lam, s=s)
+
+
 def test_symbol_transform_round_trip():
     q = perturbed_heat(1.1, 2)
     sym = mehler_symbol(q)

@@ -25,7 +25,7 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
-from quadflow.symplectic import expm, gauss_integrate, gauss_logdet, logm
+from quadflow.symplectic import _EXPM_THETA, expm, gauss_integrate, gauss_logdet, logm
 
 
 def random_form(n: int, seed: int, scale: float = 0.6) -> QuadraticForm:
@@ -411,6 +411,19 @@ def test_expm_stack_is_bitwise_batch_of_one():
     single = np.array([expm(h[None])[0] for h in stack])
     assert np.array_equal(expm(stack), single)
     assert np.array_equal(expm(stack[::-1]), single[::-1])
+    # two members of every threshold rank, degree 3 up to degree 13 with s = 6,
+    # shuffled, so that each rank's Padé call and squarings take a scattered sub-stack
+    mids = np.concatenate([[_EXPM_THETA[0] / 2.0], (_EXPM_THETA[:10] + _EXPM_THETA[1:11]) / 2.0])
+    members = [random_hamilton(2, rng) for _ in range(2 * len(mids))]
+    stack = np.array([h * (mid / np.max(np.sum(np.abs(h), axis=0)))
+                      for h, mid in zip(members, np.repeat(mids, 2))])
+    stack = stack[rng.permutation(len(stack))]
+    ranks = np.searchsorted(_EXPM_THETA, np.max(np.sum(np.abs(stack), axis=1), axis=1))
+    assert np.array_equal(np.bincount(ranks), np.full(11, 2))
+    single = np.array([expm(h[None])[0] for h in stack])
+    assert np.array_equal(expm(stack), single)
+    order = rng.permutation(len(stack))
+    assert np.array_equal(expm(stack[order]), single[order])
 
 
 def test_logm_matches_scipy():
