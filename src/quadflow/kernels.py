@@ -306,13 +306,14 @@ def random_nondegenerate(n: int, rng: np.random.Generator) -> GaussianKernel:
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PolynomialKernel:
     """Kernel of a degree-2 Weyl operator multiplied against a Gaussian kernel.
 
     side="left" is a^w T (polynomial acts on the outgoing variable),
     side="right" is T a^w (polynomial acts on the incoming variable).
     The kernel is the Gaussian kernel times an explicit quadratic bracket.
+    Immutable, as its base kernel and polynomial are.
     """
 
     base: GaussianKernel

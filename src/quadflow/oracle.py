@@ -10,12 +10,16 @@ and n = 2, runs before either build.  At n = 1 the matrix is dense, built in
 place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
 N = 600).  At n = 2 it is never formed: the kernel is first taken in its own
 y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
-norms and traces, and a FactoredGridMatrix keeps two per-axis Gaussian
-factors of modulus at most 1 and two diagonals.  When the two modes do not
-couple (a diagonal cross block) the factors are N x N, 32 N^2 bytes
-(0.3 MiB at N = 101), and a product with a vector costs 2 N^3 flops; when
-they couple the factors are N^2 x N, 32 N^3 bytes (33 MiB at N = 101), and a
-product costs N^4 flops.  The dense matrix at N = 101 would take 1.55 GiB.
+norms and traces.  Its phase blocks then pick one of three regimes.  When
+pxx, pxy and pyy are all diagonal the kernel is separable, K(x, y) =
+K1(x1, y1) K2(x2, y2), and a KroneckerGridMatrix keeps the two N x N
+one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101).  Otherwise a
+FactoredGridMatrix keeps two per-axis Gaussian factors of modulus at most 1
+and two diagonals: N x N factors, 32 N^2 bytes, when the two modes do not
+couple (a diagonal cross block), and N^2 x N factors, 32 N^3 bytes (33 MiB
+at N = 101), when they do.  A product with a vector costs 2 N^3 flops in
+the first two regimes and N^4 flops in the third.  The dense matrix at
+N = 101 would take 1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
@@ -28,7 +32,10 @@ conjugated copy), no reorthogonalization, one preallocated bidiagonal, and
 a stop when the residual of the top Ritz pair certifies the estimate.  It
 starts from the row of M where M c peaks, c a fixed chirp, plus 1e-6 c: the
 row lies close to the top singular vector of a smooth kernel matrix, and
-the chirp term finds a top vector that the row misses but c does not.
+the chirp term finds a top vector that the row misses but c does not.  The
+norm of A1 kron A2 is |A1| |A2|, two such runs on N x N matrices, each
+stopped at a third of the relative residual so that the product's Ritz pair
+is certified to the same bound.
 """
 from __future__ import annotations
 
@@ -42,7 +49,7 @@ from .kernels import GaussianKernel
 
 # grid size caps per dimension, on automatic and user grids alike: a dense
 # matrix of 16 N^2 bytes at n = 1; at n = 2, factors of 32 N^2 bytes
-# (uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the cap)
+# (separable or uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the cap)
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -175,8 +182,9 @@ class FactoredGridMatrix:
     both in axis-major order.  The factor g_b carries axis b's decay as a
     complete square and its coupling to the output node, and has modulus at
     most 1; dx carries the terms in x alone and the scale, dy the phases in
-    y.  There are two memory regimes.  When the cross block pxy is
-    diagonal, axis b of y meets only x_b: g_b is (N, N) with r_b = m_b,
+    y.  A separable kernel takes KroneckerGridMatrix instead; this class
+    has two memory regimes.  When the cross block pxy is diagonal, axis b
+    of y meets only x_b: g_b is (N, N) with r_b = m_b,
     32 N^2 bytes, and M v = dx vec(g1 U g2^T) with U = (dy v) as an N x N
     matrix, 2 N^3 flops.  Otherwise g_b is (N^2, N) with r_b = m, 32 N^3
     bytes, and M v and w M each cost one (N^2 x N)(N x N) matrix product.
@@ -212,6 +220,35 @@ class FactoredGridMatrix:
         return self.dx * self.g1[r1, j1] * self.g2[r2, j2] * self.dy
 
 
+class KroneckerGridMatrix:
+    """Two-mode grid matrix M = A1 kron A2 of a separable kernel, never formed.
+
+    K(x, y) = K1(x1, y1) K2(x2, y2), so M[m, j] = a1[m1, j1] a2[m2, j2] for
+    the output node m = (m1, m2) and the input node j = (j1, j2), both in
+    axis-major order, with a_b the N x N one-mode matrix of K_b.  The two
+    take 32 N^2 bytes, and M v = vec(a1 U a2^T), U = v as an N x N matrix,
+    costs 2 N^3 flops.  ``rotation`` is that of FactoredGridMatrix, and
+    operator_norm takes |M| = |a1| |a2| from the factors themselves.
+    """
+
+    __array_ufunc__ = None  # ndarray @ KroneckerGridMatrix defers to __rmatmul__
+
+    def __init__(self, a1: np.ndarray, a2: np.ndarray, rotation: np.ndarray):
+        self.a1, self.a2, self.rotation = a1, a2, rotation
+        self.shape = (a1.shape[0] * a2.shape[0], a1.shape[1] * a2.shape[1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """M v for a vector v of N^2 entries."""
+        return (self.a1 @ v.reshape(self.a1.shape[1], self.a2.shape[1]) @ self.a2.T).ravel()
+
+    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
+        """w M for a vector w of N^2 entries."""
+        return (self.a1.T @ w.reshape(self.a1.shape[0], self.a2.shape[0]) @ self.a2).ravel()
+
+    def diagonal(self) -> np.ndarray:
+        return np.multiply.outer(np.diagonal(self.a1), np.diagonal(self.a2)).ravel()
+
+
 def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix:
     """Midpoint-rule matrix of the kernel: M[i, j] = K(x_i, x_j) h^n.
 
@@ -230,8 +267,11 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     when Im pyy is diagonal), and the grid, the certificate and the matrix
     are those of K'.  The same S on both sides keeps norms and traces, and
     the automatic grid, which reads only rotation invariants, is chosen from
-    K.  The result is a FactoredGridMatrix with factors of modulus at most
-    1: 32 N^2 bytes when the modes do not couple (0.3 MiB at N = 101),
+    K.  When pxx, pxy and pyy of K' are all diagonal, with exact zeros off
+    the diagonal, K' is separable and the result is a KroneckerGridMatrix
+    of its two one-mode matrices on GridSpec(1, L, N), each built as at
+    n = 1.  Otherwise it is a FactoredGridMatrix with factors of modulus at
+    most 1: 32 N^2 bytes when the modes do not couple (0.3 MiB at N = 101),
     32 N^3 bytes when they do (33 MiB; the dense matrix would take 16 N^4
     bytes, 1.55 GiB).
     """
@@ -250,6 +290,8 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale) + log_scale
     if grid.n == 1:
         return _one_mode(k, grid, peak)
+    if all(m[0, 1] == 0 and m[1, 0] == 0 for m in (k.pxx, k.pxy, k.pyy)):
+        return _kronecker(k, grid, peak, rotation)
     return _factored(k, grid, peak, rotation)
 
 
@@ -301,6 +343,30 @@ def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
         block *= row[rows, None]
         block *= modulus
     return mat
+
+
+def _kronecker(k: GaussianKernel, grid: GridSpec, peak: float,
+               rotation: np.ndarray) -> KroneckerGridMatrix:
+    """The two-mode matrix of a separable kernel in its own y axes as A1 kron A2.
+
+    Mode b's kernel K_b takes the b-th diagonal entries of pxx, pxy and pyy
+    and the b-th entries of lx and ly, and A_b is its one-mode matrix on the
+    axis grid.  K_2 takes the constant that puts the largest entry of A_2 at
+    1, and K_1 the amplitude and the rest of c0, so that A_1 peaks at
+    ``peak``, the largest entry of the product.  Each build's flush
+    certificate, with its own peak, then bounds a flushed entry through the
+    other factor exactly as the joint certificate would.
+    """
+    axis = GridSpec(1, grid.half_width, grid.points)
+
+    def mode(b: int, amplitude: complex, c0: complex) -> GaussianKernel:
+        d = slice(b, b + 1)
+        return GaussianKernel._trusted(amplitude, k.pxx[d, d], k.pxy[d, d], k.pyy[d, d], k.lx[d], k.ly[d], c0)
+
+    second = mode(1, 1.0, 0.0)
+    c2 = 1j * (float(_log_maxima(second, second.phase_hessian(), axis)[0].max()) + np.log(axis.h))
+    return KroneckerGridMatrix(_one_mode(mode(0, k.amplitude, k.c0 - c2), axis, peak),
+                               _one_mode(mode(1, 1.0, c2), axis, 0.0), rotation)
 
 
 def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
@@ -446,8 +512,12 @@ def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
 def operator_norm(mat) -> float:
     """Largest singular value by Golub-Kahan bidiagonalization, certified by its residual.
 
-    ``mat`` is a dense array or a FactoredGridMatrix; both take one path,
-    through ``@`` with a vector on either side.  With c a fixed chirp and
+    ``mat`` is a dense array, a FactoredGridMatrix or a
+    KroneckerGridMatrix.  The first two take one path, through ``@`` with a
+    vector on either side; A1 kron A2 takes |A1| |A2|, each factor on that
+    path with the residual stop at _NORM_REL_TOL / 3, which bounds the
+    residual of the product's Ritz pair by _NORM_REL_TOL times the
+    product.  With c a fixed chirp and
     i = argmax |M c|, the start vector is conj(e_i M) / |e_i M| +
     _NORM_START_GUARD c, normalized; the row is nonzero since (M c)_i is.
     A row of a smooth kernel matrix lies close to the top right singular
@@ -462,6 +532,15 @@ def operator_norm(mat) -> float:
     vector can still stop at a lower one.  A non-finite M c raises
     ConvergenceError, and M c = 0 gives 0.0.
     """
+    if isinstance(mat, KroneckerGridMatrix):
+        # factor residuals r_b <= tol s_b / 3 bound the product pair's,
+        # r1 (s2 + r2) + s1 r2, by tol s1 s2
+        return _top_singular(mat.a1, _NORM_REL_TOL / 3) * _top_singular(mat.a2, _NORM_REL_TOL / 3)
+    return _top_singular(mat, _NORM_REL_TOL)
+
+
+def _top_singular(mat, rel_tol: float) -> float:
+    """operator_norm of a dense or factored matrix, stopped at the residual rel_tol sigma."""
     chirp = _chirp(mat.shape[1])
     probe = mat @ chirp
     if _finite_norm(probe, "alpha") == 0.0:
@@ -471,7 +550,7 @@ def operator_norm(mat) -> float:
     row = np.conj(pick @ mat)
     start = row / _finite_norm(row, "alpha") + _NORM_START_GUARD * chirp
     start /= _finite_norm(start, "alpha")
-    return _golub_kahan(mat, start)
+    return _golub_kahan(mat, start, rel_tol)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -482,8 +561,8 @@ def _chirp(size: int) -> np.ndarray:
     return chirp
 
 
-def _golub_kahan(mat, v: np.ndarray) -> float:
-    """Largest singular value of M by Golub-Kahan bidiagonalization from the unit vector v.
+def _golub_kahan(mat, v: np.ndarray, rel_tol: float) -> tuple[float, float]:
+    """Largest singular value of M and its residual, by Golub-Kahan bidiagonalization from the unit vector v.
 
     Step k multiplies by M and by M* (as conj(conj(u) M), with no conjugated
     copy of the matrix) and extends the bidiagonal B_k with M V_k = U_k B_k.
@@ -491,9 +570,10 @@ def _golub_kahan(mat, v: np.ndarray) -> float:
     the Ritz pair u = U_k p, v = V_k q has M v = sigma u and
     |M* u - sigma v| = beta_k |p_k|, which bounds the distance from sigma to
     a singular value of M; the iteration stops when that residual is at most
-    _NORM_REL_TOL sigma.  No vector is reorthogonalized, so memory stays at
-    a few vectors.  Raises ConvergenceError at the first non-finite alpha or
-    beta and after _NORM_MAX_STEPS steps.
+    rel_tol sigma, and returns sigma and the residual (0.0 when B_k holds
+    the singular values of M exactly).  No vector is reorthogonalized, so
+    memory stays at a few vectors.  Raises ConvergenceError at the first
+    non-finite alpha or beta and after _NORM_MAX_STEPS steps.
     """
     u = mat @ v
     # the upper bidiagonal: alpha_k on the diagonal, beta_k above it; B_k is its leading k x k block
@@ -503,15 +583,16 @@ def _golub_kahan(mat, v: np.ndarray) -> float:
         if alpha == 0.0:
             # M v_k lies in span(U_{k-1}), whose singular values [B | beta e]
             # holds exactly; at the first step, M vanishes on the start vector
-            return float(np.linalg.norm(b[:k, :k + 1], 2)) if k else 0.0
+            return (float(np.linalg.norm(b[:k, :k + 1], 2)) if k else 0.0), 0.0
         u /= alpha
         b[k, k] = alpha
         w = np.conj(np.conj(u) @ mat)
         w -= alpha * v
         beta = _finite_norm(w, "beta")
         p, sigma, _ = np.linalg.svd(b[:k + 1, :k + 1])
-        if beta * abs(p[-1, 0]) <= _NORM_REL_TOL * sigma[0]:
-            return float(sigma[0])
+        residual = beta * abs(p[-1, 0])
+        if residual <= rel_tol * sigma[0]:
+            return float(sigma[0]), float(residual)
         b[k, k + 1] = beta
         v = w / beta
         u = mat @ v - beta * u

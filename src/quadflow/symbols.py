@@ -157,12 +157,13 @@ def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
     return GaussianSymbol._trusted(c, a.g, l - turn if left else l + turn)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class ShiftOp:
     """Phase-space shift operator with a scalar prefactor.
 
     Acts as phase * exp(i v_xi . x - i v_x . v_xi / 2) u(x - v_x); the
-    composition law below tracks the symplectic cocycle.
+    composition law below tracks the symplectic cocycle.  Immutable, v a
+    read-only copy of the shift given; v and phase must be finite.
     """
 
     v: np.ndarray
@@ -171,8 +172,9 @@ class ShiftOp:
     def __post_init__(self):
         if np.size(self.v) % 2:
             raise ValueError("shift vector must have even length")
-        self.v = shift_vector(self.v, np.size(self.v) // 2)
-        self.phase = complex(self.phase)
+        v, phase = shift_vector(self.v, np.size(self.v) // 2), complex(self.phase)
+        require_finite(phase=phase)
+        set_frozen(self, v=v.copy(), phase=phase)
 
     @property
     def n(self) -> int:
@@ -232,9 +234,12 @@ def crossing(k: CanonicalTransform, v: np.ndarray) -> CrossingData:
     )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class PolynomialSymbol:
-    """Exact degree-2 polynomial symbol a(z) = c0 + lam . z + z . (S z)."""
+    """Exact degree-2 polynomial symbol a(z) = c0 + lam . z + z . (S z).
+
+    Immutable, lam and s read-only copies of the arrays given.
+    """
 
     c0: complex
     lam: np.ndarray
@@ -243,10 +248,10 @@ class PolynomialSymbol:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=complex)
         _check_square_even(s, "s")
-        self.s = symmetrize(s, "s")
-        self.lam = np.asarray(self.lam, dtype=complex).reshape(s.shape[0])
-        self.c0 = complex(self.c0)
-        require_finite(c0=self.c0, lam=self.lam)
+        s = symmetrize(s, "s")
+        c0, lam = complex(self.c0), np.asarray(self.lam, dtype=complex).reshape(s.shape[0]).copy()
+        require_finite(c0=c0, lam=lam)
+        set_frozen(self, c0=c0, lam=lam, s=s)
 
     @property
     def n(self) -> int:

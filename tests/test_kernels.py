@@ -724,3 +724,12 @@ def test_polynomial_kernel_validates_side_at_construction():
     k = random_nondegenerate(1, np.random.default_rng(66))
     with pytest.raises(ValueError, match="side"):
         PolynomialKernel(k, linear_poly(1.0, 0.0), "middle")
+
+
+@pytest.mark.parametrize("name", ["base", "poly", "side"])
+def test_polynomial_kernel_fields_cannot_be_assigned(name):
+    k = random_nondegenerate(1, np.random.default_rng(67))
+    kern = apply_polynomial(linear_poly(1.0, 0.0), k, "left")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(kern, name, "middle" if name == "side" else None)
+    assert kern.side == "left" and kern.base is k

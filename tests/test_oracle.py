@@ -21,7 +21,7 @@ from quadflow import (
     operator_norm,
 )
 from quadflow import oracle
-from quadflow.oracle import FactoredGridMatrix
+from quadflow.oracle import FactoredGridMatrix, KroneckerGridMatrix
 from quadflow.models import heat_generator, heat_trace, q_theta
 from quadflow.symplectic import QuadraticForm
 
@@ -472,7 +472,7 @@ def uncoupled_kernel(rng):
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_separable_operator_matches_dense_pointwise_matrix(seed):
+def test_uncoupled_operator_matches_dense_pointwise_matrix(seed):
     rng = np.random.default_rng(seed)
     k = uncoupled_kernel(rng)
     assert k.pxx[0, 1] != 0 and k.pyy[0, 1].real != 0 and np.iscomplexobj(k.lx) and k.c0.imag != 0
@@ -482,6 +482,43 @@ def test_separable_operator_matches_dense_pointwise_matrix(seed):
     assert np.array_equal(op.rotation, np.eye(2))
     assert op.g1.shape == op.g2.shape == (64, 64)  # N x N axis factors, not N^2 x N
     assert_operator_matches(op, dense_pointwise(k, grid, op.rotation), rng)
+
+
+def separable_kernel(rng):
+    """K1(x1, y1) K2(x2, y2) from two random one-mode kernels: modes that differ, oscillate and are shifted."""
+    modes = [random_kernel(rng, 1) for _ in range(2)]
+    diag = {name: np.diag([getattr(m, name)[0, 0] for m in modes]) for name in ("pxx", "pxy", "pyy")}
+    return GaussianKernel(0.7 - 0.4j, **diag, lx=[m.lx[0] for m in modes], ly=[m.ly[0] for m in modes],
+                          c0=0.3 + 0.1j)
+
+
+def test_separable_kronecker_operator_matches_dense_pointwise_matrix():
+    rng = np.random.default_rng(21)
+    k = separable_kernel(rng)
+    assert k.pxx[0, 0] != k.pxx[1, 1] and np.all(np.diagonal(k.phase_hessian()).real != 0)
+    assert np.all(np.diagonal(k.pxy) != 0)
+    assert np.all(k.lx.imag != 0) and np.all(k.ly.imag != 0) and k.c0.imag != 0
+    grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
+    op = discretize(k, grid)
+    assert isinstance(op, KroneckerGridMatrix) and op.a1.shape == op.a2.shape == (64, 64)
+    assert_operator_matches(op, dense_pointwise(k, grid, op.rotation), rng)
+
+
+def test_separable_norm_certifies_the_product_residual(monkeypatch):
+    """Each factor stops at _NORM_REL_TOL / 3, so r1 (s2 + r2) + s1 r2 <= _NORM_REL_TOL s1 s2.
+
+    That sum bounds |M* (u1 kron u2) - s1 s2 (v1 kron v2)| for the factors' Ritz pairs.
+    """
+    runs = []
+    golub_kahan = oracle._golub_kahan
+    monkeypatch.setattr(oracle, "_golub_kahan", lambda *args: runs.append(golub_kahan(*args)) or runs[-1])
+    rng = np.random.default_rng(23)
+    for k in (separable_kernel(rng), separable_kernel(rng), heat_kernel(0.05, n=2), heat_kernel(1.0, n=2)):
+        runs.clear()
+        norm = operator_norm(discretize(k))
+        (s1, r1), (s2, r2) = runs
+        assert norm == s1 * s2 and r1 > 0.0 and r2 > 0.0
+        assert r1 * (s2 + r2) + s1 * r2 <= oracle._NORM_REL_TOL * norm
 
 
 def dense_log_modulus_maxima(k, grid):
@@ -616,7 +653,7 @@ def test_two_mode_heat_on_automatic_grid(s):
 
 
 def test_two_mode_heat_on_automatic_grid_stays_within_axis_factor_memory():
-    # uncoupled modes: two N x N factors and N^2 vectors, against 32 N^3 bytes
+    # separable modes (heat): two N x N one-mode matrices, against 32 N^3 bytes
     # (33 MiB) of coupled factors
     k = heat_kernel(1.0, n=2)
     tracemalloc.start()
@@ -626,10 +663,14 @@ def test_two_mode_heat_on_automatic_grid_stays_within_axis_factor_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mat.g1.shape == mat.g2.shape == (101, 101)
+    assert isinstance(mat, KroneckerGridMatrix) and mat.a1.shape == mat.a2.shape == (101, 101)
     assert peak <= 4 * 2**20
     assert top == pytest.approx(np.exp(-1.0), rel=1e-8)
     assert trace == pytest.approx(heat_trace(1.0) ** 2, rel=1e-8)
+    # uncoupled modes, not separable: two N x N axis factors on the automatic grid
+    uncoupled = discretize(uncoupled_kernel(np.random.default_rng(11)))
+    points = uncoupled.g2.shape[1]
+    assert isinstance(uncoupled, FactoredGridMatrix) and uncoupled.g1.shape == (points, points)
 
 
 def rotated_heat_generator(s1: float, s2: float) -> QuadraticForm:
@@ -739,16 +780,19 @@ def test_two_mode_factors_are_bounded_and_match_the_rotated_kernel():
 
 
 def test_two_mode_factors_that_underflow_where_the_kernel_matters_are_refused():
-    # the scale amplitude h^2 = 6e-302 turns the edges of dx subnormal while
-    # the entries they carry are not negligible against the peak
-    def kernel(amplitude):
-        return GaussianKernel(amplitude, pxx=1j * np.eye(2), pxy=0.2 * np.eye(2), pyy=1j * np.eye(2),
-                              lx=np.zeros(2), ly=np.zeros(2))
-
+    # the scale amplitude h^2 = 6e-302 turns the edges of the factor that carries
+    # it (the first one-mode matrix of a separable kernel, dx of an uncoupled
+    # one) subnormal while the entries they carry are not negligible against the peak
     grid = GridSpec(2, 8.0, 64)
-    with pytest.raises(GridError, match="underflow where the kernel is not negligible"):
-        discretize(kernel(1e-300), grid)
-    assert isinstance(discretize(kernel(1e-290), grid), FactoredGridMatrix)
+    for pxx, kind in ((1j * np.eye(2), KroneckerGridMatrix),
+                      (1j * np.array([[1.0, 0.3], [0.3, 1.0]]), FactoredGridMatrix)):
+        def kernel(amplitude):
+            return GaussianKernel(amplitude, pxx=pxx, pxy=0.2 * np.eye(2), pyy=1j * np.eye(2),
+                                  lx=np.zeros(2), ly=np.zeros(2))
+
+        with pytest.raises(GridError, match="underflow where the kernel is not negligible"):
+            discretize(kernel(1e-300), grid)
+        assert isinstance(discretize(kernel(1e-290), grid), kind)
 
 
 def test_two_mode_overflowing_kernel_is_refused_before_any_matrix():
@@ -835,7 +879,7 @@ def test_golub_kahan_row_start_takes_fewer_steps_than_the_chirp(s, monkeypatch):
     got = operator_norm(mat)
     row_steps = len(calls)
     calls.clear()
-    oracle._golub_kahan(mat, oracle._chirp(101))
+    oracle._golub_kahan(mat, oracle._chirp(101), oracle._NORM_REL_TOL)
     assert 0 < row_steps < len(calls)
     assert abs(got - top) <= 1e-13 * top
 

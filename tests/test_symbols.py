@@ -198,6 +198,33 @@ def test_polynomial_symbol_refuses_bad_outside_input(c0, lam, s, message):
         PolynomialSymbol(c0=c0, lam=lam, s=s)
 
 
+@pytest.mark.parametrize("phase", [np.nan, np.inf, complex(0.0, np.nan)], ids=["nan", "inf", "nan-imag"])
+def test_shift_op_refuses_non_finite_phase(phase):
+    # a NaN phase made kernel_left_shift return a NaN amplitude with no error
+    with pytest.raises(ValueError, match="phase must be finite"):
+        ShiftOp([0.1, 0.2], phase=phase)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v, lam, s: ShiftOp(v, 0.5j), "v", np.array([np.inf, 0.0])),
+    (lambda v, lam, s: ShiftOp(v, 0.5j), "phase", np.nan),
+    (lambda v, lam, s: PolynomialSymbol(0.2, lam, s), "c0", 1.0),
+    (lambda v, lam, s: PolynomialSymbol(0.2, lam, s), "lam", np.zeros(2)),
+    (lambda v, lam, s: PolynomialSymbol(0.2, lam, s), "s", [[1, 5], [0, 1]]),
+], ids=["ShiftOp.v", "ShiftOp.phase", "PolynomialSymbol.c0", "PolynomialSymbol.lam", "PolynomialSymbol.s"])
+def test_shifts_and_polynomial_symbols_are_immutable(make, name, value):
+    # an assigned field would skip the constructor's checks; the caller's arrays stay writable
+    v, lam, s = np.array([0.1 + 0.2j, -0.3j]), np.array([0.4, 0.1j]), np.array([[1.0, 0.5], [0.5, -1.0]])
+    obj = make(v, lam, s)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, value)
+    for mine in (v, lam, s):
+        assert mine.flags.writeable
+    arrays = [a for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, mine) for a in arrays for mine in (v, lam, s))
+
+
 def test_symbol_transform_round_trip():
     q = perturbed_heat(1.1, 2)
     sym = mehler_symbol(q)
