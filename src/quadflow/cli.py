@@ -5,6 +5,10 @@ JSON files (complex values as {"re": ..., "im": ...} pairs); outputs are
 JSON reports or CSV tables with floats printed at 17 significant digits,
 byte-identical across runs of the same input.
 
+Each subcommand imports the modules it uses when it runs, so a cold start
+of ``check`` or ``contour`` does not compile the kernel calculus and only
+``norm --verify`` loads the grid oracle.
+
 Exit codes: 0 success, 2 positivity certificate failure, 3 composition
 leaves the certified class, 4 input or validation error.
 """
@@ -12,30 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextvars
+import json
 import sys
 
 import numpy as np
 
 from .config import _IN_FORCE, tolerances_from_env
-from .errors import (
-    CompositionClassError,
-    PositivityError,
-    QuadflowError,
-)
-from .evolution import (
-    EvolutionSpec,
-    center_path,
-    compose_evolutions,
-    decompose,
-)
-from .kernels import GaussianKernel, evolution_to_kernel, kernel_to_evolution, quantize
-from .models import q_theta, rho_compact, rho_log_growth
-from .oracle import GridSpec, auto_grid, discretize, operator_norm
-from .positivity import strict_positivity
-from .symbols import mehler_symbol
-from .symplectic import QuadraticForm
-
-import json
+from .errors import CompositionClassError, PositivityError, QuadflowError
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +119,8 @@ def _load_json(path: str):
 
 
 def _parse_quadratic(data) -> tuple[QuadraticForm, np.ndarray | None]:
+    from .symplectic import QuadraticForm
+
     if "hessian" not in data:
         raise ValueError("spec file needs a 'hessian' entry")
     hess = _complex_array(data["hessian"], "hessian")
@@ -143,6 +132,8 @@ def _parse_quadratic(data) -> tuple[QuadraticForm, np.ndarray | None]:
 
 
 def _load_evolution(path: str) -> EvolutionSpec:
+    from .evolution import EvolutionSpec
+
     q, v = _parse_quadratic(_load_json(path))
     return EvolutionSpec(q, v)
 
@@ -152,6 +143,8 @@ _KERNEL_KEYS = ("amplitude", "pxx", "pxy", "pyy", "lx", "ly", "c0")
 
 
 def _parse_kernel(data) -> GaussianKernel:
+    from .kernels import GaussianKernel
+
     for key in _KERNEL_KEYS[:-1]:
         if key not in data:
             raise ValueError(f"kernel file needs a {key!r} entry")
@@ -186,6 +179,8 @@ def _parse_shift(text: str) -> np.ndarray:
 
 
 def _parse_grid(text: str | None, kern: GaussianKernel) -> GridSpec:
+    from .oracle import GridSpec, auto_grid
+
     if text is None:
         return auto_grid(kern)
     parts = text.split(",")
@@ -204,6 +199,8 @@ def _spec_report(spec: EvolutionSpec, key: str, scalar) -> dict:
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
+    from .evolution import decompose
+
     if args.grid is not None and not args.verify:
         raise ValueError("--grid needs --verify")
     spec = _load_evolution(args.spec)
@@ -217,6 +214,9 @@ def _cmd_norm(args) -> tuple[dict, int]:
         "margin": spec.report.margin,
     }
     if args.verify:
+        from .kernels import evolution_to_kernel
+        from .oracle import discretize, operator_norm
+
         kern = evolution_to_kernel(spec)
         grid = _parse_grid(args.grid, kern)
         oracle_norm = operator_norm(discretize(kern, grid))
@@ -230,6 +230,8 @@ def _cmd_norm(args) -> tuple[dict, int]:
 
 
 def _cmd_check(args) -> tuple[dict, int]:
+    from .positivity import strict_positivity
+
     q, _ = _parse_quadratic(_load_json(args.spec))
     report = strict_positivity(q.transform)
     out = {
@@ -241,11 +243,17 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_compose(args) -> tuple[dict, int]:
+    from .evolution import compose_evolutions
+
     result = compose_evolutions(_load_evolution(args.spec1), _load_evolution(args.spec2))
     return _spec_report(result.spec, "factor", result.factor), 0
 
 
 def _cmd_kernel(args) -> tuple[dict, int]:
+    from .evolution import EvolutionSpec
+    from .kernels import evolution_to_kernel, kernel_to_evolution, quantize
+    from .symbols import mehler_symbol
+
     data = _load_json(args.spec)
     if args.direction == "to-kernel":
         q, v = _parse_quadratic(data)
@@ -263,6 +271,8 @@ def _cmd_kernel(args) -> tuple[dict, int]:
 
 
 def _cmd_contour(args) -> tuple[str, int]:
+    from .models import rho_compact, rho_log_growth
+
     t1s = _parse_range(args.t1, "--t1")
     t2s = _parse_range(args.t2, "--t2")
     if np.any(t2s >= 0.0):
@@ -294,6 +304,10 @@ def _fit_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _cmd_centers(args) -> tuple[str, int]:
+    from .evolution import center_path
+    from .models import q_theta
+    from .symplectic import QuadraticForm
+
     t1s = _parse_range(args.t1, "--t1")
     if args.t2 >= 0.0:
         raise ValueError("--t2 must be negative (compact region)")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PositivityError
-from .kernels import GaussianKernel, quantize
-from .symbols import mehler_symbol
 from .symplectic import QuadraticForm
 
 # rotation generator on one mode: d/dt exp(t H0) circles phase space
@@ -171,6 +169,9 @@ def bargmann_rotation_kernel(t: float) -> GaussianKernel:
     positive); valid for 0 < t < pi where the momentum integral converges.
     It equals bargmann_reference_kernel(t), amplitude sign included.
     """
+    from .kernels import quantize
+    from .symbols import mehler_symbol
+
     return quantize(mehler_symbol(QuadraticForm(t * bargmann_generator().hess)), formal=True)
 
 
@@ -181,6 +182,8 @@ def bargmann_reference_kernel(t: float) -> GaussianKernel:
     and -i csc(t) across; recorded from completing the square in the
     momentum integral (0 < t < pi).
     """
+    from .kernels import GaussianKernel
+
     if not 0.0 < t < np.pi:
         raise ValueError("reference kernel is integrable for 0 < t < pi only")
     cot, csc = 1.0 / np.tan(t), 1.0 / np.sin(t)

@@ -6,7 +6,8 @@ theory.  It exists to cross-check every analytic claim in the package; keep
 it simple and independent.
 
 It reads only the kernel's quadratic phase.  One tail certificate, at n = 1
-and n = 2, runs before either build.  At n = 1 the matrix is dense, built in
+and n = 2, runs before either build; a separable kernel's reads O(N) maxima
+of its two modes.  At n = 1 the matrix is dense, built in
 place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
 N = 600).  At n = 2 it is never formed: the kernel is first taken in its own
 y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
@@ -17,9 +18,10 @@ one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101).  Otherwise a
 FactoredGridMatrix keeps two per-axis Gaussian factors of modulus at most 1
 and two diagonals: N x N factors, 32 N^2 bytes, when the two modes do not
 couple (a diagonal cross block), and N^2 x N factors, 32 N^3 bytes (33 MiB
-at N = 101), when they do.  A product with a vector costs 2 N^3 flops in
-the first two regimes and N^4 flops in the third.  The dense matrix at
-N = 101 would take 1.55 GiB.
+at N = 101), when they do; an off-diagonal Im pxx or Im pyy makes the tail
+certificate take about 40 N^3 bytes in either regime.  A product with a
+vector costs 2 N^3 flops in the first two regimes and N^4 flops in the
+third.  The dense matrix at N = 101 would take 1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
@@ -49,7 +51,10 @@ from .kernels import GaussianKernel
 
 # grid size caps per dimension, on automatic and user grids alike: a dense
 # matrix of 16 N^2 bytes at n = 1; at n = 2, factors of 32 N^2 bytes
-# (separable or uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the cap)
+# (separable or uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the
+# cap).  The tail certificate of a non-separable two-mode kernel whose Im pxx
+# or Im pyy has an off-diagonal entry, uncoupled modes included, takes about
+# 40 N^3 bytes of temporaries (40 MiB at N = 101, 67 MiB at the cap)
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -268,12 +273,14 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     are those of K'.  The same S on both sides keeps norms and traces, and
     the automatic grid, which reads only rotation invariants, is chosen from
     K.  When pxx, pxy and pyy of K' are all diagonal, with exact zeros off
-    the diagonal, K' is separable and the result is a KroneckerGridMatrix
-    of its two one-mode matrices on GridSpec(1, L, N), each built as at
-    n = 1.  Otherwise it is a FactoredGridMatrix with factors of modulus at
-    most 1: 32 N^2 bytes when the modes do not couple (0.3 MiB at N = 101),
-    32 N^3 bytes when they do (33 MiB; the dense matrix would take 16 N^4
-    bytes, 1.55 GiB).
+    the diagonal, K' is separable: the certificate reads its two modes' row
+    and column maxima on the axis grid, O(N) values, and the result is a
+    KroneckerGridMatrix of its two one-mode matrices on GridSpec(1, L, N),
+    each built as at n = 1.  Otherwise it is a FactoredGridMatrix with
+    factors of modulus at most 1: 32 N^2 bytes when the modes do not couple
+    (0.3 MiB at N = 101), 32 N^3 bytes when they do (33 MiB; the dense
+    matrix would take 16 N^4 bytes, 1.55 GiB).  The certificate's maxima
+    take about 40 N^3 bytes when Im pxx or Im pyy has an off-diagonal entry.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
@@ -282,16 +289,16 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
         grid = _grid_for(k, hess, lam_min)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
-    if grid.n == 2:
-        k, rotation = _in_y_axes(k)
-        hess = k.phase_hessian()
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
-    peak = _certify_tail(grid, *_log_maxima(k, hess, grid), log_scale) + log_scale
+    if grid.n == 2:
+        k, rotation = _in_y_axes(k)
+        if all(m[0, 1] == 0 and m[1, 0] == 0 for m in (k.pxx, k.pxy, k.pyy)):
+            return _kronecker(k, grid, log_scale, rotation)
+        hess = k.phase_hessian()
+    peak = _certify_tail(grid, [_log_maxima(k, hess, grid)], log_scale) + log_scale
     if grid.n == 1:
         return _one_mode(k, grid, peak)
-    if all(m[0, 1] == 0 and m[1, 0] == 0 for m in (k.pxx, k.pxy, k.pyy)):
-        return _kronecker(k, grid, peak, rotation)
     return _factored(k, grid, peak, rotation)
 
 
@@ -345,17 +352,19 @@ def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
     return mat
 
 
-def _kronecker(k: GaussianKernel, grid: GridSpec, peak: float,
+def _kronecker(k: GaussianKernel, grid: GridSpec, log_scale: float,
                rotation: np.ndarray) -> KroneckerGridMatrix:
     """The two-mode matrix of a separable kernel in its own y axes as A1 kron A2.
 
     Mode b's kernel K_b takes the b-th diagonal entries of pxx, pxy and pyy
     and the b-th entries of lx and ly, and A_b is its one-mode matrix on the
-    axis grid.  K_2 takes the constant that puts the largest entry of A_2 at
-    1, and K_1 the amplitude and the rest of c0, so that A_1 peaks at
-    ``peak``, the largest entry of the product.  Each build's flush
-    certificate, with its own peak, then bounds a flushed entry through the
-    other factor exactly as the joint certificate would.
+    axis grid.  The tail certificate runs on the two modes' row and column
+    maxima on that axis, O(N) values where the joint ones take N^2.  K_2
+    takes the constant that puts the largest entry of A_2 at 1, and K_1 the
+    amplitude and the rest of c0, so that A_1 peaks at the largest entry of
+    the product.  Each build's flush certificate, with its own peak, then
+    bounds a flushed entry through the other factor exactly as the joint
+    certificate would.
     """
     axis = GridSpec(1, grid.half_width, grid.points)
 
@@ -363,8 +372,9 @@ def _kronecker(k: GaussianKernel, grid: GridSpec, peak: float,
         d = slice(b, b + 1)
         return GaussianKernel._trusted(amplitude, k.pxx[d, d], k.pxy[d, d], k.pyy[d, d], k.lx[d], k.ly[d], c0)
 
-    second = mode(1, 1.0, 0.0)
-    c2 = 1j * (float(_log_maxima(second, second.phase_hessian(), axis)[0].max()) + np.log(axis.h))
+    maxima = [_log_maxima(m, m.phase_hessian(), axis) for m in (mode(0, k.amplitude, k.c0), mode(1, 1.0, 0.0))]
+    peak = _certify_tail(axis, maxima, log_scale) + log_scale
+    c2 = 1j * (float(maxima[1][0].max()) + np.log(axis.h))
     return KroneckerGridMatrix(_one_mode(mode(0, k.amplitude, k.c0 - c2), axis, peak),
                                _one_mode(mode(1, 1.0, c2), axis, 0.0), rotation)
 
@@ -482,18 +492,25 @@ def _node_quadratic(grid: GridSpec, a: np.ndarray) -> np.ndarray:
     return quad.ravel()
 
 
-def _certify_tail(grid: GridSpec, row_max, col_max, log_scale: float) -> float:
-    """Peak of the unscaled log-modulus from its row and column maxima.
+def _certify_tail(grid: GridSpec, maxima, log_scale: float) -> float:
+    """Peak of the unscaled log-modulus from the row and column maxima of its factors.
 
-    Refuses a kernel that vanishes on the grid, whose boundary tail exceeds
-    sqrt(_EPS_TAIL) of the peak on edge rows or edge columns, or that
-    overflows.
+    ``maxima`` holds one (row_max, col_max) pair on the nodes of ``grid``
+    per factor: the kernel's own pair, or one pair per mode of a separable
+    kernel on the axis grid.  A node's maximum is then the sum of its
+    modes' maxima, and a node is on the edge when one of its modes is; float
+    addition is monotone, so the peak and the edge maxima of the sums are
+    exact.  Refuses a kernel that vanishes on the grid, whose boundary tail
+    exceeds sqrt(_EPS_TAIL) of the peak on edge rows or edge columns, or
+    that overflows.
     """
-    peak = float(row_max.max())
+    peak = sum(float(row_max.max()) for row_max, _ in maxima)
     if peak + log_scale < _LOG_TINY:
         raise GridError("kernel vanishes identically on the grid")
     on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
-    edge = max(float(row_max[on_edge].max()), float(col_max[on_edge].max()))
+    # over the row maxima, then the column maxima: the largest sum with factor i on the edge
+    edge = max(sum(float(m[on_edge].max() if j == i else m.max()) for j, m in enumerate(half))
+               for half in zip(*maxima) for i in range(len(half)))
     if edge - peak > 0.5 * np.log(_EPS_TAIL):
         raise GridError(
             f"tail bound violated at half width {grid.half_width}: "

@@ -169,7 +169,7 @@ def test_compose_class_failure_exits_3(tmp_path, capsys, monkeypatch):
     def boom(s1, s2):
         raise CompositionClassError("forced for the exit-code contract")
 
-    monkeypatch.setattr("quadflow.cli.compose_evolutions", boom)
+    monkeypatch.setattr("quadflow.evolution.compose_evolutions", boom)
     spec = write_spec(tmp_path, HEAT)
     rc, _, err = run(capsys, ["compose", spec, spec])
     assert rc == 3
@@ -331,7 +331,7 @@ def test_tolerance_override_is_not_seen_by_another_thread(tmp_path, capsys, monk
     # QUADFLOW_TOL binds a table for the CLI call's own context; a thread started
     # during the call runs library code under the defaults
     seen = []
-    certify = quadflow.cli.strict_positivity
+    certify = quadflow.positivity.strict_positivity
     q = QuadraticForm(1j * np.array(THIN["hessian"]["im"]))
 
     def with_thread(k):
@@ -341,7 +341,7 @@ def test_tolerance_override_is_not_seen_by_another_thread(tmp_path, capsys, monk
         assert not worker.is_alive()
         return certify(k)
 
-    monkeypatch.setattr("quadflow.cli.strict_positivity", with_thread)
+    monkeypatch.setattr("quadflow.positivity.strict_positivity", with_thread)
     monkeypatch.setenv("QUADFLOW_TOL", "positivity=1e-3")
     rc, out, _ = run(capsys, ["check", write_spec(tmp_path, THIN)])
     assert rc == 2 and json.loads(out)["is_strict"] is False
@@ -451,7 +451,7 @@ def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkey
     def refuse(*args, **kwargs):
         raise AssertionError("discretize called")
 
-    monkeypatch.setattr("quadflow.cli.discretize", refuse)
+    monkeypatch.setattr("quadflow.oracle.discretize", refuse)
     rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--verify", "--grid", "8,20000"])
     assert rc == 4 and out == ""
     assert "need 64 to 600 points per axis at n = 1, got 20000" in err
@@ -461,7 +461,7 @@ def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the grid matrix")
 
-    monkeypatch.setattr("quadflow.cli.discretize", exhausted)
+    monkeypatch.setattr("quadflow.oracle.discretize", exhausted)
     rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--verify"])
     assert rc == 4 and out == "" and "out of memory" in err
 
@@ -508,3 +508,30 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, quadflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "SPEC"],
+    ["contour", "--theta=0.3", "--t1=0:6.28:3", "--t2=-2:-0.1:3"],
+    ["norm", "SPEC"],
+    ["compose", "SPEC", "SPEC"],
+    ["centers", "--theta=0.3", "--t2=-0.8", "--t1=-3:3:5"],
+    ["kernel", "SPEC"],
+    ["norm", "SPEC", "--verify"],
+], ids=["check", "contour", "norm", "compose", "centers", "kernel", "norm-verify"])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv):
+    # a cold start compiles every module it imports; only norm --verify needs the
+    # grid oracle, only kernel and norm --verify the kernel calculus
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    argv = [write_spec(tmp_path, SHIFTED) if a == "SPEC" else a for a in argv]
+    code = ("import contextlib, io, sys, quadflow.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): rc = quadflow.cli.main(sys.argv[1:])\n"
+            "print(rc, *sorted(m for m in sys.modules if m.startswith('quadflow.')))")
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    rc, *loaded = out.stdout.split()
+    verify = "--verify" in argv
+    assert rc == "0"
+    assert ("quadflow.oracle" in loaded) == verify
+    assert ("quadflow.kernels" in loaded) == (argv[0] == "kernel" or verify)
+    assert ("quadflow.evolution" in loaded) == (argv[0] not in ("check", "contour"))

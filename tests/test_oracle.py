@@ -610,6 +610,39 @@ def test_per_axis_tail_maxima_match_dense_log_modulus(seed, uncoupled):
     assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
 
 
+@pytest.mark.parametrize("seed", [24, 25])
+def test_separable_tail_certificate_matches_dense_log_modulus(seed):
+    """A separable kernel's certificate reads its two modes' maxima on the axis grid, O(N) values.
+
+    Its peak is the dense peak and its verdict the dense verdict.  The shift
+    moves the envelope off the centre, so that vertices are clipped to the
+    box edge.
+    """
+    rng = np.random.default_rng(seed)
+    k = separable_kernel(rng)
+    k = GaussianKernel(k.amplitude, k.pxx, k.pxy, k.pyy, k.lx + 2.0j * np.array([1.0, -1.0]), k.ly + 2.0j, k.c0)
+    verdicts = []
+    for scale in (0.3, 0.6, 0.9, 1.2):
+        grid = GridSpec(n=2, half_width=scale * auto_grid(k).half_width, points=64)
+        ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
+        on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
+        edge = max(ref_rows[on_edge].max(), ref_cols[on_edge].max())
+        refused = edge - ref_rows.max() > 0.5 * np.log(1e-12)
+        verdicts.append(refused)
+        if refused:
+            with pytest.raises(GridError, match="tail bound"):
+                discretize(k, grid)
+            continue
+        peaks = []
+        build = oracle._one_mode
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_one_mode", lambda mode, axis, peak: peaks.append(peak) or build(mode, axis, peak))
+            assert isinstance(discretize(k, grid), KroneckerGridMatrix)
+        log_scale = np.log(abs(k.amplitude)) + 2.0 * np.log(grid.h)
+        assert abs(peaks[0] - (ref_rows.max() + log_scale)) <= 1e-13 * max(1.0, abs(peaks[0]))
+    assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
+
+
 def test_one_mode_tail_refusal_allocates_no_matrix():
     # the heat envelope is far from negligible at x = 2; the verdict comes
     # before the 16 N^2 bytes of the exponent buffer
