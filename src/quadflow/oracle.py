@@ -120,18 +120,25 @@ def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
     """Phase Hessian and smallest decay rate of the kernel's Gaussian envelope.
 
     Raises GridError for a mode count the oracle does not support and for an
-    envelope that decays more slowly than _MIN_DECAY.
+    envelope that decays more slowly than _MIN_DECAY.  Computed on the first
+    call for a kernel and stored on it (the kernel is immutable, the stored
+    Hessian read-only), so auto_grid and discretize share it; a refusal stores
+    nothing.
     """
-    if k.n not in _MAX_POINTS:
-        raise GridError("grid oracle supports n = 1 and n = 2 only")
-    hess = k.phase_hessian()
-    lam_min = float(np.min(np.linalg.eigvalsh(hess.imag)))
-    if lam_min < _MIN_DECAY:
-        raise GridError(
-            f"kernel envelope decays too slowly for the oracle "
-            f"(smallest Im phi'' eigenvalue {lam_min:.3e} < {_MIN_DECAY:.0e})"
-        )
-    return hess, lam_min
+    stored = vars(k)
+    if "_envelope" not in stored:
+        if k.n not in _MAX_POINTS:
+            raise GridError("grid oracle supports n = 1 and n = 2 only")
+        hess = k.phase_hessian()
+        lam_min = float(np.min(np.linalg.eigvalsh(hess.imag)))
+        if lam_min < _MIN_DECAY:
+            raise GridError(
+                f"kernel envelope decays too slowly for the oracle "
+                f"(smallest Im phi'' eigenvalue {lam_min:.3e} < {_MIN_DECAY:.0e})"
+            )
+        hess.flags.writeable = False
+        stored["_envelope"] = hess, lam_min
+    return stored["_envelope"]
 
 
 def auto_grid(k: GaussianKernel) -> GridSpec:

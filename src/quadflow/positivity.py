@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import tolerances
-from .symplectic import CanonicalTransform, QuadraticForm, cayley, herm_max_eig, standard_j
+from .symplectic import (
+    CanonicalTransform,
+    QuadraticForm,
+    _j_times,
+    _times_j,
+    cayley,
+    herm_max_eig,
+    standard_j,
+)
 
 
 @dataclass(frozen=True)
@@ -36,8 +44,7 @@ def positivity_matrix(k: CanonicalTransform) -> np.ndarray:
 
 def _certificates(m: np.ndarray) -> np.ndarray:
     """Pi(K) of each member of a (B, 2n, 2n) stack of transforms."""
-    j = standard_j(m.shape[-1] // 2)
-    pi = 1j * (np.conj(np.swapaxes(m, -1, -2)) @ j @ m - j)
+    pi = 1j * (_times_j(np.conj(np.swapaxes(m, -1, -2))) @ m - standard_j(m.shape[-1] // 2))
     # exactly Hermitian in exact arithmetic; symmetrize the float residue
     return (pi + np.conj(np.swapaxes(pi, -1, -2))) / 2.0
 
@@ -69,7 +76,7 @@ def mehler_integrable(k: CanonicalTransform) -> bool:
     eigs = np.linalg.eigvals(m)
     if np.min(np.abs(eigs + 1.0)) <= tolerances()["spectral"]:
         return False
-    g = 1j * standard_j(k.n) @ cayley(m)
+    g = 1j * _j_times(cayley(m))
     return herm_max_eig(g) < -tolerances()["definite"]
 
 

@@ -18,6 +18,8 @@ from .symplectic import (
     CanonicalTransform,
     QuadraticForm,
     _check_square_even,
+    _j_times,
+    _times_j,
     block2,
     cayley,
     gauss_integrate,
@@ -95,7 +97,7 @@ def _mehler(q: QuadraticForm) -> GaussianSymbol:
     eigs_h = np.linalg.eigvals(hamilton_matrix(q) / 2.0)
     if np.min(np.abs(np.cosh(eigs_h))) < 1e-12:
         raise SymbolConvergenceError("cosh factor vanishes; no closed-form symbol")
-    g = 1j * standard_j(q.n) @ cayley(q.transform.matrix)  # symmetric up to rounding
+    g = 1j * _j_times(cayley(q.transform.matrix))  # symmetric up to rounding
     # one eigenvalue of each +-lambda_j pair, matched to the nearest negative; no
     # log, whose cut the two rounded cosh values of a pair could straddle
     rest, half = list(eigs_h), []
@@ -109,7 +111,7 @@ def _mehler(q: QuadraticForm) -> GaussianSymbol:
 def symbol_transform(sym: GaussianSymbol) -> np.ndarray:
     """Recover tanh(H_q/2) from a centered symbol: T = -i J^{-1} ... = i J G."""
     # G = -i J T  =>  T = -i J G  (J^2 = -1)
-    return -1j * standard_j(sym.n) @ sym.g
+    return -1j * _j_times(sym.g)
 
 
 def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
@@ -153,7 +155,7 @@ def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
     """a(z - v/2) exp(-+i sigma(z, v)), the minus sign for a shift on the left."""
     v = shift_vector(v, a.n)
     c = a.c * np.exp(0.25 * (v @ a.g @ v) - 0.5 * (a.l @ v))
-    l, turn = a.l - a.g @ v, 1j * (standard_j(a.n) @ v)
+    l, turn = a.l - a.g @ v, -1j * _times_j(v)  # i J v
     return GaussianSymbol._trusted(c, a.g, l - turn if left else l + turn)
 
 
@@ -200,9 +202,8 @@ def shift_symbol(s: ShiftOp) -> GaussianSymbol:
     """Weyl symbol of a real shift: phase * exp(-i sigma(z, v)); real v only."""
     if np.max(np.abs(s.v.imag)) > 1e-12 * (1.0 + np.max(np.abs(s.v))):
         raise ValueError("only real shifts have bounded Weyl symbols")
-    j = standard_j(s.n)
     return GaussianSymbol(c=s.phase, g=np.zeros((2 * s.n, 2 * s.n)),
-                          l=-1j * (j @ s.v.real))
+                          l=1j * _times_j(s.v.real))  # -i J v
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,49 @@ def symplectic_form(z: np.ndarray, w: np.ndarray) -> complex:
     return complex(z[n:] @ w[:n] - w[n:] @ z[:n])
 
 
+@functools.lru_cache(maxsize=MAX_DIM)
+def _j_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Gathers and signs of the products with the signed permutation J; read-only, built once per n.
+
+    Returns (perm, sign, col, flat, signs).  With perm the swap of the two halves of range(2n)
+    and sign = (1,..., 1, -1,..., -1): (x J)[..., j] = sign[j] x[..., perm[j]],
+    (J x)[..., i, :] = col[i] x[..., perm[i], :] with col = -sign as a column, and
+    sigma_transpose(M)[..., i, j] = signs[i, j] M[..., perm[j], perm[i]] with
+    signs[i, j] = sign[i] sign[j], one gather at flat[i, j] from the 4n^2 entries of M.
+    """
+    perm = np.roll(np.arange(2 * n), n)
+    sign = np.repeat([1.0, -1.0], n)
+    tables = (perm, sign, -sign[:, None], 2 * n * perm + perm[:, None], np.outer(sign, sign))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+# The products with J are gathers times signs, exact for finite entries, with
+# no BLAS call per stack member.  np.take returns C-contiguous arrays: the BLAS
+# and LAPACK calls that read these products round by memory layout, so the
+# layout keeps the bits of the matrix products they replace.
+def _times_j(x: np.ndarray) -> np.ndarray:
+    """x @ J over the last axis: per stack member, or for a vector (v @ J = -(J v))."""
+    perm, sign, _, _, _ = _j_tables(x.shape[-1] // 2)
+    return np.take(x, perm, axis=-1) * sign
+
+
+def _j_times(x: np.ndarray) -> np.ndarray:
+    """J @ x per member of a stack of matrices with 2n rows."""
+    perm, _, col, _, _ = _j_tables(x.shape[-2] // 2)
+    return np.take(x, perm, axis=-2) * col
+
+
 def sigma_transpose(m: np.ndarray) -> np.ndarray:
-    """Adjoint with respect to sigma: sigma(M z, w) = sigma(z, sigma_transpose(M) w), per stack member."""
+    """Adjoint with respect to sigma: sigma(M z, w) = sigma(z, sigma_transpose(M) w), per stack member.
+
+    It is -J M^T J, as one gather and a sign table; an integer M gives floats.
+    """
     m = np.asarray(m)
-    j = standard_j(m.shape[-1] // 2)
-    return -j @ np.swapaxes(m, -1, -2) @ j
+    d = m.shape[-1]
+    _, _, _, flat, signs = _j_tables(d // 2)
+    return np.take(m.reshape(m.shape[:-2] + (d * d,)), flat, axis=-1) * signs
 
 
 def _check_square_even(m: np.ndarray, what: str) -> int:
@@ -153,58 +191,31 @@ def _norm1(m: np.ndarray) -> np.ndarray:
     return np.abs(m).sum(axis=-2).max(axis=-1)
 
 
-# Higham, SIMAX 26 (2005), table 2.3: the largest 1-norm at which the Padé
-# approximant of exp of degree 3, 5, 7, 9, 13 is accurate to unit roundoff,
-# followed by the degree-13 bound doubled s = 1, 2, ... times.  The number of
-# entries below a 1-norm gives the degree and, past the fifth, the scaling s.
-_EXPM_DEGREES = (3, 5, 7, 9, 13)
-_EXPM_THETA = np.concatenate([
-    (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068),
-    5.371920351148152 * 2.0 ** np.arange(1022),  # the last one below the float maximum
-])
+# Higham, SIMAX 26 (2005), table 2.3: the largest 1-norm at which the degree-13
+# Padé approximant of exp is accurate to unit roundoff, doubled s = 1, 2, ...
+# times.  The number of entries below a 1-norm is the scaling s.
+_EXPM_THETA = 5.371920351148152 * 2.0 ** np.arange(1022)  # the last one below the float maximum
+# Degree-13 Padé coefficients b_0..b_13 as rows over the powers (I, A^2, A^4, A^6):
+# the odd part U/A and the even part V up to A^6, then the parts multiplied by A^6 once more.
+_PADE_B = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_PADE_ROWS = np.array([  # broadcast over the (B, d, d) of a stack
+    _PADE_B[1:9:2], _PADE_B[0:8:2], (0.0,) + _PADE_B[9::2], (0.0,) + _PADE_B[8:13:2],
+])[:, :, None, None, None]
 
 
-def _pade_rows(b: tuple) -> np.ndarray:
-    """Padé coefficients b_0..b_m as rows over the powers (I, A^2, A^4, ...).
-
-    Rows: odd part U/A, even part V; for degree 13 the powers stop at A^6 and
-    two more rows hold the parts multiplied by A^6 once more.
-    """
-    if len(b) < 14:
-        return np.array([b[1::2], b[0::2]])
-    return np.array([b[1:9:2], b[0:8:2], (0.0,) + b[9::2], (0.0,) + b[8:13:2]])
-
-
-_EXPM_PADE = {
-    m: _pade_rows(b)
-    for m, b in (
-        (3, (120.0, 60.0, 12.0, 1.0)),
-        (5, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-        (7, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
-        (9, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-             2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
-        (13, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-              1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-              33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)),
-    )
-}
-
-
-def _pade_exp(a: np.ndarray, m: int) -> np.ndarray:
-    """Degree-m Padé approximant (V - U)^{-1} (V + U) of exp, per member of a stack."""
-    c = _EXPM_PADE[m]
-    powers = np.empty((c.shape[1],) + a.shape, dtype=complex)  # I, A^2, A^4, ...
+def _pade_exp(a: np.ndarray) -> np.ndarray:
+    """Degree-13 Padé approximant (V - U)^{-1} (V + U) of exp, per member of a stack."""
+    powers = np.empty((4,) + a.shape, dtype=complex)  # I, A^2, A^4, A^6
     powers[0] = np.eye(a.shape[-1])
     np.matmul(a, a, out=powers[1])
-    if len(powers) > 2:
-        np.matmul(powers[1], powers[1], out=powers[2])
-    if len(powers) > 3:  # A^6 (and A^8) = A^4 (A^2 (, A^4))
-        np.matmul(powers[2], powers[1 : len(powers) - 2], out=powers[3:])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
     # elementwise sums, not a matrix product over the stack, so that each
     # member's bits do not depend on the size of its stack
-    parts = (c[:, :, None, None, None] * powers).sum(axis=1)
-    if m == 13:
-        parts = powers[3] @ parts[2:] + parts[:2]
+    parts = (_PADE_ROWS * powers).sum(axis=1)
+    parts = powers[3] @ parts[2:] + parts[:2]
     u = a @ parts[0]
     return np.linalg.solve(parts[1] - u, parts[1] + u)
 
@@ -212,22 +223,22 @@ def _pade_exp(a: np.ndarray, m: int) -> np.ndarray:
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of each member of a (B, d, d) stack.
 
-    Padé approximation with scaling and squaring (Higham, SIMAX 26, 2005):
-    a member's 1-norm picks the lowest degree among 3, 5, 7, 9 that is
-    accurate to unit roundoff, or else degree 13 after scaling the member
-    by 2^-s, and the approximant is squared s times.  Degree and s depend on
-    the member alone, so its bits do not depend on its stack mates, and a
-    single matrix is a batch of one.
+    Padé approximation with scaling and squaring (Higham, SIMAX 26, 2005): each
+    member is scaled by 2^-s, s the least that brings its 1-norm to the degree-13
+    bound, the stack takes one degree-13 Padé call, and each member is then
+    squared s times.  A member's s and arithmetic depend on the member alone, so
+    its bits do not depend on its stack mates, and a single matrix is a batch of
+    one.  A flow that overflows comes back non-finite, without a warning; the
+    canonical check refuses it.
     """
     a = np.asarray(a, dtype=complex)
-    rank = np.searchsorted(_EXPM_THETA, _norm1(a))
-    x = np.empty_like(a)
-    for r in set(rank.tolist()):  # the members of one rank share degree and s
-        members, s = rank == r, max(r - 4, 0)
-        y = _pade_exp(a[members] * 2.0**-s, _EXPM_DEGREES[min(r, 4)])
-        for _ in range(s):
-            y = y @ y
-        x[members] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.searchsorted(_EXPM_THETA, _norm1(a))
+        x = _pade_exp(a * 2.0 ** -s[:, None, None])
+        for k in range(s.max(initial=0)):
+            squared = s > k
+            y = x[squared]
+            x[squared] = y @ y
     return x
 
 
@@ -322,7 +333,7 @@ class QuadraticForm:
 
 def hamilton_matrix(q: QuadraticForm) -> np.ndarray:
     """Hamilton matrix H_q = -J hess(q); satisfies sigma(z, H_q z) = 2 q(z)."""
-    return -standard_j(q.n) @ q.hess
+    return -_j_times(q.hess)
 
 
 def quadratic_from_hamilton(h: np.ndarray) -> QuadraticForm:
@@ -332,9 +343,8 @@ def quadratic_from_hamilton(h: np.ndarray) -> QuadraticForm:
     raises ValueError otherwise.
     """
     h = np.asarray(h, dtype=complex)
-    n = _check_square_even(h, "Hamilton matrix")
-    hess = standard_j(n) @ h
-    return QuadraticForm(hess)
+    _check_square_even(h, "Hamilton matrix")
+    return QuadraticForm(_j_times(h))
 
 
 @dataclass(eq=False, frozen=True)
@@ -359,6 +369,11 @@ class CanonicalTransform:
         return self.matrix.shape[0] // 2
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """|M|_F per stack member: np.linalg.norm(m, axis=(-2, -1))'s arithmetic, without its dispatch."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+
 def _canonical_residuals(m: np.ndarray):
     """|K^T J K - J|, its scale 1 + |K|^2 and the failure mask, per member of a (B, 2n, 2n) stack.
 
@@ -367,23 +382,29 @@ def _canonical_residuals(m: np.ndarray):
     """
     j = standard_j(m.shape[-1] // 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 1.0 + np.linalg.norm(m, axis=(-2, -1)) ** 2
-        resid = np.linalg.norm(np.swapaxes(m, -1, -2) @ j @ m - j, axis=(-2, -1))
+        scale = 1.0 + _frobenius(m) ** 2
+        resid = _frobenius(_times_j(np.swapaxes(m, -1, -2)) @ m - j)
     return resid, scale, ~(resid <= tolerances()["canonical"] * scale) | (scale == np.inf)  # NaN fails
 
 
 def check_canonical(m: np.ndarray) -> None:
     """Raise ValueError for the first member of a (B, 2n, 2n) stack with K^T J K != J.
 
-    A non-finite member, such as an overflowed flow, fails the check.
+    A non-finite member, such as an overflowed flow, fails the check, and so does
+    one whose scale overflows; the message names which.
     """
     resid, scale, failed = _canonical_residuals(m)
     bad = np.flatnonzero(failed)
-    if bad.size:
-        raise ValueError(
-            f"matrix is not canonical: |K^T J K - J| = {resid[bad[0]]:.3e} "
-            f"exceeds {tolerances()['canonical']:.1e} * {scale[bad[0]]:.3e}"
-        )
+    if not bad.size:
+        return
+    i = bad[0]
+    if not np.isfinite(m[i]).all():
+        why = "it has non-finite entries, as an overflowed flow does"
+    elif scale[i] == np.inf:
+        why = "its scale 1 + |K|_F^2 overflows a float"
+    else:
+        why = f"|K^T J K - J| = {resid[i]:.3e} exceeds {tolerances()['canonical']:.1e} * {scale[i]:.3e}"
+    raise ValueError(f"matrix is not canonical: {why}")
 
 
 def is_canonical(m: np.ndarray) -> bool:

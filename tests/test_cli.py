@@ -424,13 +424,28 @@ def test_norm_overflowing_growth_exits_4(tmp_path, capsys):
     assert rc == 4 and out == "" and "log growth factor" in err
 
 
+def overflow_spec(tmp_path, s):
+    return write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-s, 0], [0, -s]]}}, f"overflow{s}.json")
+
+
 def test_overflowed_flow_is_not_canonical_exits_4(tmp_path, capsys):
-    # the time-1 flow of -900i I overflows to NaN; it must not reach the positivity verdict
-    spec = write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-900, 0], [0, -900]]}})
-    for command in ("norm", "check"):
-        with np.errstate(all="ignore"):
-            rc, out, err = run(capsys, [command, spec])
-        assert rc == 4 and out == "" and "matrix is not canonical" in err
+    # the time-1 flow of -800i I and -900i I overflows to NaN, and |K|_F^2 overflows at
+    # -400i I; it must not reach the positivity verdict, nor raise a RuntimeWarning
+    for s, why in ((400, "overflows a float"), (800, "non-finite entries"), (900, "non-finite entries")):
+        for command in ("norm", "check"):
+            rc, out, err = run(capsys, [command, overflow_spec(tmp_path, s)])
+            assert rc == 4 and out == "" and err.count("\n") == 1
+            assert err.startswith("input error: matrix is not canonical") and why in err
+
+
+def test_overflowed_flow_writes_one_stderr_line(tmp_path):
+    """Under the default warning filters, as a user runs it: the error line alone."""
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    for s in (400, 800):
+        out = subprocess.run([sys.executable, "-m", "quadflow.cli", "check", overflow_spec(tmp_path, s)],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert out.returncode == 4 and out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("input error:")
 
 
 def test_grid_without_verify_exits_4(tmp_path, capsys):

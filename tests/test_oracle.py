@@ -239,6 +239,25 @@ def test_auto_grid_rejects_flat_envelope():
     )
     with pytest.raises(GridError):
         auto_grid(flat)
+    assert "_envelope" not in vars(flat)  # a refusal stores nothing
+    with pytest.raises(GridError, match="decays too slowly"):
+        discretize(flat, GridSpec(1, 8.0, 101))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_auto_grid_and_discretize_share_one_envelope(n, monkeypatch):
+    """One eigvalsh of Im phi'' per kernel: auto_grid stores the envelope and discretize reads it."""
+    k = heat_kernel(0.7, n)
+    decay = k.phase_hessian().imag
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(m, *args, **kwargs):
+        calls.append(m.shape == decay.shape and np.array_equal(m, decay))
+        return eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    discretize(k, auto_grid(k))
+    assert sum(calls) == 1
 
 
 def test_discretize_certifies_tail():

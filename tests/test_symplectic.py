@@ -25,7 +25,8 @@ from quadflow import (
     symplectic_form,
 )
 from quadflow.models import heat_generator, q_harmonic, q_theta
-from quadflow.symplectic import _EXPM_THETA, expm, gauss_integrate, gauss_logdet, logm
+from quadflow import symplectic
+from quadflow.symplectic import _EXPM_THETA, _j_times, _times_j, expm, gauss_integrate, gauss_logdet, logm
 
 
 def random_form(n: int, seed: int, scale: float = 0.6) -> QuadraticForm:
@@ -80,6 +81,41 @@ def test_sigma_transpose_moves_across_form():
     z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     assert symplectic_form(m @ z, w) == pytest.approx(symplectic_form(z, sigma_transpose(m) @ w))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 2, 2), (5, 4, 4), (3, 2, 6, 6)], ids=["2d", "n1", "n2", "n3"])
+def test_products_with_j_are_the_matmuls_bitwise(shape):
+    """The signed gathers give the bits of the standard_j matmuls on finite input, in C order."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    j = standard_j(shape[-1] // 2)
+    for view in (x, np.swapaxes(x, -1, -2)):
+        for got, want in (
+            (_times_j(view), view @ j),
+            (_j_times(view), j @ view),
+            (sigma_transpose(view), -j @ np.swapaxes(view, -1, -2) @ j),
+        ):
+            assert got.flags.c_contiguous
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(sigma_transpose(sigma_transpose(x)), x)
+    v = x.reshape(-1, shape[-1])[0]
+    assert np.array_equal(-_times_j(v), j @ v)  # J v = -(v J), as the vector callers take it
+
+
+def test_sigma_transpose_promotes_integers_to_floats():
+    got = sigma_transpose([[1, 2], [3, 4]])
+    assert got.dtype == np.float64 and np.array_equal(got, [[4.0, -2.0], [-3.0, 1.0]])
+
+
+@pytest.mark.parametrize("s", [400.0, 800.0])
+def test_overflowing_flow_is_refused_by_name(s):
+    """No RuntimeWarning (tier-1 makes one an error), and the message says why.
+
+    At s = 400 the flow is finite but |K|_F^2 overflows; at s = 800 the flow itself overflows.
+    """
+    why = "scale .* overflows a float" if s == 400.0 else "non-finite entries"
+    with pytest.raises(ValueError, match=f"matrix is not canonical: .*{why}"):
+        flow(QuadraticForm(np.diag([-1j * s, -1j * s])))
 
 
 def test_flow_is_canonical():
@@ -383,8 +419,8 @@ def random_hamilton(n: int, rng: np.random.Generator) -> np.ndarray:
     return -standard_j(n) @ ((r + r.T) / 2.0 - 1j * (a @ a.T / (2 * n) + 0.2 * np.eye(2 * n)))
 
 
-# 1-norms of the exponential's inputs: one per Pade degree 3, 5, 7, 9, 13
-# (degree bounds 0.015, 0.25, 0.95, 2.1, 5.4), then scalings s = 3, 5, 6
+# 1-norms of the exponential's inputs: five below the degree-13 bound 5.4 (s = 0),
+# then scalings s = 3, 5, 6
 EXPM_NORMS = (0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 100.0, 200.0)
 
 
@@ -402,8 +438,8 @@ def test_expm_matches_scipy():
 
 
 def test_expm_stack_is_bitwise_batch_of_one():
-    # degree and scaling are chosen per member, so a member's bits do not
-    # depend on its stack mates
+    # the scaling is chosen per member, so a member's bits do not depend on
+    # its stack mates
     rng = np.random.default_rng(18)
     stack = np.array([t * random_hamilton(2, rng) for t in (3.0, 0.002, 0.1, 60.0, 0.5, 1.2, 9.0, 0.05)])
     norms = np.max(np.sum(np.abs(stack), axis=1), axis=1)
@@ -411,19 +447,37 @@ def test_expm_stack_is_bitwise_batch_of_one():
     single = np.array([expm(h[None])[0] for h in stack])
     assert np.array_equal(expm(stack), single)
     assert np.array_equal(expm(stack[::-1]), single[::-1])
-    # two members of every threshold rank, degree 3 up to degree 13 with s = 6,
-    # shuffled, so that each rank's Padé call and squarings take a scattered sub-stack
-    mids = np.concatenate([[_EXPM_THETA[0] / 2.0], (_EXPM_THETA[:10] + _EXPM_THETA[1:11]) / 2.0])
-    members = [random_hamilton(2, rng) for _ in range(2 * len(mids))]
-    stack = np.array([h * (mid / np.max(np.sum(np.abs(h), axis=0)))
-                      for h, mid in zip(members, np.repeat(mids, 2))])
-    stack = stack[rng.permutation(len(stack))]
-    ranks = np.searchsorted(_EXPM_THETA, np.max(np.sum(np.abs(stack), axis=1), axis=1))
-    assert np.array_equal(np.bincount(ranks), np.full(11, 2))
+    # two members of every scaling s = 0 ... 6, shuffled, so that each
+    # squaring takes a scattered sub-stack
+    stack = scaled_stack(rng)
     single = np.array([expm(h[None])[0] for h in stack])
     assert np.array_equal(expm(stack), single)
     order = rng.permutation(len(stack))
     assert np.array_equal(expm(stack[order]), single[order])
+
+
+def scaled_stack(rng: np.random.Generator) -> np.ndarray:
+    """Two-mode Hamilton matrices, two at each scaling s = 0 ... 6 of expm, shuffled."""
+    mids = np.concatenate([[_EXPM_THETA[0] / 2.0], (_EXPM_THETA[:6] + _EXPM_THETA[1:7]) / 2.0])
+    members = [random_hamilton(2, rng) for _ in range(2 * len(mids))]
+    stack = np.array([h * (mid / np.max(np.sum(np.abs(h), axis=0)))
+                      for h, mid in zip(members, np.repeat(mids, 2))])
+    stack = stack[rng.permutation(len(stack))]
+    scalings = np.searchsorted(_EXPM_THETA, np.max(np.sum(np.abs(stack), axis=1), axis=1))
+    assert np.array_equal(np.bincount(scalings), np.full(7, 2))
+    return stack
+
+
+def test_expm_makes_one_pade_call_per_stack(monkeypatch):
+    pade_exp, calls = symplectic._pade_exp, []
+
+    def counted(a):
+        calls.append(len(a))
+        return pade_exp(a)
+
+    monkeypatch.setattr(symplectic, "_pade_exp", counted)
+    expm(scaled_stack(np.random.default_rng(20)))
+    assert calls == [14]
 
 
 def test_logm_matches_scipy():
