@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextvars
 import json
+import math
 import sys
 
 import numpy as np
@@ -161,14 +162,27 @@ def finite(text: str) -> float:
     return x
 
 
-def _parse_range(text: str, name: str) -> np.ndarray:
+# points of a contour grid (t1 count x t2 count) or of a centers sweep (t1 count); on a shared
+# 2-core VM a centers run at the cap took 3.6 s and 244 MiB, a contour run about 1.2 s and 60 MiB
+_MAX_RANGE_POINTS = 10**5
+
+
+def _parse_range(text: str, name: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} must be start:stop:count")
     start, stop, count = finite(parts[0]), finite(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError(f"{name}: count must be positive")
-    return np.linspace(start, stop, count)
+    return start, stop, count
+
+
+def _range_points(*ranges: tuple[float, float, int]) -> list[np.ndarray]:
+    """The points of each parsed range, refused before any is allocated when the grid they span exceeds the cap."""
+    points = math.prod(count for _, _, count in ranges)
+    if points > _MAX_RANGE_POINTS:
+        raise ValueError(f"{points} points requested, above the cap of {_MAX_RANGE_POINTS}")
+    return [np.linspace(*r) for r in ranges]
 
 
 def _parse_shift(text: str) -> np.ndarray:
@@ -273,8 +287,7 @@ def _cmd_kernel(args) -> tuple[dict, int]:
 def _cmd_contour(args) -> tuple[str, int]:
     from .models import rho_compact, rho_log_growth
 
-    t1s = _parse_range(args.t1, "--t1")
-    t2s = _parse_range(args.t2, "--t2")
+    t1s, t2s = _range_points(_parse_range(args.t1, "--t1"), _parse_range(args.t2, "--t2"))
     if np.any(t2s >= 0.0):
         raise ValueError(
             "--t2 values must be negative (imaginary time points down into "
@@ -308,7 +321,7 @@ def _cmd_centers(args) -> tuple[str, int]:
     from .models import q_theta
     from .symplectic import QuadraticForm
 
-    t1s = _parse_range(args.t1, "--t1")
+    t1s, = _range_points(_parse_range(args.t1, "--t1"))
     if args.t2 >= 0.0:
         raise ValueError("--t2 must be negative (compact region)")
     v = _parse_shift(args.v)

@@ -196,7 +196,7 @@ def norm_shifted(spec: EvolutionSpec) -> float:
     return decompose(spec).norm
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, frozen=True)
 class CenterSample:
     """One record of a center sweep; ok=False marks a failed certificate."""
 

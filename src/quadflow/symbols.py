@@ -206,7 +206,7 @@ def shift_symbol(s: ShiftOp) -> GaussianSymbol:
                           l=1j * _times_j(s.v.real))  # -i J v
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, frozen=True)
 class CrossingData:
     """Shift vectors and scalar factors moving a shift across an evolution.
 

@@ -418,6 +418,22 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
         assert rc == 4 and out == "" and err.startswith("input error:")
 
 
+def test_range_counts_are_capped_before_allocating(capsys, monkeypatch):
+    # one point past the cap of 10^5, as a contour grid (t1 count x t2 count) and as a centers sweep
+    def refuse(*args, **kwargs):
+        raise AssertionError("linspace called past the cap")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    for argv in (
+        ["contour", "--theta=0.3", "--t1=0:6.28:100001", "--t2=-2:-0.1:1"],
+        ["contour", "--theta=0.3", "--t1=0:6.28:11", "--t2=-2:-0.1:9091"],
+        ["centers", "--theta=0.3", "--t2=-0.8", "--t1=-3:3:100001"],
+    ):
+        rc, out, err = run(capsys, argv)
+        assert rc == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("input error:") and "above the cap of 100000" in err
+
+
 def test_norm_overflowing_growth_exits_4(tmp_path, capsys):
     huge = dict(HEAT, v={"re": [0, 0], "im": [40, 0]})
     rc, out, err = run(capsys, ["norm", write_spec(tmp_path, huge)])

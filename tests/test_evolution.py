@@ -13,6 +13,7 @@ from quadflow import (
     center_path,
     compose_evolutions,
     critical_time,
+    crossing,
     decompose,
     eigenvalue_pairing,
     evolution_to_kernel,
@@ -382,3 +383,14 @@ def test_decompose_refuses_overflowing_growth():
     spec = EvolutionSpec(heat_generator(1.0), np.array([40j, 0.0]))
     with pytest.raises(QuadflowError, match="log growth factor 739.387"):
         decompose(spec)
+
+
+def test_records_compare_by_identity():
+    # CenterSample and CrossingData hold arrays: == is identity, so they hash and go into sets
+    q = heat_generator(0.5)
+    samples = center_path([(0.0, q, [0.3, 0.1]), (1.0, q, [0.3, 0.1])])
+    crossings = [crossing(q.transform, [0.3, 0.1]) for _ in range(2)]
+    for a, b in (samples, crossings):
+        assert a == a and a != b
+        assert hash(a) == hash(a) != hash(b)
+        assert len({a, b, a}) == 2

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from quadflow import (
     TOLERANCES,
     CanonicalTransform,
+    GaussianKernel,
+    GaussianSymbol,
+    PolynomialSymbol,
     QuadraticForm,
     QuadflowError,
     SymbolConvergenceError,
@@ -190,20 +193,64 @@ def test_symmetry_check_threshold_where_the_frobenius_square_overflows(scale):
     assert np.array_equal(QuadraticForm(big).hess, big)
 
 
+def _kernel(pxx, pyy):
+    z = np.zeros(len(pxx))
+    return GaussianKernel(1.0, pxx, np.zeros_like(pxx), pyy, z, z)
+
+
+# the matrix that each constructor checking outside input stores for a matrix h given to it
+_CHECKED = {
+    "QuadraticForm": lambda h: QuadraticForm(h).hess,
+    "GaussianSymbol": lambda h: GaussianSymbol(1.0, h, np.zeros(len(h))).g,
+    "PolynomialSymbol": lambda h: PolynomialSymbol(0.0, np.zeros(len(h)), h).s,
+    "GaussianKernel pxx": lambda h: _kernel(h, -np.eye(len(h))).pxx,
+    "GaussianKernel pyy": lambda h: _kernel(-np.eye(len(h)), h).pyy,
+}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetrized_hessian_bits(n):
-    """The accepted Hessian is (h + h^T) / 2 to the last bit, signed zeros included."""
+    """Every checked constructor stores (h + h^T) / 2 to the last bit, signed zeros included.
+
+    h is near-symmetric (the tolerance test), or equal to h^T bit for bit (the finiteness check
+    alone): with mirrored zeros of either sign, in Fortran order, subnormal, and with |h|_F^2
+    just below and just above the float maximum, where the stored matrix is h / 2 + h^T / 2.
+    The stored matrix is C-contiguous; the caller's array stays writable and shares no memory
+    with it.
+    """
     rng = np.random.default_rng(40 + n)
     shape = (2 * n, 2 * n)
+    upper = np.triu(np.ones(shape, dtype=bool))
+    top = np.sqrt(np.finfo(float).max)  # |h|_F = 1.34e154: past it |h|_F^2 overflows
     for _ in range(20):
         m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        h = m + m.T + 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        # zeros of either sign in either part, next to parts of either sign
+        near = m + m.T + 1e-12 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        exact = m + m.T
+        # zeros of either sign in either part, next to parts of either sign: mirrored in exact
         zeros = rng.random((2,) + shape) < 0.3
         zeros |= np.swapaxes(zeros, 1, 2)
-        h.real[zeros[0]] = rng.choice([0.0, -0.0], size=zeros[0].sum())
-        h.imag[zeros[1]] = rng.choice([0.0, -0.0], size=zeros[1].sum())
-        assert QuadraticForm(h).hess.tobytes() == ((h + h.T) / 2).tobytes()
+        signs = rng.choice([0.0, -0.0], size=(2,) + shape)
+        mirrored = np.where(upper, signs, np.swapaxes(signs, 1, 2))
+        for h, zs in ((near, signs), (exact, mirrored)):
+            h.real[zeros[0]] = zs[0][zeros[0]]
+            h.imag[zeros[1]] = zs[1][zeros[1]]
+        cases = [near, exact, np.asfortranarray(exact), 1e-310 * exact]
+        cases += [c * top / np.linalg.norm(exact) * exact for c in (0.999, 1.001)]
+        assert np.vdot(cases[-1], cases[-1]).real == np.inf > np.vdot(cases[-2], cases[-2]).real
+        for h in cases:
+            want = (h + h.T) / 2 if np.vdot(h, h).real < np.inf else h / 2 + h.T / 2
+            for name, build in _CHECKED.items():
+                stored = build(h)
+                assert stored.tobytes() == want.tobytes() and stored.flags.c_contiguous, name
+                assert h.flags.writeable and not np.shares_memory(h, stored), name
+        assert all(h.tobytes() == h.T.tobytes() for h in cases[1:])
+        assert np.any(np.abs(cases[3]) < np.finfo(float).tiny)
+    for value in (np.nan, np.inf):
+        h = -1j * np.eye(2 * n)
+        h[0, 1] = h[1, 0] = value
+        for name, build in _CHECKED.items():
+            with pytest.raises(ValueError, match=r"non-finite entries at \[\(0, 1\), \(1, 0\)\]"):
+                build(h)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
