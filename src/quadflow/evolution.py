@@ -198,7 +198,11 @@ def norm_shifted(spec: EvolutionSpec) -> float:
 
 @dataclass(eq=False, frozen=True)
 class CenterSample:
-    """One record of a center sweep; ok=False marks a failed certificate."""
+    """One record of a center sweep; ok=False marks a failed certificate.
+
+    a1 and a2 are read-only rows of center_path's own stacks, frozen once
+    per stack rather than once per record.
+    """
 
     param: float
     a1: np.ndarray | None
@@ -231,6 +235,7 @@ def center_path(
         km = km[strict]
         kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
         a1, a2, failed = _centers(km, kbm, v[strict])
+        a1.flags.writeable = a2.flags.writeable = False  # so the rows the samples keep are read-only views
         for row in np.flatnonzero(~(failed | np.any(_pairing(km, kbm)[2], axis=0))):
             i = idx[strict[row]]
             a1s[i], a2s[i] = a1[row], a2[row]

@@ -257,18 +257,20 @@ def kernel_left_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:
 
 
 def kernel_right_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:
-    """Kernel of the operator of k composed after (phase * S_v)."""
+    """Kernel of the operator of k composed after (phase * S_v).
+
+    (T S_v)^T = S_v^T T^T with S_v^T = S_v' for v' = (-v_x, v_xi), and T^T
+    has the kernel K(y, x); so this is the left shift by v' of the
+    exchanged kernel, exchanged back.
+    """
     n = k.n
-    vx, vxi = s.v[:n], s.v[n:]
-    return GaussianKernel._trusted(
-        amplitude=k.amplitude * s.phase,
-        pxx=k.pxx,
-        pxy=k.pxy,
-        pyy=k.pyy,
-        lx=k.lx + k.pxy @ vx,
-        ly=k.ly + k.pyy @ vx + vxi,
-        c0=k.c0 + 0.5 * vx @ k.pyy @ vx + k.ly @ vx + 0.5 * vx @ vxi,
-    )
+    flipped = ShiftOp(np.concatenate([-s.v[:n], s.v[n:]]), s.phase)
+    return _exchanged(kernel_left_shift(flipped, _exchanged(k)))
+
+
+def _exchanged(k: GaussianKernel) -> GaussianKernel:
+    """The kernel K(y, x): x and y exchanged."""
+    return GaussianKernel._trusted(k.amplitude, k.pyy, k.pxy.T, k.pxx, k.ly, k.lx, k.c0)
 
 
 def real_shift_conjugate(a2: np.ndarray, k: GaussianKernel, a1: np.ndarray) -> GaussianKernel:

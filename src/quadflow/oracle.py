@@ -11,17 +11,16 @@ of its two modes.  At n = 1 the matrix is dense, built in
 place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
 N = 600).  At n = 2 it is never formed: the kernel is first taken in its own
 y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
-norms and traces.  Its phase blocks then pick one of three regimes.  When
+norms and traces.  Its phase blocks then pick one of two layouts.  When
 pxx, pxy and pyy are all diagonal the kernel is separable, K(x, y) =
 K1(x1, y1) K2(x2, y2), and a KroneckerGridMatrix keeps the two N x N
-one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101).  Otherwise a
-FactoredGridMatrix keeps two per-axis Gaussian factors of modulus at most 1
-and two diagonals: N x N factors, 32 N^2 bytes, when the two modes do not
-couple (a diagonal cross block), and N^2 x N factors, 32 N^3 bytes (33 MiB
-at N = 101), when they do; an off-diagonal Im pxx or Im pyy makes the tail
-certificate take about 40 N^3 bytes in either regime.  A product with a
-vector costs 2 N^3 flops in the first two regimes and N^4 flops in the
-third.  The dense matrix at N = 101 would take 1.55 GiB.
+one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101), with products of
+2 N^3 flops.  Every other kernel takes a FactoredGridMatrix: two per-axis
+Gaussian factors of modulus at most 1, N^2 x N each, and two diagonals,
+32 N^3 bytes (33 MiB at N = 101), with products of N^4 flops.  An
+off-diagonal Im pxx or Im pyy makes the tail certificate take about
+40 N^3 bytes of temporaries.  The dense matrix at N = 101 would take
+1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
@@ -42,6 +41,7 @@ is certified to the same bound.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,11 +50,10 @@ from .errors import ConvergenceError, GridError
 from .kernels import GaussianKernel
 
 # grid size caps per dimension, on automatic and user grids alike: a dense
-# matrix of 16 N^2 bytes at n = 1; at n = 2, factors of 32 N^2 bytes
-# (separable or uncoupled modes) or 32 N^3 bytes (coupled modes, 53 MiB at the
-# cap).  The tail certificate of a non-separable two-mode kernel whose Im pxx
-# or Im pyy has an off-diagonal entry, uncoupled modes included, takes about
-# 40 N^3 bytes of temporaries (40 MiB at N = 101, 67 MiB at the cap)
+# matrix of 16 N^2 bytes at n = 1; at n = 2, factors of 32 N^2 bytes for a
+# separable kernel or 32 N^3 bytes for any other (53 MiB at the cap).  The tail
+# certificate of a kernel whose Im pxx or Im pyy has an off-diagonal entry
+# takes about 40 N^3 bytes of temporaries (40 MiB at N = 101, 67 MiB at the cap)
 _MAX_POINTS = {1: 600, 2: 120}
 _MIN_POINTS = 64
 _EPS_TAIL = 1e-12
@@ -184,24 +183,20 @@ def _fourier_envelope(phi: np.ndarray, lin: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class FactoredGridMatrix:
-    """Two-mode grid matrix M[m, j] = dx[m] g1[r1, j1] g2[r2, j2] dy[j], never formed.
+    """Two-mode grid matrix M[m, j] = dx[m] g1[m, j1] g2[m, j2] dy[j], never formed.
 
     The grid lives in the kernel's own y axes: node x_m stands for the point
     ``rotation @ x_m``, and M is the matrix of K'(x, y) = K(S x, S y) with
     S = ``rotation``, an orthogonal matrix taken on both sides, so norms,
     singular values and the trace are those of K's matrix on the rotated
     grid.  m = (m1, m2) is an output node and j = (j1, j2) an input node,
-    both in axis-major order.  The factor g_b carries axis b's decay as a
-    complete square and its coupling to the output node, and has modulus at
-    most 1; dx carries the terms in x alone and the scale, dy the phases in
-    y.  A separable kernel takes KroneckerGridMatrix instead; this class
-    has two memory regimes.  When the cross block pxy is diagonal, axis b
-    of y meets only x_b: g_b is (N, N) with r_b = m_b,
-    32 N^2 bytes, and M v = dx vec(g1 U g2^T) with U = (dy v) as an N x N
-    matrix, 2 N^3 flops.  Otherwise g_b is (N^2, N) with r_b = m, 32 N^3
-    bytes, and M v and w M each cost one (N^2 x N)(N x N) matrix product.
-    ``diagonal`` gives the trace.  That is all operator_norm and grid_trace
-    use.
+    both in axis-major order.  The factor g_b, of shape (N^2, N), carries
+    axis b's decay as a complete square and its coupling to the output
+    node, and has modulus at most 1; dx carries the terms in x alone and
+    the scale, dy the phases in y.  The two factors take 32 N^3 bytes, and
+    M v and w M each cost one (N^2 x N)(N x N) matrix product.  A separable
+    kernel takes KroneckerGridMatrix instead.  ``diagonal`` gives the
+    trace.  That is all operator_norm and grid_trace use.
     """
 
     __array_ufunc__ = None  # ndarray @ FactoredGridMatrix defers to __rmatmul__
@@ -214,22 +209,16 @@ class FactoredGridMatrix:
         """M v for a vector v of N^2 entries."""
         points = self.g2.shape[1]
         u = (self.dy * v).reshape(points, points)  # u[j1, j2]
-        if self.g1.shape[0] == points:
-            return self.dx * (self.g1 @ u @ self.g2.T).ravel()
         return self.dx * np.einsum("mk,mk->m", self.g1, self.g2 @ u.T)
 
     def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
         """w M for a vector w of N^2 entries."""
-        points = self.g2.shape[1]
-        if self.g1.shape[0] == points:
-            return (self.g1.T @ (w * self.dx).reshape(points, points) @ self.g2).ravel() * self.dy
         return ((self.g1 * (w * self.dx)[:, None]).T @ self.g2).ravel() * self.dy
 
     def diagonal(self) -> np.ndarray:
         m = np.arange(self.dx.size)
         j1, j2 = np.divmod(m, self.g1.shape[1])
-        r1, r2 = (j1, j2) if self.g1.shape[0] == self.g1.shape[1] else (m, m)
-        return self.dx * self.g1[r1, j1] * self.g2[r2, j2] * self.dy
+        return self.dx * self.g1[m, j1] * self.g2[m, j2] * self.dy
 
 
 class KroneckerGridMatrix:
@@ -267,7 +256,9 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     Certifies the envelope decay rate, then the boundary tail on the actual
     grid: one certificate, at n = 1 and n = 2, from the exact row and column
     maxima of log|M|, before either build.  It refuses a kernel that
-    vanishes or overflows there.  Raises GridError when any check fails.
+    vanishes or overflows there, and before that a half width at which the
+    quadratic terms of the phase would overflow (see _check_range).  Raises
+    GridError when any check fails.
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
@@ -284,16 +275,17 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     and column maxima on the axis grid, O(N) values, and the result is a
     KroneckerGridMatrix of its two one-mode matrices on GridSpec(1, L, N),
     each built as at n = 1.  Otherwise it is a FactoredGridMatrix with
-    factors of modulus at most 1: 32 N^2 bytes when the modes do not couple
-    (0.3 MiB at N = 101), 32 N^3 bytes when they do (33 MiB; the dense
-    matrix would take 16 N^4 bytes, 1.55 GiB).  The certificate's maxima
-    take about 40 N^3 bytes when Im pxx or Im pyy has an off-diagonal entry.
+    (N^2, N) factors of modulus at most 1, 32 N^3 bytes (33 MiB at
+    N = 101; the dense matrix would take 16 N^4 bytes, 1.55 GiB).  The
+    certificate's maxima take about 40 N^3 bytes when Im pxx or Im pyy has
+    an off-diagonal entry.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
     hess, lam_min = _envelope(k)
     if grid is None:
         grid = _grid_for(k, hess, lam_min)
+    _check_range(hess, lam_min, grid)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
@@ -307,6 +299,23 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     if grid.n == 1:
         return _one_mode(k, grid, peak)
     return _factored(k, grid, peak, rotation)
+
+
+def _check_range(hess: np.ndarray, lam_min: float, grid: GridSpec) -> None:
+    """Refuse a half width L at which a number formed from the quadratic phase overflows.
+
+    On the box the builds and the certificate form sums of at most (2n)^2
+    products x_i phi''_ij y_j, squared coordinate differences, and complete
+    squares (y_b + u_b)^2 with u_b = (Im pxy^T x)_b / c_b (plus a linear
+    term), where |u_b| <= n L sqrt(sum |phi''_ij| / lam_min) because Im phi''
+    is positive definite.  In any orthogonal frame, each is below
+    (2n)^2 (sum |phi''_ij| + 1) L^2 / min(1, lam_min), and that bound must
+    not overflow; it is tested in logs.  The linear terms are not bounded here.
+    """
+    scale = (2 * grid.n) ** 2 * (float(np.abs(hess).sum()) + 1.0) / min(1.0, lam_min)
+    if not math.log(scale) + 2.0 * math.log(grid.half_width) < _LOG_MAX:
+        raise GridError(f"half width {grid.half_width:.6g} too large for this kernel: "
+                        f"the quadratic terms of its phase overflow on the grid")
 
 
 def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
@@ -399,15 +408,11 @@ def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
     """
     ax, xs = grid.axis(), grid.nodes()
     decay = np.diagonal(k.pyy).imag
-    # uncoupled modes: factor b sees only x_b, one row per axis node
-    coupled = k.pxy[0, 1] != 0 or k.pxy[1, 0] != 0
-    rows = xs if coupled else np.column_stack([ax, ax])
-    centre = (rows @ k.pxy.imag + k.ly.imag) / decay  # u_b for each row
-    coupling = rows @ k.pxy.real
-    lift = 0.5 * decay * centre**2  # -min over y_b of the y_b terms of Im phi
-    lift = lift.sum(axis=1) if coupled else np.add.outer(lift[:, 0], lift[:, 1]).ravel()
+    centre = (xs @ k.pxy.imag + k.ly.imag) / decay  # u_b for each output node
+    coupling = xs @ k.pxy.real
+    lift = (0.5 * decay * centre**2).sum(axis=1)  # -min over y of the y terms of Im phi
     scale = np.log(k.amplitude) + 2.0 * np.log(grid.h)
-    quad_x = 0.5 * _node_quadratic(grid, k.pxx)
+    quad_x = 0.5 * np.einsum("mi,ij,mj->m", xs, k.pxx, xs)
     factors = [1j * (quad_x + xs @ k.lx + k.c0) + lift + scale]
     for b in range(2):
         g = np.multiply.outer(1j * coupling[:, b], ax)
@@ -479,24 +484,7 @@ def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
         low = lin.min(axis=1)
     else:
         low = lin.sum(axis=1)
-    return -(0.5 * _node_quadratic(grid, a) + xs @ la + c0) - low
-
-
-def _node_quadratic(grid: GridSpec, a: np.ndarray) -> np.ndarray:
-    """x.a x at every grid node, axis-major, from outer products of per-axis terms.
-
-    The terms x_i a_ij x_j are summed in the order (0, 0), (0, 1), (1, 0),
-    (1, 1), as np.einsum("mi,ij,mj->m", nodes, a, nodes) sums them, so the
-    bits are einsum's, at a seventh of its cost on the N^2 nodes.
-    """
-    ax = grid.axis()
-    if grid.n == 1:
-        return ax * a[0, 0] * ax
-    quad = np.multiply.outer(ax * a[0, 1], ax)
-    quad += (ax * a[0, 0] * ax)[:, None]
-    quad += np.multiply.outer(ax, ax * a[1, 0])
-    quad += ax * a[1, 1] * ax
-    return quad.ravel()
+    return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - low
 
 
 def _certify_tail(grid: GridSpec, maxima, log_scale: float) -> float:

@@ -213,13 +213,16 @@ class CrossingData:
     With K the time-1 flow of q, conjugation of the quantized flow by the
     shift S_v satisfies
       S_v E S_v^{-1} = factor_u * E S_u^{-1} = factor_w * S_w E,
-    u = (1 - K^{-1}) v,  w = (1 - K) v.
+    u = (1 - K^{-1}) v,  w = (1 - K) v.  Immutable, u and w read-only copies.
     """
 
     u: np.ndarray
     w: np.ndarray
     factor_u: complex
     factor_w: complex
+
+    def __post_init__(self):
+        set_frozen(self, u=np.array(self.u), w=np.array(self.w))
 
 
 def crossing(k: CanonicalTransform, v: np.ndarray) -> CrossingData:

@@ -478,6 +478,19 @@ def test_nonfinite_grid_width_exits_4(tmp_path, capsys):
         assert f"half width must be positive and finite, got {width}" in err
 
 
+def test_grid_whose_quadratic_terms_overflow_exits_4_without_a_warning(tmp_path):
+    # at these half widths L^2 times the scale of the heat kernel's phase Hessian overflows; the
+    # grid is refused before any grid arithmetic, under -W error::RuntimeWarning as well
+    spec = write_spec(tmp_path, HEAT)
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    for width in ("1e308", "1e200", "1.3e154"):
+        out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "norm", spec,
+                              "--verify", "--grid", f"{width},64"],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert out.returncode == 4 and out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "quadratic terms of its phase overflow" in out.stderr
+
+
 def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("discretize called")

