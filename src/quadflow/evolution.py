@@ -99,13 +99,7 @@ def eigenvalue_pairing(k: CanonicalTransform) -> np.ndarray:
     side and raise BoundarySpectrumError.
     """
     km = k.matrix[None]
-    return _checked_rates(km, sigma_transpose(np.conj(km)))
-
-
-def _checked_rates(km: np.ndarray, kbm: np.ndarray) -> np.ndarray:
-    """eigenvalue_pairing of a stack of one, K and conj(K)^{-1} given; raises as it does."""
-    mu, resid, masks = _pairing(km, kbm)
-    boundary, unpaired, unreal, nonpositive = masks
+    mu, resid, (boundary, unpaired, unreal, nonpositive) = _pairing(km, sigma_transpose(np.conj(km)))
     if boundary[0]:
         raise BoundarySpectrumError(
             "eigenvalue within boundary tolerance of the unit circle; "
@@ -121,13 +115,11 @@ def _checked_rates(km: np.ndarray, kbm: np.ndarray) -> np.ndarray:
 
 
 def norm_quadratic(q: QuadraticForm) -> float:
-    """Exact operator norm of the quantized time-1 flow of q.
+    """Exact operator norm of the quantized time-1 flow of q: decompose's norm with no shift.
 
     Raises PositivityError when the flow is not strictly positive.
     """
-    spec = EvolutionSpec(q)
-    mu = eigenvalue_pairing(spec.transform)
-    return float(np.prod(mu**0.25))
+    return decompose(EvolutionSpec(q)).norm
 
 
 def a_matrix(k: CanonicalTransform) -> np.ndarray:
@@ -175,10 +167,8 @@ def _centers(km: np.ndarray, kbm: np.ndarray, v: np.ndarray):
 
 def decompose(spec: EvolutionSpec) -> DecompositionData:
     """Compute centers, phase, contraction rates, and norm for q(z - v)."""
-    k = spec.transform
-    km = k.matrix[None]
-    kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
-    a1, a2, failed = _centers(km, kbm, spec.v[None])
+    km = spec.transform.matrix[None]
+    a1, a2, failed = _centers(km, sigma_transpose(np.conj(km)), spec.v[None])
     if failed[0]:
         raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
@@ -186,7 +176,7 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     if exponent.real > np.log(np.finfo(float).max):
         raise QuadflowError(f"log growth factor {exponent.real:.6g} overflows a float")
     phase = np.exp(exponent)
-    mu = _checked_rates(km, kbm)
+    mu = eigenvalue_pairing(spec.transform)
     norm = float(abs(phase) * np.prod(mu**0.25))
     return DecompositionData(mu=mu, a1=a1, a2=a2, phase=complex(phase), norm=norm)
 

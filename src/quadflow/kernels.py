@@ -140,15 +140,19 @@ def evolution_to_kernel(spec: EvolutionSpec) -> GaussianKernel:
     checked once, by quantize.  The amplitude carries the sign of the Mehler
     prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
     The first call for a spec stores the kernel on it (the spec and the kernel
-    are immutable), and every later call returns that kernel.  The formal
-    kernel of a bare form is quantize(mehler_symbol(q), formal=True).
+    are immutable), and every later call returns that kernel.  A kernel that
+    overflows a float, as for a shift past about 1e154, raises ValueError,
+    with no warning.  The formal kernel of a bare form is
+    quantize(mehler_symbol(q), formal=True).
     """
     stored = vars(spec)
     if "_kernel" not in stored:
         sym = mehler_symbol(spec.q)
-        if np.any(spec.v != 0):
-            sym = two_sided_shift(spec.v, sym)
-        stored["_kernel"] = quantize(sym)
+        with np.errstate(over="ignore", invalid="ignore"):  # as for a shift past about 1e154
+            k = quantize(two_sided_shift(spec.v, sym) if np.any(spec.v != 0) else sym)
+        if not np.isfinite(np.concatenate([[k.amplitude, k.c0], k.lx, k.ly])).all():
+            raise ValueError("the kernel of this flow and shift overflows a float")
+        stored["_kernel"] = k
     return stored["_kernel"]
 
 

@@ -14,13 +14,13 @@ y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
 norms and traces.  Its phase blocks then pick one of two layouts.  When
 pxx, pxy and pyy are all diagonal the kernel is separable, K(x, y) =
 K1(x1, y1) K2(x2, y2), and a KroneckerGridMatrix keeps the two N x N
-one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101), with products of
-2 N^3 flops.  Every other kernel takes a FactoredGridMatrix: two per-axis
-Gaussian factors of modulus at most 1, N^2 x N each, and two diagonals,
-32 N^3 bytes (33 MiB at N = 101), with products of N^4 flops.  An
-off-diagonal Im pxx or Im pyy makes the tail certificate take about
-40 N^3 bytes of temporaries.  The dense matrix at N = 101 would take
-1.55 GiB.
+one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101), and is read through
+them, never applied to a vector.  Every other kernel takes a
+FactoredGridMatrix: two per-axis Gaussian factors of modulus at most 1,
+N^2 x N each, and two diagonals, 32 N^3 bytes (33 MiB at N = 101), with
+products of N^4 flops.  An off-diagonal Im pxx or Im pyy makes the tail
+certificate take about 40 N^3 bytes of temporaries.  The dense matrix at
+N = 101 would take 1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
@@ -222,29 +222,19 @@ class FactoredGridMatrix:
 
 
 class KroneckerGridMatrix:
-    """Two-mode grid matrix M = A1 kron A2 of a separable kernel, never formed.
+    """Two-mode grid matrix M = A1 kron A2 of a separable kernel, read through its factors.
 
     K(x, y) = K1(x1, y1) K2(x2, y2), so M[m, j] = a1[m1, j1] a2[m2, j2] for
     the output node m = (m1, m2) and the input node j = (j1, j2), both in
     axis-major order, with a_b the N x N one-mode matrix of K_b.  The two
-    take 32 N^2 bytes, and M v = vec(a1 U a2^T), U = v as an N x N matrix,
-    costs 2 N^3 flops.  ``rotation`` is that of FactoredGridMatrix, and
-    operator_norm takes |M| = |a1| |a2| from the factors themselves.
+    take 32 N^2 bytes.  M is never applied: operator_norm takes
+    |M| = |a1| |a2| from the factors and grid_trace reads ``diagonal``.
+    ``rotation`` is that of FactoredGridMatrix.
     """
-
-    __array_ufunc__ = None  # ndarray @ KroneckerGridMatrix defers to __rmatmul__
 
     def __init__(self, a1: np.ndarray, a2: np.ndarray, rotation: np.ndarray):
         self.a1, self.a2, self.rotation = a1, a2, rotation
         self.shape = (a1.shape[0] * a2.shape[0], a1.shape[1] * a2.shape[1])
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """M v for a vector v of N^2 entries."""
-        return (self.a1 @ v.reshape(self.a1.shape[1], self.a2.shape[1]) @ self.a2.T).ravel()
-
-    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
-        """w M for a vector w of N^2 entries."""
-        return (self.a1.T @ w.reshape(self.a1.shape[0], self.a2.shape[0]) @ self.a2).ravel()
 
     def diagonal(self) -> np.ndarray:
         return np.multiply.outer(np.diagonal(self.a1), np.diagonal(self.a2)).ravel()
@@ -257,7 +247,7 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     grid: one certificate, at n = 1 and n = 2, from the exact row and column
     maxima of log|M|, before either build.  It refuses a kernel that
     vanishes or overflows there, and before that a half width at which the
-    quadratic terms of the phase would overflow (see _check_range).  Raises
+    terms of the phase would overflow (see _check_range).  Raises
     GridError when any check fails.
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
@@ -285,7 +275,7 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     hess, lam_min = _envelope(k)
     if grid is None:
         grid = _grid_for(k, hess, lam_min)
-    _check_range(hess, lam_min, grid)
+    _check_range(k, hess, lam_min, grid)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
     # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
@@ -301,34 +291,42 @@ def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | 
     return _factored(k, grid, peak, rotation)
 
 
-def _check_range(hess: np.ndarray, lam_min: float, grid: GridSpec) -> None:
-    """Refuse a half width L at which a number formed from the quadratic phase overflows.
+def _check_range(k: GaussianKernel, hess: np.ndarray, lam_min: float, grid: GridSpec) -> None:
+    """Refuse a half width L at which a number formed from the phase overflows.
 
     On the box the builds and the certificate form sums of at most (2n)^2
-    products x_i phi''_ij y_j, squared coordinate differences, and complete
-    squares (y_b + u_b)^2 with u_b = (Im pxy^T x)_b / c_b (plus a linear
-    term), where |u_b| <= n L sqrt(sum |phi''_ij| / lam_min) because Im phi''
-    is positive definite.  In any orthogonal frame, each is below
-    (2n)^2 (sum |phi''_ij| + 1) L^2 / min(1, lam_min), and that bound must
-    not overflow; it is tested in logs.  The linear terms are not bounded here.
+    products x_i phi''_ij y_j, linear terms l.x with l = (lx, ly), c0,
+    squared coordinate differences, and complete squares (y_b + u_b)^2 with
+    u_b = ((Im pxy^T x)_b + Im ly_b) / c_b, where |u_b| <= n L
+    sqrt(sum |phi''_ij| / lam_min) + |ly_b| / lam_min because Im phi'' is
+    positive definite.  In any orthogonal frame each is below (2n)^2
+    (sum |phi''_ij| + 1) W^2 / m + |c0|, m = min(1, lam_min), W = L +
+    sum |l_i| / m, and that bound must be a finite float.  It is taken with
+    sum |l_i| <= 4n max(|Re l_i|, |Im l_i|) and |c0| <= 2 max(|Re c0|, |Im c0|).
     """
-    scale = (2 * grid.n) ** 2 * (float(np.abs(hess).sum()) + 1.0) / min(1.0, lam_min)
-    if not math.log(scale) + 2.0 * math.log(grid.half_width) < _LOG_MAX:
+    lin, floor, half = np.concatenate([k.lx, k.ly]).view(float), min(1.0, lam_min), float(grid.half_width)
+    width = half + lin.size * float(np.abs(lin).max()) / floor
+    scale = (2 * grid.n) ** 2 * (float(np.abs(hess).sum()) + 1.0) / floor
+    if not math.isfinite(scale * width * width + 2.0 * max(abs(k.c0.real), abs(k.c0.imag))):
+        which = "quadratic terms" if not math.isfinite(scale * half * half) else "linear terms and constant"
         raise GridError(f"half width {grid.half_width:.6g} too large for this kernel: "
-                        f"the quadratic terms of its phase overflow on the grid")
+                        f"the {which} of its phase overflow on the grid")
 
 
 def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
     """The two-mode kernel K'(x, y) = K(S x, S y), with S the eigenvectors of Im pyy, and S.
 
     Im pyy' = S^T Im pyy S is diagonal up to rounding.  S = I, and K' is K,
-    when Im pyy is diagonal already.
+    when Im pyy is diagonal already.  K' is built without the input checks,
+    which K has passed; its diagonal blocks are made exactly symmetric as
+    (M + M^T) / 2.
     """
     if k.pyy[0, 1].imag == 0:
         return k, np.eye(2)
     s = np.linalg.eigh(k.pyy.imag)[1]
-    return GaussianKernel(k.amplitude, s.T @ k.pxx @ s, s.T @ k.pxy @ s, s.T @ k.pyy @ s,
-                          k.lx @ s, k.ly @ s, k.c0), s
+    pxx, pyy = s.T @ k.pxx @ s, s.T @ k.pyy @ s
+    return GaussianKernel._trusted(k.amplitude, (pxx + pxx.T) / 2.0, s.T @ k.pxy @ s, (pyy + pyy.T) / 2.0,
+                                   k.lx @ s, k.ly @ s, k.c0), s
 
 
 def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
@@ -526,10 +524,10 @@ def operator_norm(mat) -> float:
 
     ``mat`` is a dense array, a FactoredGridMatrix or a
     KroneckerGridMatrix.  The first two take one path, through ``@`` with a
-    vector on either side; A1 kron A2 takes |A1| |A2|, each factor on that
-    path with the residual stop at _NORM_REL_TOL / 3, which bounds the
-    residual of the product's Ritz pair by _NORM_REL_TOL times the
-    product.  With c a fixed chirp and
+    vector on either side; A1 kron A2 is read through its factors as
+    |A1| |A2|, each factor on that path with the residual stop at
+    _NORM_REL_TOL / 3, which bounds the residual of the product's Ritz pair
+    by _NORM_REL_TOL times the product.  With c a fixed chirp and
     i = argmax |M c|, the start vector is conj(e_i M) / |e_i M| +
     _NORM_START_GUARD c, normalized; the row is nonzero since (M c)_i is.
     A row of a smooth kernel matrix lies close to the top right singular
@@ -612,9 +610,13 @@ def _golub_kahan(mat, v: np.ndarray, rel_tol: float) -> tuple[float, float]:
 
 
 def _finite_norm(vec: np.ndarray, name: str) -> float:
-    """Euclidean norm, summed as np.linalg.norm sums a complex vector, without its dispatch."""
+    """Euclidean norm as np.linalg.norm sums a complex vector, without its dispatch; rescaled past overflow."""
     re, im = vec.real, vec.imag
-    norm = float(np.sqrt(re.dot(re) + im.dot(im)))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(re.dot(re) + im.dot(im)))
+    top = max(float(np.abs(re).max()), float(np.abs(im).max())) if norm == np.inf else np.inf
+    if top < np.inf:
+        norm = top * _finite_norm(vec / top, name)
     if not np.isfinite(norm):
         raise ConvergenceError(f"Golub-Kahan norm produced a non-finite {name} {norm}")
     return norm

@@ -491,6 +491,19 @@ def test_grid_whose_quadratic_terms_overflow_exits_4_without_a_warning(tmp_path)
         assert len(out.stderr.splitlines()) == 1 and "quadratic terms of its phase overflow" in out.stderr
 
 
+def test_shift_whose_kernel_overflows_exits_4_without_a_warning(tmp_path):
+    # the heat flow shifted by v = (0, 1e155): its norm is finite, but the shifted symbol's
+    # constant overflows; the oracle and the kernel refuse it with one stderr line,
+    # under -W error::RuntimeWarning as well
+    spec = write_spec(tmp_path, dict(HEAT, v={"re": [0, 1e155], "im": [0, 0]}))
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    for argv in (["norm", spec, "--verify"], ["kernel", spec]):
+        out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", *argv],
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert out.returncode == 4 and out.stdout == ""
+        assert out.stderr == "input error: the kernel of this flow and shift overflows a float\n"
+
+
 def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("discretize called")

@@ -125,21 +125,20 @@ def test_decompose_phase_recombines():
     assert d.norm == pytest.approx(abs(d.phase) * float(np.prod(d.mu**0.25)), rel=1e-12)
 
 
-def test_decompose_forms_the_bar_inverse_once(monkeypatch):
-    # centers and contraction rates share conj(K)^{-1}; the rates match eigenvalue_pairing's bits
+def test_decompose_takes_its_rates_from_eigenvalue_pairing(monkeypatch):
+    # one raise path for the pairing: decompose calls eigenvalue_pairing once, and keeps its bits
     import quadflow.evolution as ev
 
     spec = EvolutionSpec(perturbed_heat(1.1, 21), np.array([0.4 + 0.3j, -0.2 + 0.5j]))
     calls = []
-    sigma_transpose = ev.sigma_transpose
 
-    def counted(m):
-        calls.append(m.shape)
-        return sigma_transpose(m)
+    def counted(k):
+        calls.append(k)
+        return eigenvalue_pairing(k)
 
-    monkeypatch.setattr(ev, "sigma_transpose", counted)
+    monkeypatch.setattr(ev, "eigenvalue_pairing", counted)
     d = decompose(spec)
-    assert len(calls) == 1
+    assert calls == [spec.transform]
     assert np.array_equal(d.mu, eigenvalue_pairing(spec.transform))
 
 

@@ -367,6 +367,23 @@ def test_discretize_refuses_overflowing_kernel():
         discretize(k, GridSpec(1, 200.0, 400))
 
 
+def test_discretize_refuses_linear_terms_that_overflow_on_the_grid():
+    # lx x reaches 4e308 at the box edge; the refusal comes before any grid arithmetic,
+    # with no RuntimeWarning (an error under pytest)
+    k = GaussianKernel(1, [[1j]], [[0.5]], [[1j]], [5e307], [5e307])
+    with pytest.raises(GridError, match="linear terms and constant of its phase overflow"):
+        discretize(k, GridSpec(1, 8, 64))
+
+
+def test_operator_norm_of_entries_whose_squares_overflow():
+    # the entries reach 1e159, so the plain sum of squares overflows; the norm is
+    # 1e160 times that of the same kernel at amplitude 1, with no RuntimeWarning
+    grid = GridSpec(1, 8, 64)
+    big, one = (operator_norm(discretize(GaussianKernel(a, [[1j]], [[0.5]], [[1j]], [0], [0]), grid))
+                for a in (1e160, 1.0))
+    assert big == pytest.approx(1e160 * one, rel=1e-12)
+
+
 def test_power_iteration_stops_at_first_nonfinite_estimate():
     mat = np.ones((400, 400), dtype=complex)
     mat[7, 11] = np.inf
@@ -448,12 +465,19 @@ def dense_pointwise(k, grid, rotation):
 
 
 def assert_operator_matches(op, ref, rng):
-    """Products on both sides, diagonal, norm and trace of op against the dense ref."""
+    """Products on both sides, diagonal, norm and trace of op against the dense ref.
+
+    A KroneckerGridMatrix is never applied; the entries of A1 kron A2 are
+    checked against ref's instead.
+    """
     assert not isinstance(op, np.ndarray) and op.shape == ref.shape
-    for _ in range(3):
-        v = rng.standard_normal(ref.shape[1]) + 1j * rng.standard_normal(ref.shape[1])
-        assert np.max(np.abs(op @ v - ref @ v)) <= 1e-13 * np.max(np.abs(ref @ v))
-        assert np.max(np.abs(v @ op - v @ ref)) <= 1e-13 * np.max(np.abs(v @ ref))
+    if isinstance(op, KroneckerGridMatrix):
+        assert np.max(np.abs(np.kron(op.a1, op.a2) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    else:
+        for _ in range(3):
+            v = rng.standard_normal(ref.shape[1]) + 1j * rng.standard_normal(ref.shape[1])
+            assert np.max(np.abs(op @ v - ref @ v)) <= 1e-13 * np.max(np.abs(ref @ v))
+            assert np.max(np.abs(v @ op - v @ ref)) <= 1e-13 * np.max(np.abs(v @ ref))
     diag = np.diagonal(ref)
     assert np.max(np.abs(op.diagonal() - diag)) <= 1e-13 * np.max(np.abs(diag))
     assert abs(operator_norm(op) - operator_norm(ref)) <= 1e-13 * operator_norm(ref)
