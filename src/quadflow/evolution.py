@@ -172,8 +172,10 @@ def decompose(spec: EvolutionSpec) -> DecompositionData:
     if failed[0]:
         raise QuadflowError("shift centers are not finite")
     a1, a2 = a1[0], a2[0]
-    exponent = 0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex))
-    if exponent.real > np.log(np.finfo(float).max):
+    # a pairing past the float range overflows to inf, or to inf - inf = nan, which refuses too
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = 0.5j * symplectic_form(spec.v, (a2 - a1).astype(complex))
+    if not (np.isfinite(exponent) and exponent.real <= np.log(np.finfo(float).max)):
         raise QuadflowError(f"log growth factor {exponent.real:.6g} overflows a float")
     phase = np.exp(exponent)
     mu = eigenvalue_pairing(spec.transform)

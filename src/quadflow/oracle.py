@@ -5,22 +5,22 @@ operator norms and traces directly, with no knowledge of the closed-form
 theory.  It exists to cross-check every analytic claim in the package; keep
 it simple and independent.
 
-It reads only the kernel's quadratic phase.  One tail certificate, at n = 1
-and n = 2, runs before either build; a separable kernel's reads O(N) maxima
-of its two modes.  At n = 1 the matrix is dense, built in
-place in one complex buffer of 16 N^2 bytes for N points (5.5 MiB at
-N = 600).  At n = 2 it is never formed: the kernel is first taken in its own
-y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy, which keeps
-norms and traces.  Its phase blocks then pick one of two layouts.  When
-pxx, pxy and pyy are all diagonal the kernel is separable, K(x, y) =
-K1(x1, y1) K2(x2, y2), and a KroneckerGridMatrix keeps the two N x N
-one-mode matrices, 32 N^2 bytes (0.3 MiB at N = 101), and is read through
-them, never applied to a vector.  Every other kernel takes a
-FactoredGridMatrix: two per-axis Gaussian factors of modulus at most 1,
-N^2 x N each, and two diagonals, 32 N^3 bytes (33 MiB at N = 101), with
-products of N^4 flops.  An off-diagonal Im pxx or Im pyy makes the tail
-certificate take about 40 N^3 bytes of temporaries.  The dense matrix at
-N = 101 would take 1.55 GiB.
+It reads only the kernel's quadratic phase.  Each build certifies the tail
+of its own kernel on the grid before it allocates.  At n = 1 the matrix is
+dense, built in place in one complex buffer of 16 N^2 bytes for N points
+(5.5 MiB at N = 600).  At n = 2 it is never formed: the kernel is first
+taken in its own y axes, K'(x, y) = K(S x, S y) with S the eigenvectors of
+Im pyy, which keeps norms and traces.  Its phase blocks then pick one of two
+layouts.  When pxx, pxy and pyy are all diagonal the kernel is separable,
+K(x, y) = K1(x1, y1) K2(x2, y2): two one-mode builds, each certified on the
+axis from O(N) maxima, give the N x N matrices of a KroneckerGridMatrix,
+32 N^2 bytes (0.3 MiB at N = 101), which is read through them and never
+applied to a vector.  Every other kernel takes a FactoredGridMatrix: two
+per-axis Gaussian factors of modulus at most 1, N^2 x N each, and two
+diagonals, 32 N^3 bytes (33 MiB at N = 101), with products of N^4 flops.
+An off-diagonal Im pxx or Im pyy makes the tail certificate take about
+40 N^3 bytes of temporaries.  The dense matrix at N = 101 would take
+1.55 GiB.
 
 The one-mode matrix takes N^2 real exponentials for its modulus and only
 4N - 1 complex ones for its phase.  Entries below the smallest normal float
@@ -121,8 +121,8 @@ def _envelope(k: GaussianKernel) -> tuple[np.ndarray, float]:
     Raises GridError for a mode count the oracle does not support and for an
     envelope that decays more slowly than _MIN_DECAY.  Computed on the first
     call for a kernel and stored on it (the kernel is immutable, the stored
-    Hessian read-only), so auto_grid and discretize share it; a refusal stores
-    nothing.
+    Hessian read-only), so auto_grid and _check_range share it; a refusal
+    stores nothing.
     """
     stored = vars(k)
     if "_envelope" not in stored:
@@ -144,30 +144,31 @@ def auto_grid(k: GaussianKernel) -> GridSpec:
     """Choose a grid from the kernel's Gaussian envelope and phase frequency.
 
     L covers the envelope down to _EPS_TAIL.  h = min(0.02 L, max(h_grad, h_env)), where
-    h_grad = pi / (4 f), f the phase gradient at the box corner, and h_env = 2 pi / k_max,
-    k_max the Fourier bandwidth of K and of its diagonal K(x, x) (see _grid_for), each
-    resolve the real phase: no grid is finer than h_grad gives, and Re phi'' = 0 = Re l
-    keeps h = 0.02 L.  N is clamped to the caps; discretize() certifies the tail on the grid.
+    h_grad = pi / (4 f), f the phase gradient at the box corner, and h_env = 2 pi / k_max
+    each resolve the real phase: no grid is finer than h_grad gives, and Re phi'' = 0 = Re l
+    keeps h = 0.02 L.  k_max bounds, to _EPS_TAIL, the x and y frequencies of K relative to
+    their peak (rotation invariants of the n x n blocks of its _fourier_envelope) and those
+    of the diagonal K(x, x) relative to |f^(0)|, the integral that grid_trace takes.  N is
+    clamped to the caps; discretize() certifies the tail on the grid.  Raises GridError when
+    f or k_max is not a finite float, as when the linear terms are too large to square.
     """
-    return _grid_for(k, *_envelope(k))
-
-
-def _grid_for(k: GaussianKernel, hess: np.ndarray, lam_min: float) -> GridSpec:
-    """auto_grid's rule.  k_max bounds, to _EPS_TAIL, the x and y frequencies of K relative
-    to their peak (rotation invariants of the n x n blocks of its _fourier_envelope) and
-    those of the diagonal K(x, x) relative to |f^(0)|, the integral that grid_trace takes."""
+    hess, lam_min = _envelope(k)
     n, log_tail = k.n, np.log(1.0 / _EPS_TAIL)
     half_width = max(6.0, float(np.sqrt(2.0 * log_tail / lam_min)))
     lin = np.concatenate([k.lx, k.ly])
-    max_freq = float(
-        np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(lin.real)
-    )
-    cov, k_c = _fourier_envelope(hess, lin)
-    k_max = max(np.linalg.norm(k_c[b]) + np.sqrt(2.0 * log_tail * np.linalg.eigvalsh(cov[b, b])[-1])
-                for b in (slice(0, n), slice(n, None)))
-    cov, k_c = _fourier_envelope(k.pxx + k.pxy + k.pxy.T + k.pyy, k.lx + k.ly)  # of K(x, x)
-    decay = 2.0 * log_tail + k_c @ np.linalg.solve(cov, k_c)  # |f^| < _EPS_TAIL |f^(0)| past k_max
-    k_max = max(k_max, np.linalg.norm(k_c) + np.sqrt(decay * np.linalg.eigvalsh(cov)[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_freq = float(
+            np.linalg.norm(hess.real, 2) * np.sqrt(2 * n) * half_width + np.linalg.norm(lin.real)
+        )
+        cov, k_c = _fourier_envelope(hess, lin)
+        k_max = max(np.linalg.norm(k_c[b]) + np.sqrt(2.0 * log_tail * np.linalg.eigvalsh(cov[b, b])[-1])
+                    for b in (slice(0, n), slice(n, None)))
+        cov, k_c = _fourier_envelope(k.pxx + k.pxy + k.pxy.T + k.pyy, k.lx + k.ly)  # of K(x, x)
+        decay = 2.0 * log_tail + k_c @ np.linalg.solve(cov, k_c)  # |f^| < _EPS_TAIL |f^(0)| past k_max
+        k_diag = np.linalg.norm(k_c) + np.sqrt(decay * np.linalg.eigvalsh(cov)[-1])
+    if not np.isfinite([max_freq, k_max, k_diag]).all():
+        raise GridError("the phase frequencies of this kernel overflow a float: no grid resolves it")
+    k_max = max(k_max, k_diag)
     h_grad = np.pi / (4.0 * max_freq) if max_freq > 0.0 else np.inf
     h_bound = min(0.02 * half_width, max(h_grad, 2.0 * np.pi / k_max))
     points = int(np.ceil(2.0 * half_width / h_bound)) + 1
@@ -240,58 +241,49 @@ class KroneckerGridMatrix:
         return np.multiply.outer(np.diagonal(self.a1), np.diagonal(self.a2)).ravel()
 
 
-def discretize(k: GaussianKernel, grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix:
+def discretize(k: GaussianKernel,
+               grid: GridSpec | None = None) -> np.ndarray | FactoredGridMatrix | KroneckerGridMatrix:
     """Midpoint-rule matrix of the kernel: M[i, j] = K(x_i, x_j) h^n.
 
-    Certifies the envelope decay rate, then the boundary tail on the actual
-    grid: one certificate, at n = 1 and n = 2, from the exact row and column
-    maxima of log|M|, before either build.  It refuses a kernel that
-    vanishes or overflows there, and before that a half width at which the
-    terms of the phase would overflow (see _check_range).  Raises
-    GridError when any check fails.
+    Refuses an envelope that decays too slowly and a half width at which the
+    terms of the phase would overflow (see _check_range).  Each build then
+    certifies its own kernel on the grid before it allocates (see
+    _certify_tail), and runs the flush certificate as it exponentiates:
+    entries below the smallest normal float are exact zeros, and one that is
+    not below _EPS_TAIL times the peak refuses.  Every refusal is a GridError.
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
-    exponentials (row, column and Toeplitz factors).  Entries below the
-    smallest normal float are exact zeros, here and in the two-mode factors;
-    the build refuses a kernel with a flushed entry that is not below
-    _EPS_TAIL times its peak.  At n = 2 the kernel is first taken in its own y
-    axes, K'(x, y) = K(S x, S y) with S the eigenvectors of Im pyy (S = I
-    when Im pyy is diagonal), and the grid, the certificate and the matrix
-    are those of K'.  The same S on both sides keeps norms and traces, and
-    the automatic grid, which reads only rotation invariants, is chosen from
-    K.  When pxx, pxy and pyy of K' are all diagonal, with exact zeros off
-    the diagonal, K' is separable: the certificate reads its two modes' row
-    and column maxima on the axis grid, O(N) values, and the result is a
-    KroneckerGridMatrix of its two one-mode matrices on GridSpec(1, L, N),
-    each built as at n = 1.  Otherwise it is a FactoredGridMatrix with
-    (N^2, N) factors of modulus at most 1, 32 N^3 bytes (33 MiB at
-    N = 101; the dense matrix would take 16 N^4 bytes, 1.55 GiB).  The
-    certificate's maxima take about 40 N^3 bytes when Im pxx or Im pyy has
-    an off-diagonal entry.
+    exponentials (row, column and Toeplitz factors).  At n = 2 the kernel is
+    first taken in its own y axes, K'(x, y) = K(S x, S y) with S the
+    eigenvectors of Im pyy (S = I when Im pyy is diagonal), and the
+    certificate and the matrix are those of K'.  The same S on both sides
+    keeps norms and traces, and the automatic grid, which reads only
+    rotation invariants, is chosen from K.  When pxx, pxy and pyy of K' are
+    all diagonal, with exact zeros off the diagonal, K' is separable and the
+    result is a KroneckerGridMatrix of two one-mode builds on
+    GridSpec(1, L, N) (see _kronecker).  Otherwise it is a
+    FactoredGridMatrix with (N^2, N) factors of modulus at most 1, 32 N^3
+    bytes (33 MiB at N = 101; the dense matrix would take 16 N^4 bytes,
+    1.55 GiB), whose certificate takes about 40 N^3 bytes when Im pxx or
+    Im pyy has an off-diagonal entry.
     """
     if grid is not None and grid.n != k.n:
         raise GridError("grid dimension does not match the kernel")
-    hess, lam_min = _envelope(k)
     if grid is None:
-        grid = _grid_for(k, hess, lam_min)
-    _check_range(k, hess, lam_min, grid)
+        grid = auto_grid(k)
+    _check_range(k, grid)
     if k.amplitude == 0:
         raise GridError("kernel vanishes identically on the grid")
-    # log|M| = Re(i phi) + log|amplitude h^n|; the tail test needs no scale
-    log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
-    if grid.n == 2:
-        k, rotation = _in_y_axes(k)
-        if all(m[0, 1] == 0 and m[1, 0] == 0 for m in (k.pxx, k.pxy, k.pyy)):
-            return _kronecker(k, grid, log_scale, rotation)
-        hess = k.phase_hessian()
-    peak = _certify_tail(grid, [_log_maxima(k, hess, grid)], log_scale) + log_scale
     if grid.n == 1:
-        return _one_mode(k, grid, peak)
-    return _factored(k, grid, peak, rotation)
+        return _one_mode(k, grid)
+    k, rotation = _in_y_axes(k)
+    if all(m[0, 1] == 0 and m[1, 0] == 0 for m in (k.pxx, k.pxy, k.pyy)):
+        return _kronecker(k, grid, rotation)
+    return _factored(k, grid, rotation)
 
 
-def _check_range(k: GaussianKernel, hess: np.ndarray, lam_min: float, grid: GridSpec) -> None:
+def _check_range(k: GaussianKernel, grid: GridSpec) -> None:
     """Refuse a half width L at which a number formed from the phase overflows.
 
     On the box the builds and the certificate form sums of at most (2n)^2
@@ -303,7 +295,9 @@ def _check_range(k: GaussianKernel, hess: np.ndarray, lam_min: float, grid: Grid
     (sum |phi''_ij| + 1) W^2 / m + |c0|, m = min(1, lam_min), W = L +
     sum |l_i| / m, and that bound must be a finite float.  It is taken with
     sum |l_i| <= 4n max(|Re l_i|, |Im l_i|) and |c0| <= 2 max(|Re c0|, |Im c0|).
+    Reads phi'' and lam_min from _envelope, so refuses what it refuses.
     """
+    hess, lam_min = _envelope(k)
     lin, floor, half = np.concatenate([k.lx, k.ly]).view(float), min(1.0, lam_min), float(grid.half_width)
     width = half + lin.size * float(np.abs(lin).max()) / floor
     scale = (2 * grid.n) ** 2 * (float(np.abs(hess).sum()) + 1.0) / floor
@@ -329,9 +323,10 @@ def _in_y_axes(k: GaussianKernel) -> tuple[GaussianKernel, np.ndarray]:
                                    k.lx @ s, k.ly @ s, k.c0), s
 
 
-def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
+def _one_mode(k: GaussianKernel, grid: GridSpec) -> np.ndarray:
     """The one-mode matrix as modulus times phase, with 4N - 1 complex exponentials.
 
+    The tail certificate runs first, before any buffer is allocated.
     The modulus exp(-Im phi + log|amplitude h|) is taken with real
     exponentials in blocks of about _BLOCK_ENTRIES entries, and is an exact
     zero where it would be subnormal.  With x y = (x^2 + y^2)/2 - (x - y)^2/2,
@@ -339,6 +334,7 @@ def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
     vector, a column vector and a Toeplitz factor, read as a view of its
     2N - 1 values.  Every factor has modulus 1 and cannot overflow.
     """
+    peak = _certify_tail(k, grid)
     x, points = grid.axis(), grid.points
     (a,), (b,), (c,) = k.pxx[0], k.pxy[0], k.pyy[0]
     lx, ly, c0, scale = k.lx[0], k.ly[0], k.c0, k.amplitude * grid.h
@@ -366,19 +362,19 @@ def _one_mode(k: GaussianKernel, grid: GridSpec, peak: float) -> np.ndarray:
     return mat
 
 
-def _kronecker(k: GaussianKernel, grid: GridSpec, log_scale: float,
-               rotation: np.ndarray) -> KroneckerGridMatrix:
+def _kronecker(k: GaussianKernel, grid: GridSpec, rotation: np.ndarray) -> KroneckerGridMatrix:
     """The two-mode matrix of a separable kernel in its own y axes as A1 kron A2.
 
     Mode b's kernel K_b takes the b-th diagonal entries of pxx, pxy and pyy
     and the b-th entries of lx and ly, and A_b is its one-mode matrix on the
-    axis grid.  The tail certificate runs on the two modes' row and column
-    maxima on that axis, O(N) values where the joint ones take N^2.  K_2
-    takes the constant that puts the largest entry of A_2 at 1, and K_1 the
-    amplitude and the rest of c0, so that A_1 peaks at the largest entry of
-    the product.  Each build's flush certificate, with its own peak, then
-    bounds a flushed entry through the other factor exactly as the joint
-    certificate would.
+    axis grid, built and certified as at n = 1.  K_2 takes the constant that
+    puts the largest entry of A_2 at 1, and K_1 the amplitude and the rest of
+    c0, so that the peak of A_1 is the largest entry of the product.  An
+    edge row or column of A1 kron A2 is one of a factor times the other
+    factor's peak, so the two one-mode tail certificates give the joint
+    verdict, and each flush certificate bounds a flushed entry through the
+    other factor's peak.  A tail refusal quotes the ratio of the first mode
+    that fails, A_2 before A_1, which need not be the larger of the two.
     """
     axis = GridSpec(1, grid.half_width, grid.points)
 
@@ -386,24 +382,25 @@ def _kronecker(k: GaussianKernel, grid: GridSpec, log_scale: float,
         d = slice(b, b + 1)
         return GaussianKernel._trusted(amplitude, k.pxx[d, d], k.pxy[d, d], k.pyy[d, d], k.lx[d], k.ly[d], c0)
 
-    maxima = [_log_maxima(m, m.phase_hessian(), axis) for m in (mode(0, k.amplitude, k.c0), mode(1, 1.0, 0.0))]
-    peak = _certify_tail(axis, maxima, log_scale) + log_scale
-    c2 = 1j * (float(maxima[1][0].max()) + np.log(axis.h))
-    return KroneckerGridMatrix(_one_mode(mode(0, k.amplitude, k.c0 - c2), axis, peak),
-                               _one_mode(mode(1, 1.0, c2), axis, 0.0), rotation)
+    c2 = 1j * (float(_log_maxima(mode(1, 1.0, 0.0), axis)[0].max()) + np.log(axis.h))
+    # A_2 first: peaking at 1, it can fail only the tail test, which goes
+    # before the overflow and flush tests that A_1 can fail
+    a2 = _one_mode(mode(1, 1.0, c2), axis)
+    return KroneckerGridMatrix(_one_mode(mode(0, k.amplitude, k.c0 - c2), axis), a2, rotation)
 
 
-def _factored(k: GaussianKernel, grid: GridSpec, peak: float,
-              rotation: np.ndarray) -> FactoredGridMatrix:
+def _factored(k: GaussianKernel, grid: GridSpec, rotation: np.ndarray) -> FactoredGridMatrix:
     """The two-mode matrix of a kernel in its own y axes as bounded axis factors.
 
-    ``peak`` is the log-modulus of the largest matrix entry.  With
+    The tail certificate runs first and gives the peak, the log-modulus of
+    the largest matrix entry.  With
     c_b = Im pyy_bb and u_b(x) = ((Im pxy^T x)_b + Im ly_b) / c_b, factor b
     takes the y_b decay as the complete square -(c_b/2) (y_b + u_b)^2, so
     |g_b| <= 1, and dx takes min over y of Im phi, every other term in x
     alone and the scale.  dy holds the phases in y and keeps the
     rounding-level Im pyy_12 that the rotation leaves.
     """
+    peak = _certify_tail(k, grid)
     ax, xs = grid.axis(), grid.nodes()
     decay = np.diagonal(k.pyy).imag
     centre = (xs @ k.pxy.imag + k.ly.imag) / decay  # u_b for each output node
@@ -448,9 +445,9 @@ def _exp_certified(logs: list[np.ndarray], tops: list[float], peak: float) -> No
         lg[low] = 0.0
 
 
-def _log_maxima(k: GaussianKernel, hess: np.ndarray, grid: GridSpec):
+def _log_maxima(k: GaussianKernel, grid: GridSpec):
     """Row and column maxima of the unscaled log-modulus -Im phi(x_m, y_j)."""
-    n, im = k.n, hess.imag
+    n, im = k.n, k.phase_hessian().imag
     rows = _log_row_max(grid, im[:n, :n], im[:n, n:], im[n:, n:], k.lx.imag, k.ly.imag, k.c0.imag)
     # a column of phi is a row of phi with x and y swapped
     cols = _log_row_max(grid, im[n:, n:], im[n:, :n], im[:n, :n], k.ly.imag, k.lx.imag, k.c0.imag)
@@ -485,25 +482,21 @@ def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
     return -(0.5 * np.einsum("mi,ij,mj->m", xs, a, xs) + xs @ la + c0) - low
 
 
-def _certify_tail(grid: GridSpec, maxima, log_scale: float) -> float:
-    """Peak of the unscaled log-modulus from the row and column maxima of its factors.
+def _certify_tail(k: GaussianKernel, grid: GridSpec) -> float:
+    """Log-modulus of the largest entry of the kernel's matrix on the grid, once certified.
 
-    ``maxima`` holds one (row_max, col_max) pair on the nodes of ``grid``
-    per factor: the kernel's own pair, or one pair per mode of a separable
-    kernel on the axis grid.  A node's maximum is then the sum of its
-    modes' maxima, and a node is on the edge when one of its modes is; float
-    addition is monotone, so the peak and the edge maxima of the sums are
-    exact.  Refuses a kernel that vanishes on the grid, whose boundary tail
-    exceeds sqrt(_EPS_TAIL) of the peak on edge rows or edge columns, or
-    that overflows.
+    Reads the exact row and column maxima of -Im phi on the grid's nodes
+    and the scale log|amplitude| + n log h of the entries.  Refuses a kernel
+    that vanishes on the grid, whose boundary tail exceeds sqrt(_EPS_TAIL)
+    of the peak on edge rows or edge columns, or that overflows.
     """
-    peak = sum(float(row_max.max()) for row_max, _ in maxima)
+    rows, cols = _log_maxima(k, grid)
+    log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
+    peak = float(rows.max())
     if peak + log_scale < _LOG_TINY:
         raise GridError("kernel vanishes identically on the grid")
     on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
-    # over the row maxima, then the column maxima: the largest sum with factor i on the edge
-    edge = max(sum(float(m[on_edge].max() if j == i else m.max()) for j, m in enumerate(half))
-               for half in zip(*maxima) for i in range(len(half)))
+    edge = max(float(rows[on_edge].max()), float(cols[on_edge].max()))
     if edge - peak > 0.5 * np.log(_EPS_TAIL):
         raise GridError(
             f"tail bound violated at half width {grid.half_width}: "
@@ -516,7 +509,7 @@ def _certify_tail(grid: GridSpec, maxima, log_scale: float) -> float:
             f"kernel overflows on the grid: log-modulus peak {top:.6g} "
             f"exceeds log(float max) = {_LOG_MAX:.6g}"
         )
-    return peak
+    return peak + log_scale
 
 
 def operator_norm(mat) -> float:

@@ -440,6 +440,19 @@ def test_norm_overflowing_growth_exits_4(tmp_path, capsys):
     assert rc == 4 and out == "" and "log growth factor" in err
 
 
+@pytest.mark.parametrize("v, value", [
+    ({"re": [1e155, 0], "im": [1e155, 1e155]}, "nan"),  # the pairing overflows to inf - inf
+    ({"re": [0, 0], "im": [0, 1e155]}, "inf"),
+])
+def test_norm_whose_growth_pairing_overflows_exits_4_without_a_warning(tmp_path, v, value):
+    spec = write_spec(tmp_path, dict(HEAT, v=v))
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "norm", spec],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == ""
+    assert out.stderr == f"error: log growth factor {value} overflows a float\n"
+
+
 def overflow_spec(tmp_path, s):
     return write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-s, 0], [0, -s]]}}, f"overflow{s}.json")
 

@@ -234,6 +234,23 @@ def test_auto_grid_rejects_flat_envelope():
         discretize(flat, GridSpec(1, 8.0, 101))
 
 
+def test_auto_grid_refuses_three_modes():
+    k = heat_kernel(0.5, 3)
+    for call in (auto_grid, discretize):
+        with pytest.raises(GridError, match="^grid oracle supports n = 1 and n = 2 only$"):
+            call(k)
+    assert "_envelope" not in vars(k)
+
+
+def test_auto_grid_refuses_linear_terms_too_large_to_square():
+    # |Re l|^2 overflows in the grid rule; the refusal is a GridError with no
+    # RuntimeWarning (an error under pytest), before any range check
+    k = GaussianKernel(1, [[1j]], [[0.5]], [[1j]], [1e155], [0])
+    for call in (auto_grid, discretize):
+        with pytest.raises(GridError, match="^the phase frequencies of this kernel overflow a float"):
+            call(k)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_auto_grid_and_discretize_share_one_envelope(n, monkeypatch):
     """One eigvalsh of Im phi'' per kernel: auto_grid stores the envelope and discretize reads it."""
@@ -375,6 +392,19 @@ def test_discretize_refuses_linear_terms_that_overflow_on_the_grid():
         discretize(k, GridSpec(1, 8, 64))
 
 
+@pytest.mark.parametrize("layout", [np.ndarray, KroneckerGridMatrix, FactoredGridMatrix])
+def test_discretize_refuses_a_kernel_that_vanishes_identically(layout):
+    rng = np.random.default_rng(16)
+    kernels = {np.ndarray: random_kernel(rng, 1), KroneckerGridMatrix: separable_kernel(rng),
+               FactoredGridMatrix: random_kernel(rng, 2)}
+    k = kernels[layout]
+    zero = GaussianKernel(0.0, k.pxx, k.pxy, k.pyy, k.lx, k.ly, k.c0)
+    for grid in (None, GridSpec(k.n, auto_grid(k).half_width, 64)):
+        assert isinstance(discretize(k, grid), layout)  # the same kernel at amplitude 0.7 - 0.4i is built
+        with pytest.raises(GridError, match="^kernel vanishes identically on the grid$"):
+            discretize(zero, grid)
+
+
 def test_operator_norm_of_entries_whose_squares_overflow():
     # the entries reach 1e159, so the plain sum of squares overflows; the norm is
     # 1e160 times that of the same kernel at amplitude 1, with no RuntimeWarning
@@ -421,6 +451,13 @@ def test_norm_converges_under_doubling():
 def test_kernel_norm_wrapper():
     k = heat_kernel(0.7)
     assert kernel_norm(k) == pytest.approx(np.exp(-0.35), rel=1e-6)
+
+
+def test_heat_norm_on_its_automatic_grid():
+    # the heat kernel at s = 0.3 on its automatic grid, N = 101: the grid norm is e^{-s/2} to 1e-12
+    mat = discretize(heat_kernel(0.3))
+    assert mat.shape == (101, 101)
+    assert abs(operator_norm(mat) - np.exp(-0.15)) <= 1e-12
 
 
 # -- composition invariant ----------------------------------------------------
@@ -584,7 +621,7 @@ def test_two_mode_tail_certificate_matches_dense_log_modulus(seed, shift):
         verdicts = []
         for scale in (0.3, 0.6, 0.9, 1.2):
             grid = GridSpec(n=n, half_width=scale * auto_grid(k).half_width, points=64)
-            rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
+            rows, cols = oracle._log_maxima(k, grid)
             ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
             size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
             assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
@@ -626,7 +663,7 @@ def test_per_axis_tail_maxima_match_dense_log_modulus(seed, uncoupled):
     verdicts = []
     for scale in (0.3, 0.6, 0.9, 1.2):
         grid = GridSpec(n=2, half_width=scale * auto_grid(k).half_width, points=64)
-        rows, cols = oracle._log_maxima(k, k.phase_hessian(), grid)
+        rows, cols = oracle._log_maxima(k, grid)
         ref_rows, ref_cols = dense_log_modulus_maxima(k, grid)
         size = max(1.0, np.max(np.abs(ref_rows)), np.max(np.abs(ref_cols)))
         assert np.max(np.abs(rows - ref_rows)) <= 1e-13 * size
@@ -645,11 +682,11 @@ def test_per_axis_tail_maxima_match_dense_log_modulus(seed, uncoupled):
 
 @pytest.mark.parametrize("seed", [24, 25])
 def test_separable_tail_certificate_matches_dense_log_modulus(seed):
-    """A separable kernel's certificate reads its two modes' maxima on the axis grid, O(N) values.
+    """A separable kernel's two one-mode certificates read their maxima on the axis grid, O(N) values.
 
-    Its peak is the dense peak and its verdict the dense verdict.  The shift
-    moves the envelope off the centre, so that vertices are clipped to the
-    box edge.
+    The first mode's peak is the dense peak, and the two verdicts together
+    give the dense verdict.  The shift moves the envelope off the centre, so
+    that vertices are clipped to the box edge.
     """
     rng = np.random.default_rng(seed)
     k = separable_kernel(rng)
@@ -667,12 +704,13 @@ def test_separable_tail_certificate_matches_dense_log_modulus(seed):
                 discretize(k, grid)
             continue
         peaks = []
-        build = oracle._one_mode
+        certify = oracle._certify_tail
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_one_mode", lambda mode, axis, peak: peaks.append(peak) or build(mode, axis, peak))
+            patch.setattr(oracle, "_certify_tail", lambda mode, axis: peaks.append(certify(mode, axis)) or peaks[-1])
             assert isinstance(discretize(k, grid), KroneckerGridMatrix)
+        # the second certificate is that of the first mode, which carries the amplitude and the joint peak
         log_scale = np.log(abs(k.amplitude)) + 2.0 * np.log(grid.h)
-        assert abs(peaks[0] - (ref_rows.max() + log_scale)) <= 1e-13 * max(1.0, abs(peaks[0]))
+        assert abs(peaks[1] - (ref_rows.max() + log_scale)) <= 1e-13 * max(1.0, abs(peaks[1]))
     assert verdicts[0] and not verdicts[-1]  # both verdicts are exercised
 
 
@@ -982,6 +1020,14 @@ def test_golub_kahan_norm_matches_numpy_svd(points):
     b = rng.standard_normal(points) - 0.5j * rng.standard_normal(points)
     expected = np.linalg.norm(a) * np.linalg.norm(b)
     assert abs(operator_norm(np.outer(a, b)) - expected) <= 1e-13 * expected
+
+
+def test_golub_kahan_exact_breakdown_returns_the_bidiagonal_norm():
+    # diag(2, 0) from (1, 1) / sqrt 2: M v_1 lies in span(u_0), so alpha vanishes at
+    # step 1, and [alpha_0, beta_0] = [sqrt 2, sqrt 2] holds the norm 2 with residual 0
+    mat = np.diag([2.0, 0.0]).astype(complex)
+    start = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    assert oracle._golub_kahan(mat, start, oracle._NORM_REL_TOL) == (2.0, 0.0)
 
 
 def test_golub_kahan_norm_reports_non_convergence(monkeypatch):
