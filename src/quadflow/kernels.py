@@ -32,7 +32,7 @@ class GaussianKernel:
     pxx and pyy are symmetric; the y-x cross block is pxy transposed.
     Immutable, every array read-only and written by no one, so one kernel can
     be shared.  The constructor checks outside input (shapes, symmetry,
-    finiteness); the kernels the package builds itself skip it, via _trusted.
+    finiteness); the kernels the package builds get _trusted's finiteness check.
     """
 
     amplitude: complex
@@ -59,9 +59,11 @@ class GaussianKernel:
 
     @classmethod
     def _trusted(cls, amplitude, pxx, pxy, pyy, lx, ly, c0) -> "GaussianKernel":
-        """A kernel of complex arrays no one else writes, pxx and pyy exactly symmetric; no checks."""
-        k = object.__new__(cls)
-        set_frozen(k, amplitude=complex(amplitude), pxx=pxx, pxy=pxy, pyy=pyy, lx=lx, ly=ly, c0=complex(c0))
+        """A kernel of complex arrays no one else writes, pxx and pyy exactly symmetric; finite, or ValueError."""
+        k, amplitude, c0 = object.__new__(cls), complex(amplitude), complex(c0)
+        if not np.isfinite(np.concatenate([pxx.ravel(), pxy.ravel(), pyy.ravel(), lx, ly, [amplitude, c0]])).all():
+            raise ValueError("the kernel has non-finite entries: it overflows a float")
+        set_frozen(k, amplitude=amplitude, pxx=pxx, pxy=pxy, pyy=pyy, lx=lx, ly=ly, c0=c0)
         return k
 
     @property
@@ -123,10 +125,8 @@ def _kernel_of_exponent(amplitude, s: np.ndarray, lin: np.ndarray, const) -> Gau
     """The kernel amplitude * exp(z.S z + lin.z + const), z = (x, y): i phi is the exponent.
 
     S, a Schur complement, is symmetric up to rounding; its diagonal blocks are
-    symmetrized as GaussianKernel does, and a non-finite S is refused.
+    symmetrized as GaussianKernel does.
     """
-    if not np.isfinite(s).all():
-        raise ValueError("phase of the Gaussian integral has non-finite entries")
     n, p = s.shape[0] // 2, -2j * s
     pxx, pyy = p[:n, :n], p[n:, n:]
     return GaussianKernel._trusted(amplitude, (pxx + pxx.T) / 2.0, p[:n, n:].copy(), (pyy + pyy.T) / 2.0,
@@ -140,25 +140,28 @@ def evolution_to_kernel(spec: EvolutionSpec) -> GaussianKernel:
     checked once, by quantize.  The amplitude carries the sign of the Mehler
     prefactor c = prod_j sech(lambda_j/2), with no sign freedom.
     The first call for a spec stores the kernel on it (the spec and the kernel
-    are immutable), and every later call returns that kernel.  A kernel that
-    overflows a float, as for a shift past about 1e154, raises ValueError,
-    with no warning.  The formal kernel of a bare form is
-    quantize(mehler_symbol(q), formal=True).
+    are immutable), and every later call returns that kernel.  A symbol or
+    kernel that overflows a float, as for a shift past about 1e154, is
+    refused where it is built (ValueError), here with no warning.  The
+    formal kernel of a bare form is quantize(mehler_symbol(q), formal=True).
     """
     stored = vars(spec)
     if "_kernel" not in stored:
         sym = mehler_symbol(spec.q)
         with np.errstate(over="ignore", invalid="ignore"):  # as for a shift past about 1e154
-            k = quantize(two_sided_shift(spec.v, sym) if np.any(spec.v != 0) else sym)
-        if not np.isfinite(np.concatenate([[k.amplitude, k.c0], k.lx, k.ly])).all():
-            raise ValueError("the kernel of this flow and shift overflows a float")
-        stored["_kernel"] = k
+            stored["_kernel"] = quantize(two_sided_shift(spec.v, sym) if np.any(spec.v != 0) else sym)
     return stored["_kernel"]
 
 
 def _cross_block_inverse(k: GaussianKernel) -> np.ndarray:
-    pyx = k.pxy.T
-    scale = np.linalg.norm(k.phase_hessian())
+    """The inverse of pyx; DegenerateKernelError when its smallest singular value is below
+    TOLERANCES["degenerate"] times max(|phi''|_F, 1), a norm taken past the overflow of its square."""
+    pyx, hess = k.pxy.T, k.phase_hessian()
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(hess)
+    if scale == np.inf:  # scaled by its largest real or imaginary part, phi'' has a finite |.|_F^2
+        top = max(np.abs(hess.real).max(), np.abs(hess.imag).max())
+        scale = top * np.linalg.norm(hess / top)
     smin = float(np.min(np.linalg.svd(pyx, compute_uv=False)))
     if smin <= tolerances()["degenerate"] * max(scale, 1.0):
         raise DegenerateKernelError(

@@ -369,12 +369,13 @@ def _kronecker(k: GaussianKernel, grid: GridSpec, rotation: np.ndarray) -> Krone
     and the b-th entries of lx and ly, and A_b is its one-mode matrix on the
     axis grid, built and certified as at n = 1.  K_2 takes the constant that
     puts the largest entry of A_2 at 1, and K_1 the amplitude and the rest of
-    c0, so that the peak of A_1 is the largest entry of the product.  An
-    edge row or column of A1 kron A2 is one of a factor times the other
-    factor's peak, so the two one-mode tail certificates give the joint
-    verdict, and each flush certificate bounds a flushed entry through the
-    other factor's peak.  A tail refusal quotes the ratio of the first mode
-    that fails, A_2 before A_1, which need not be the larger of the two.
+    c0, so that the peak of A_1, read by its vanish and overflow tests, is the
+    largest entry of the product.  An edge row or column of A1 kron A2 is one
+    of a factor times the other factor's peak, so the two one-mode tail
+    certificates give the joint verdict, and each flush certificate bounds a
+    flushed entry through the other factor's peak.  A tail refusal quotes the
+    ratio of the first mode that fails, A_2 before A_1, which need not be the
+    larger of the two.
     """
     axis = GridSpec(1, grid.half_width, grid.points)
 
@@ -485,15 +486,17 @@ def _log_row_max(grid: GridSpec, a, b, c, la, lb, c0) -> np.ndarray:
 def _certify_tail(k: GaussianKernel, grid: GridSpec) -> float:
     """Log-modulus of the largest entry of the kernel's matrix on the grid, once certified.
 
-    Reads the exact row and column maxima of -Im phi on the grid's nodes
-    and the scale log|amplitude| + n log h of the entries.  Refuses a kernel
-    that vanishes on the grid, whose boundary tail exceeds sqrt(_EPS_TAIL)
-    of the peak on edge rows or edge columns, or that overflows.
+    Reads the exact row and column maxima of -Im phi on the grid's nodes; top
+    adds the scale log|amplitude| + n log h to their peak, the log-modulus a
+    build exponentiates.  Refuses a kernel whose top is below the smallest
+    float or not below log(float max), NaN included, and one whose boundary
+    tail exceeds sqrt(_EPS_TAIL) of the peak on edge rows or edge columns.
     """
     rows, cols = _log_maxima(k, grid)
     log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
     peak = float(rows.max())
-    if peak + log_scale < _LOG_TINY:
+    top = peak + log_scale
+    if top < _LOG_TINY:
         raise GridError("kernel vanishes identically on the grid")
     on_edge = np.max(np.abs(grid.nodes()), axis=1) >= grid.half_width - 1e-12
     edge = max(float(rows[on_edge].max()), float(cols[on_edge].max()))
@@ -502,14 +505,12 @@ def _certify_tail(k: GaussianKernel, grid: GridSpec) -> float:
             f"tail bound violated at half width {grid.half_width}: "
             f"boundary/peak ratio {np.exp(edge - peak):.3e}"
         )
-    # neither exp(peak) nor its scaled value may overflow; a NaN exponent refuses too
-    top = peak + max(log_scale, 0.0)
     if not top < _LOG_MAX:
         raise GridError(
             f"kernel overflows on the grid: log-modulus peak {top:.6g} "
             f"exceeds log(float max) = {_LOG_MAX:.6g}"
         )
-    return peak + log_scale
+    return top
 
 
 def operator_norm(mat) -> float:

@@ -40,7 +40,7 @@ class GaussianSymbol:
 
     Immutable, g and l read-only and written by no one, so one symbol can be
     shared.  The constructor checks outside input (shapes, symmetry of g,
-    finiteness); the symbols the package builds itself skip it, via _trusted.
+    finiteness); the symbols the package builds get _trusted's finiteness check.
     """
 
     c: complex
@@ -56,9 +56,11 @@ class GaussianSymbol:
 
     @classmethod
     def _trusted(cls, c, g, l) -> "GaussianSymbol":
-        """A symbol of complex arrays no one else writes, g exactly symmetric; no checks."""
-        sym = object.__new__(cls)
-        set_frozen(sym, c=complex(c), g=g, l=l)
+        """A symbol of complex arrays no one else writes, g exactly symmetric; finite, or ValueError."""
+        sym, c = object.__new__(cls), complex(c)
+        if not np.isfinite(np.concatenate([g.ravel(), l, [c]])).all():
+            raise ValueError("the symbol has non-finite entries: it overflows a float")
+        set_frozen(sym, c=c, g=g, l=l)
         return sym
 
     @property

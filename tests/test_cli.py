@@ -37,6 +37,10 @@ def write_spec(tmp_path, payload, name="spec.json"):
     return str(path)
 
 
+def cplx(node):
+    return np.array(node["re"]) + 1j * np.array(node["im"])
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -154,7 +158,6 @@ def test_compose_heat_semigroup(tmp_path, capsys):
     assert rep["factor"]["re"] == pytest.approx(1.0, rel=1e-12)
     assert rep["factor"]["im"] == pytest.approx(0.0, abs=1e-12)
     assert set(rep) == {"hessian", "v", "factor", "margin"}
-    cplx = lambda node: np.array(node["re"]) + 1j * np.array(node["im"])
     heat = evolution_to_kernel(EvolutionSpec(QuadraticForm(cplx(HEAT["hessian"]))))
     composed = evolution_to_kernel(EvolutionSpec(QuadraticForm(cplx(rep["hessian"])), cplx(rep["v"])))
     x, y = np.random.default_rng(4).standard_normal((2, 5, 1))
@@ -230,6 +233,68 @@ def test_kernel_from_indefinite_phase_exits_4(tmp_path, capsys):
     rc, _, err = run(capsys, ["kernel", write_spec(tmp_path, payload), "--direction", "from-kernel"])
     assert rc == 4
     assert "degenerate" in err
+
+
+def test_two_mode_kernel_round_trip(tmp_path, capsys):
+    # a coupled shifted generator R - i P: its kernel gives back the Hessian, v and c = +-1
+    spec = {"hessian": {"re": [[0.2, 0.1, 0, 0.05], [0.1, -0.1, 0.05, 0], [0, 0.05, 0.3, 0], [0.05, 0, 0, 0.1]],
+                        "im": [[-1, -0.2, 0, -0.1], [-0.2, -0.8, -0.1, 0], [0, -0.1, -0.9, -0.2],
+                               [-0.1, 0, -0.2, -1.1]]},
+            "v": {"re": [0.3, -0.1, 0.2, 0.05], "im": [0.2, 0.1, -0.3, 0.4]}}
+    rc, out, _ = run(capsys, ["kernel", write_spec(tmp_path, spec)])
+    assert rc == 0
+    kern = json.loads(out)
+    # the package builds the kernel without the symmetry check, so it must keep pxx and pyy exactly symmetric
+    for block in ("pxx", "pyy"):
+        assert np.array_equal(cplx(kern[block]), cplx(kern[block]).T)
+    rc, out, _ = run(capsys, ["kernel", write_spec(tmp_path, kern, "kernel.json"), "--direction", "from-kernel"])
+    assert rc == 0
+    back = json.loads(out)
+    for key in ("hessian", "v"):
+        assert np.linalg.norm(cplx(back[key]) - cplx(spec[key])) <= 1e-12 * np.linalg.norm(cplx(spec[key]))
+    c = cplx(back["c"])
+    assert min(abs(c - 1), abs(c + 1)) <= 1e-12
+
+
+def test_composition_sign_flips_at_the_log_wrap(tmp_path, capsys):
+    # the oscillator at time 2.5 - 0.3i composed with itself: the principal log wraps 5 - 0.6i to
+    # 5 - 2 pi - 0.6i, which flips the Mehler sign, so the factor is -1
+    spec = write_spec(tmp_path, {"hessian": {"re": [[2.5, 0], [0, 2.5]], "im": [[-0.3, 0], [0, -0.3]]}})
+    rc, out, _ = run(capsys, ["compose", spec, spec])
+    assert rc == 0
+    rep = json.loads(out)
+    assert sorted(rep) == ["factor", "hessian", "margin", "v"]
+    assert np.abs(cplx(rep["hessian"]) - (5 - 2 * np.pi - 0.6j) * np.eye(2)).max() <= 1e-12
+    assert abs(cplx(rep["factor"]) + 1) <= 1e-12
+
+
+def test_formal_bargmann_kernel(tmp_path, capsys):
+    # the flow of 0.7 diag(i, -i) is not strictly positive, so only --formal quantizes it; its kernel is
+    # (2 pi sin t)^{-1/2} exp(-(cot t (x^2 + y^2) - 2 csc t xy) / 2) at t = 0.7
+    spec = write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[0.7, 0], [0, -0.7]]}})
+    rc, out, _ = run(capsys, ["kernel", spec, "--formal"])
+    assert rc == 0
+    kern, t = json.loads(out), 0.7
+    want = {"amplitude": (2 * np.pi * np.sin(t)) ** -0.5, "pxx": 1j / np.tan(t), "pxy": -1j / np.sin(t)}
+    for key, value in want.items():
+        assert abs(cplx(kern[key]).ravel()[0] - value) <= 1e-12
+
+
+def test_one_mode_oracle_on_an_oscillating_kernel(tmp_path, capsys):
+    # a real phase that the corner-gradient step alone would resolve with 539 points
+    spec = {"hessian": {"re": [[2.264815, 0], [0, 1.036527]], "im": [[0.231593, 0], [0, -2.026977]]},
+            "v": {"re": [0.3, -0.1], "im": [0.2, 0.4]}}
+    rc, out, _ = run(capsys, ["norm", write_spec(tmp_path, spec), "--verify"])
+    assert rc == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["points"] == 101 and oracle["rel_gap"] < 1e-8
+
+
+def test_two_mode_oracle_cross_check_on_a_user_grid(tmp_path, capsys):
+    spec = {"hessian": {"re": np.zeros((4, 4)).tolist(), "im": (-np.eye(4)).tolist()}}
+    rc, out, _ = run(capsys, ["norm", write_spec(tmp_path, spec), "--verify", "--grid", "6.5,64"])
+    assert rc == 0
+    assert json.loads(out)["oracle"]["rel_gap"] < 1e-8
 
 
 def test_contour_csv_values(capsys):
@@ -514,7 +579,26 @@ def test_shift_whose_kernel_overflows_exits_4_without_a_warning(tmp_path):
         out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", *argv],
                              env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
         assert out.returncode == 4 and out.stdout == ""
-        assert out.stderr == "input error: the kernel of this flow and shift overflows a float\n"
+        assert out.stderr == "input error: the kernel has non-finite entries: it overflows a float\n"
+
+
+@pytest.mark.parametrize("pxx, pxy, message", [
+    # a dominant, well-conditioned cross block passes the degeneracy test; the flow it
+    # generates is too large for the canonical check
+    (1j, 1e160, "input error: matrix is not canonical: its scale 1 + |K|_F^2 overflows a float\n"),
+    # a cross block 1e-160 of the phase's scale is degenerate
+    (1e160j, 0.5, "error: cross block of the phase is singular (smallest singular value 5.000e-01)\n"),
+])
+def test_kernel_whose_phase_norm_squared_overflows_exits_4_without_a_warning(tmp_path, pxx, pxy, message):
+    # |phi''|_F^2 overflows a float while |phi''|_F does not; under -W error::RuntimeWarning as well
+    block = lambda z: {"re": [[complex(z).real]], "im": [[complex(z).imag]]}
+    payload = {"amplitude": {"re": 1.0, "im": 0.0}, "pxx": block(pxx), "pxy": block(pxy), "pyy": block(1j),
+               "lx": {"re": [0.0], "im": [0.0]}, "ly": {"re": [0.0], "im": [0.0]}}
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "kernel",
+                          write_spec(tmp_path, payload), "--direction", "from-kernel"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == "" and out.stderr == message
 
 
 def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):

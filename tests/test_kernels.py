@@ -446,6 +446,34 @@ def test_composition_refuses_non_finite_phase():
         kernel_compose(big, big)
 
 
+def _overflowing_builds():
+    """Nine builders on inputs whose result has a NaN or infinite field, each a name and a thunk."""
+    big_symbol = GaussianSymbol(1, -np.eye(2), [1e155, 1e155j])
+    plain = GaussianKernel(1, [[1j]], [[0.5]], [[1j]], [0], [0])
+    big_linear = GaussianKernel(1, [[1j]], [[0.5]], [[1j]], [1e155], [1e155j])
+    heat = mehler_symbol(heat_generator(1.0))
+    return {
+        "quantize": lambda: quantize(big_symbol),  # c0 = nan
+        "kernel_compose": lambda: kernel_compose(big_linear, plain),  # c0 = nan
+        "weyl_sharp": lambda: weyl_sharp(big_symbol, GaussianSymbol(1, -np.eye(2), [0, 0])),  # c = nan
+        "two_sided_shift": lambda: two_sided_shift([1e155j, 0], heat),  # c = inf + nan i
+        "shift_left": lambda: shift_left([1e200j, 1e200], heat),  # c = nan
+        "shift_right": lambda: shift_right([1e200j, 1e200], heat),
+        "kernel_left_shift": lambda: kernel_left_shift(ShiftOp([1e160, 1e160]), plain),  # c0 infinite
+        "kernel_right_shift": lambda: kernel_right_shift(ShiftOp([1e160, 1e160]), plain),
+        "real_shift_conjugate": lambda: real_shift_conjugate([1e160, 0], plain, [0, 1e160]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_overflowing_builds()))
+def test_builders_refuse_a_result_that_overflows(name):
+    # a kernel or symbol the package builds is refused where it is made, never returned with
+    # a NaN or infinite field; the arithmetic before the refusal may warn
+    build = _overflowing_builds()[name]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite entries"):
+        build()
+
+
 def test_degenerate_cross_block_rejected():
     k = GaussianKernel(
         amplitude=1.0,

@@ -384,6 +384,19 @@ def test_discretize_refuses_overflowing_kernel():
         discretize(k, GridSpec(1, 200.0, 400))
 
 
+def test_overflow_test_reads_the_scaled_peak():
+    # -Im phi peaks at 710, past log(float max), but the amplitude and h bring the largest
+    # entry to about e^685: the kernel is built, and its norm is that of the same kernel at
+    # amplitude 1 and c0 = 0 on the same grid, times 1e-10 e^710
+    k = GaussianKernel(1e-10, [[1j]], [[0.2]], [[1j]], [0], [0], -710j)
+    unit = GaussianKernel(1, [[1j]], [[0.2]], [[1j]], [0], [0])
+    scaled = np.exp(710 + np.log(1e-10)) * kernel_norm(unit, auto_grid(k))
+    assert kernel_norm(k) == pytest.approx(scaled, rel=1e-12)
+    # 30 more in the peak puts the largest entry past the float range
+    with pytest.raises(GridError, match="log-modulus peak 715.068 exceeds"):
+        discretize(GaussianKernel(1e-10, [[1j]], [[0.2]], [[1j]], [0], [0], -740j))
+
+
 def test_discretize_refuses_linear_terms_that_overflow_on_the_grid():
     # lx x reaches 4e308 at the box edge; the refusal comes before any grid arithmetic,
     # with no RuntimeWarning (an error under pytest)
