@@ -155,13 +155,12 @@ def _centers(km: np.ndarray, kbm: np.ndarray, v: np.ndarray):
 
     kbm holds conj(K)^{-1} of each member, as for _pairing.
     """
-    eye = np.eye(km.shape[-1])
-    vi = v.imag[..., None]
+    both = np.stack([km, kbm])  # one solve call for both systems, still one LAPACK call (so bits) per member
     # the systems are real, but real solves round differently (last digits, in
     # about two thirds of sweep members); test_center_path_matches_loop_reference
     # and the CLI's 17-digit output pin the digits of these complex solves
-    a1 = v.real + np.linalg.solve(km.imag.astype(complex), (km.real - eye) @ vi)[..., 0].real
-    a2 = v.real - np.linalg.solve(kbm.imag.astype(complex), (kbm.real - eye) @ vi)[..., 0].real
+    x = np.linalg.solve(both.imag.astype(complex), (both.real - np.eye(km.shape[-1])) @ v.imag[..., None])
+    a1, a2 = v.real + x[0, ..., 0].real, v.real - x[1, ..., 0].real
     return a1, a2, ~np.all(np.isfinite(a1) & np.isfinite(a2), axis=-1)
 
 
@@ -228,9 +227,10 @@ def center_path(
         kbm = sigma_transpose(np.conj(km))  # conj(K)^{-1}
         a1, a2, failed = _centers(km, kbm, v[strict])
         a1.flags.writeable = a2.flags.writeable = False  # so the rows the samples keep are read-only views
-        for row in np.flatnonzero(~(failed | np.any(_pairing(km, kbm)[2], axis=0))):
-            i = idx[strict[row]]
-            a1s[i], a2s[i] = a1[row], a2[row]
+        ok = ~(failed | np.any(_pairing(km, kbm)[2], axis=0))
+        for member, row1, row2, good in zip(strict.tolist(), list(a1), list(a2), ok.tolist()):
+            if good:
+                a1s[idx[member]], a2s[idx[member]] = row1, row2
     return [CenterSample(p, a1, a2, a1 is not None) for (p, _, _), a1, a2 in zip(items, a1s, a2s)]
 
 

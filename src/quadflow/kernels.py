@@ -206,7 +206,8 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     2 pi into (-pi, pi], and each 2 pi wrap flips the Mehler prefactor.
     Requires Im phi'' positive definite, checked here; the recovered flow is
     certified by EvolutionSpec.  c is the ratio of the two kernels at the
-    origin, taken from amplitudes and constant phases so it cannot underflow.
+    origin, taken from amplitudes and constant phases so it cannot underflow;
+    QuadflowError when it overflows.
     The kernel of spec built for c stays stored on spec, so a later
     evolution_to_kernel(spec) returns it without quantizing again.
     """
@@ -216,7 +217,11 @@ def kernel_to_evolution(k: GaussianKernel) -> tuple[EvolutionSpec, complex]:
     trans, w = kernel_transform(k)
     spec = EvolutionSpec(canonical_log(trans), _centered_shift(trans, w))
     p = evolution_to_kernel(spec)
-    return spec, (k.amplitude / p.amplitude) * np.exp(1j * (k.c0 - p.c0))
+    with np.errstate(over="ignore", invalid="ignore"):  # a factor past the float range refuses below
+        c = (k.amplitude / p.amplitude) * np.exp(1j * (k.c0 - p.c0)) if p.amplitude else np.inf
+    if not np.isfinite(c):
+        raise QuadflowError("the scalar factor c overflows a float: the rebuilt kernel underflows at the origin")
+    return spec, c
 
 
 def kernel_adjoint(k: GaussianKernel) -> GaussianKernel:

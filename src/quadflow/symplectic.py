@@ -98,13 +98,13 @@ def symmetrize(m: np.ndarray, what: str) -> np.ndarray:
 
     The test is |M - M^T|_F <= tol * max(|M|_F, 1), taken in squares, on M scaled by
     its largest real or imaginary part (a modulus may overflow) when |M|_F^2 overflows.
-    A finite M equal to M^T bit for bit is accepted after the finiteness check alone:
-    (M + M) / 2 is then the same arithmetic, so it keeps every bit, signed zeros included,
-    and it is C-contiguous, as (M + M^T) / 2 is for every layout of M.
+    A finite M equal to M^T bit for bit is accepted after the finiteness check alone and
+    stored as a C-ordered copy of itself, every bit as given, signed zeros included
+    (halving M + M would flip the sign of some zero parts: a complex division by 2 + 0j).
     """
     t, mm = m, np.vdot(m, m).real  # |M|_F^2: NaN or inf for a non-finite M
     if mm < np.inf and m.tobytes() == m.T.tobytes():
-        return np.add(m, m, order="C") / 2.0
+        return m.copy()
     if not (mm < np.inf):
         if not np.isfinite(m).all():
             bad = [tuple(i.tolist()) for i in np.argwhere(~np.isfinite(m))]

@@ -601,6 +601,35 @@ def test_kernel_whose_phase_norm_squared_overflows_exits_4_without_a_warning(tmp
     assert out.returncode == 4 and out.stdout == "" and out.stderr == message
 
 
+def shifted_kernel_payload(lx_imag):
+    # GaussianKernel(1, [[1j]], [[0.5]], [[1j]], [lx_imag * 1j], [0]): its rebuilt kernel is exp(-Im c0)
+    # at the origin, with Im c0 = 720 at lx_imag = 60 (c overflows) and 2e39 at 1e20 (the amplitude
+    # underflows to 0 as well)
+    return {"amplitude": {"re": 1.0, "im": 0.0}, "pxx": {"re": [[0.0]], "im": [[1.0]]},
+            "pxy": {"re": [[0.5]], "im": [[0.0]]}, "pyy": {"re": [[0.0]], "im": [[1.0]]},
+            "lx": {"re": [0.0], "im": [lx_imag]}, "ly": {"re": [0.0], "im": [0.0]}}
+
+
+C_OVERFLOWS = "error: the scalar factor c overflows a float: the rebuilt kernel underflows at the origin\n"
+
+
+@pytest.mark.parametrize("lx_imag", [60.0, 1e20])
+def test_kernel_whose_factor_overflows_exits_4(tmp_path, capsys, lx_imag):
+    spec = write_spec(tmp_path, shifted_kernel_payload(lx_imag))
+    rc, out, err = run(capsys, ["kernel", spec, "--direction", "from-kernel"])
+    assert rc == 4 and out == "" and err == C_OVERFLOWS
+
+
+@pytest.mark.parametrize("lx_imag", [60.0, 1e20])
+def test_kernel_whose_factor_overflows_exits_4_without_a_warning(tmp_path, lx_imag):
+    spec = write_spec(tmp_path, shifted_kernel_payload(lx_imag))
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "kernel",
+                          spec, "--direction", "from-kernel"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == "" and out.stderr == C_OVERFLOWS
+
+
 def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("discretize called")

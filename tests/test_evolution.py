@@ -230,11 +230,13 @@ def test_center_path_matches_loop_reference():
     reference = [loop_center(q, v) for _, q, v in items]
     stages = {stage for stage, _, _ in reference}
     assert {"ok", "positivity", "boundary"} <= stages
-    for (param, _, _), sample, (stage, a1, a2) in zip(items, samples, reference):
+    for (param, q, v), sample, (stage, a1, a2) in zip(items, samples, reference):
         assert sample.param == param
         assert sample.ok == (stage == "ok")
         if sample.ok:
             assert np.array_equal(sample.a1, a1) and np.array_equal(sample.a2, a2)
+            d = decompose(EvolutionSpec(q, v))  # a batch of one through the same stacked solve
+            assert d.a1.tobytes() == a1.tobytes() and d.a2.tobytes() == a2.tobytes()
         else:
             assert sample.a1 is None and sample.a2 is None
 

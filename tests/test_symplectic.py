@@ -210,13 +210,13 @@ _CHECKED = {
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_symmetrized_hessian_bits(n):
-    """Every checked constructor stores (h + h^T) / 2 to the last bit, signed zeros included.
+    """Every checked constructor stores the symmetrized h to the last bit, signed zeros included.
 
-    h is near-symmetric (the tolerance test), or equal to h^T bit for bit (the finiteness check
-    alone): with mirrored zeros of either sign, in Fortran order, subnormal, and with |h|_F^2
-    just below and just above the float maximum, where the stored matrix is h / 2 + h^T / 2.
-    The stored matrix is C-contiguous; the caller's array stays writable and shares no memory
-    with it.
+    A near-symmetric h (the tolerance test) is stored as (h + h^T) / 2. An h equal to h^T bit
+    for bit (the finiteness check alone) is stored as given: with mirrored zeros of either sign,
+    in Fortran order, subnormal, and with |h|_F^2 just below the float maximum. Just above it
+    the stored matrix is h / 2 + h^T / 2. The stored matrix is C-contiguous; the caller's array
+    stays writable and shares no memory with it.
     """
     rng = np.random.default_rng(40 + n)
     shape = (2 * n, 2 * n)
@@ -238,7 +238,10 @@ def test_symmetrized_hessian_bits(n):
         cases += [c * top / np.linalg.norm(exact) * exact for c in (0.999, 1.001)]
         assert np.vdot(cases[-1], cases[-1]).real == np.inf > np.vdot(cases[-2], cases[-2]).real
         for h in cases:
-            want = (h + h.T) / 2 if np.vdot(h, h).real < np.inf else h / 2 + h.T / 2
+            if np.vdot(h, h).real == np.inf:
+                want = h / 2 + h.T / 2
+            else:  # near is equal to near^T bit for bit where the zeros happen to mirror
+                want = h if h.tobytes() == h.T.tobytes() else (h + h.T) / 2
             for name, build in _CHECKED.items():
                 stored = build(h)
                 assert stored.tobytes() == want.tobytes() and stored.flags.c_contiguous, name
@@ -251,6 +254,16 @@ def test_symmetrized_hessian_bits(n):
         for name, build in _CHECKED.items():
             with pytest.raises(ValueError, match=r"non-finite entries at \[\(0, 1\), \(1, 0\)\]"):
                 build(h)
+
+
+def test_exactly_symmetric_input_keeps_its_signed_zeros():
+    """Halving h + h would store +0.0 for the -0.0 real parts off the diagonal; h is kept as given."""
+    h = np.array([[-2.46, complex(-0.0, 1.2)], [complex(-0.0, 1.2), complex(0.0, -0.0)]])
+    for name, build in _CHECKED.items():
+        stored = build(h)
+        assert stored.tobytes() == h.tobytes(), name
+        assert np.signbit(stored.real).tolist() == [[True, True], [True, False]], name
+        assert np.signbit(stored.imag).tolist() == [[False, False], [False, True]], name
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
