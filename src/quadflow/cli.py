@@ -7,7 +7,7 @@ byte-identical across runs of the same input.
 
 Each subcommand imports the modules it uses when it runs, so a cold start
 of ``check`` or ``contour`` does not compile the kernel calculus and only
-``norm --verify`` loads the grid oracle.
+``norm --verify`` or ``--grid`` loads the grid oracle.
 
 Exit codes: 0 success, 2 positivity certificate failure, 3 composition
 leaves the certified class, 4 input or validation error.
@@ -215,8 +215,6 @@ def _spec_report(spec: EvolutionSpec, key: str, scalar) -> dict:
 def _cmd_norm(args) -> tuple[dict, int]:
     from .evolution import decompose
 
-    if args.grid is not None and not args.verify:
-        raise ValueError("--grid needs --verify")
     spec = _load_evolution(args.spec)
     data = decompose(spec)
     report = {
@@ -227,7 +225,7 @@ def _cmd_norm(args) -> tuple[dict, int]:
         "phase": data.phase,
         "margin": spec.report.margin,
     }
-    if args.verify:
+    if args.verify or args.grid is not None:  # a grid is asked for only to verify on it
         from .kernels import evolution_to_kernel
         from .oracle import discretize, operator_norm
 
@@ -269,7 +267,7 @@ def _cmd_kernel(args) -> tuple[dict, int]:
     from .symbols import mehler_symbol
 
     data = _load_json(args.spec)
-    if args.direction == "to-kernel":
+    if "hessian" in data:  # a spec goes to its kernel, any other file is read as a kernel
         q, v = _parse_quadratic(data)
         if args.formal:
             if v is not None and np.any(v != 0):
@@ -279,7 +277,7 @@ def _cmd_kernel(args) -> tuple[dict, int]:
             kern = evolution_to_kernel(EvolutionSpec(q, v))
         return {key: getattr(kern, key) for key in _KERNEL_KEYS}, 0
     if args.formal:
-        raise ValueError("--formal applies to --direction to-kernel only")
+        raise ValueError("--formal applies to a spec file (one with a 'hessian' entry) only")
     spec, c = kernel_to_evolution(_parse_kernel(data))
     return _spec_report(spec, "c", c), 0
 
@@ -362,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norm = sub.add_parser("norm", parents=[out], help="operator norm and decomposition of a spec")
     p_norm.add_argument("spec")
     p_norm.add_argument("--verify", action="store_true", help="cross-check with the grid oracle")
-    p_norm.add_argument("--grid", default=None, help="oracle grid as L,N (needs --verify)")
+    p_norm.add_argument("--grid", default=None, help="verify on this oracle grid, L,N")
     p_norm.set_defaults(func=_cmd_norm)
 
     p_check = sub.add_parser("check", parents=[out], help="strict positivity certificate of a spec")
@@ -374,13 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("spec2")
     p_comp.set_defaults(func=_cmd_compose)
 
-    p_kern = sub.add_parser("kernel", parents=[out], help="convert between specs and kernels")
+    p_kern = sub.add_parser("kernel", parents=[out],
+                            help="kernel of a spec, or spec of a kernel (a file with no 'hessian' entry)")
     p_kern.add_argument("spec")
-    p_kern.add_argument(
-        "--direction", choices=("to-kernel", "from-kernel"), default="to-kernel"
-    )
-    p_kern.add_argument("--formal", action="store_true",
-                        help="skip positivity certification (to-kernel only)")
+    p_kern.add_argument("--formal", action="store_true", help="skip positivity certification (spec files only)")
     p_kern.set_defaults(func=_cmd_kernel)
 
     p_cont = sub.add_parser("contour", parents=[out, sweep], help="growth-factor contour data (CSV)")

@@ -159,8 +159,9 @@ def _centers(km: np.ndarray, kbm: np.ndarray, v: np.ndarray):
     # the systems are real, but real solves round differently (last digits, in
     # about two thirds of sweep members); test_center_path_matches_loop_reference
     # and the CLI's 17-digit output pin the digits of these complex solves
-    x = np.linalg.solve(both.imag.astype(complex), (both.real - np.eye(km.shape[-1])) @ v.imag[..., None])
-    a1, a2 = v.real + x[0, ..., 0].real, v.real - x[1, ..., 0].real
+    with np.errstate(over="ignore", invalid="ignore"):  # a right-hand side past the float range fails the mask
+        x = np.linalg.solve(both.imag.astype(complex), (both.real - np.eye(km.shape[-1])) @ v.imag[..., None])
+        a1, a2 = v.real + x[0, ..., 0].real, v.real - x[1, ..., 0].real
     return a1, a2, ~np.all(np.isfinite(a1) & np.isfinite(a2), axis=-1)
 
 
@@ -262,9 +263,9 @@ class CompositionResult:
 def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResult:
     """Composition law: generator, shift, and scalar factor of a product.
 
-    The composed flow is K3 = K1 K2.  Raises CompositionClassError when the
-    product leaves the strictly positive class (the composite then has no
-    certified generator here).
+    The composed flow is K3 = K1 K2, strictly positive as K1 and K2 are: Pi(K1 K2) =
+    K2^* Pi(K1) K2 + Pi(K2).  Its one certificate is the returned spec's, on the flow
+    of q3, whose margin compose prints; CompositionClassError when rounding fails it.
     The shifts contribute the cocycle exponential, which has no sign freedom.
     The sign is the branch of the Mehler square root: the principal log of K3
     flips it at each 2 pi wrap.  The unshifted sharp product's constant over
@@ -275,23 +276,21 @@ def compose_evolutions(s1: EvolutionSpec, s2: EvolutionSpec) -> CompositionResul
     k1, k2 = s1.transform, s2.transform
     k3m = k1.matrix @ k2.matrix
     eye = np.eye(2 * s1.n)
-    k3 = CanonicalTransform(k3m)
-    report = strict_positivity(k3)
-    if not report.is_strict:
-        raise CompositionClassError(
-            f"composed flow leaves the strictly positive class: {report}"
-        )
     w1 = (eye - k1.matrix) @ s1.v
     u2 = (eye - sigma_transpose(k2.matrix)) @ s2.v
     v3 = np.linalg.solve(eye - k3m, w1) + np.linalg.solve(eye - sigma_transpose(k3m), u2)
     factor = np.exp(
         0.5j * (symplectic_form(s1.v - v3, w1) + symplectic_form(u2, s2.v - v3))
     )
-    q3 = canonical_log(k3)
+    q3 = canonical_log(CanonicalTransform(k3m))
+    try:
+        spec = EvolutionSpec(q3, v3)
+    except PositivityError as exc:
+        raise CompositionClassError(f"composed {exc}") from exc  # "composed flow is not strictly positive: ..."
     probe = weyl_sharp(mehler_symbol(s1.q), mehler_symbol(s2.q)).c / mehler_symbol(q3).c
     if probe.real < 0.0:
         factor = -factor
-    return CompositionResult(spec=EvolutionSpec(q3, v3), factor=complex(factor))
+    return CompositionResult(spec=spec, factor=complex(factor))
 
 
 def _mehler_williamson(k: CanonicalTransform) -> np.ndarray:

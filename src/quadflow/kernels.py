@@ -98,6 +98,7 @@ class GaussianKernel:
         return self.amplitude * np.exp(1j * self.phase(x, y))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result past the float range is refused by _trusted
 def quantize(sym: GaussianSymbol, formal: bool = False) -> GaussianKernel:
     """Integral kernel of the Weyl operator of a Gaussian symbol.
 
@@ -142,14 +143,13 @@ def evolution_to_kernel(spec: EvolutionSpec) -> GaussianKernel:
     The first call for a spec stores the kernel on it (the spec and the kernel
     are immutable), and every later call returns that kernel.  A symbol or
     kernel that overflows a float, as for a shift past about 1e154, is
-    refused where it is built (ValueError), here with no warning.  The
+    refused where it is built (ValueError), with no warning.  The
     formal kernel of a bare form is quantize(mehler_symbol(q), formal=True).
     """
     stored = vars(spec)
     if "_kernel" not in stored:
         sym = mehler_symbol(spec.q)
-        with np.errstate(over="ignore", invalid="ignore"):  # as for a shift past about 1e154
-            stored["_kernel"] = quantize(two_sided_shift(spec.v, sym) if np.any(spec.v != 0) else sym)
+        stored["_kernel"] = quantize(two_sided_shift(spec.v, sym) if np.any(spec.v != 0) else sym)
     return stored["_kernel"]
 
 
@@ -231,6 +231,7 @@ def kernel_adjoint(k: GaussianKernel) -> GaussianKernel:
                                    -np.conj(k.ly), -np.conj(k.lx), -np.conj(k.c0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_compose(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     """Kernel of the operator product, integrating out the middle variable.
 
@@ -250,6 +251,7 @@ def kernel_compose(k1: GaussianKernel, k2: GaussianKernel) -> GaussianKernel:
     return _kernel_of_exponent(amplitude, s, lin, const + 1j * (k1.c0 + k2.c0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kernel_left_shift(s: ShiftOp, k: GaussianKernel) -> GaussianKernel:
     """Kernel of (phase * S_v) composed after the operator of k.
 

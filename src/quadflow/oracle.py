@@ -251,6 +251,7 @@ def discretize(k: GaussianKernel,
     _certify_tail), and runs the flush certificate as it exponentiates:
     entries below the smallest normal float are exact zeros, and one that is
     not below _EPS_TAIL times the peak refuses.  Every refusal is a GridError.
+    Amplitude 0 fails that certificate, after A_2 is built for a separable kernel.
 
     At n = 1 the matrix is dense, one (N, N) complex buffer: a modulus from
     real exponentials in blocks of rows times a phase from 4N - 1 complex
@@ -273,8 +274,6 @@ def discretize(k: GaussianKernel,
     if grid is None:
         grid = auto_grid(k)
     _check_range(k, grid)
-    if k.amplitude == 0:
-        raise GridError("kernel vanishes identically on the grid")
     if grid.n == 1:
         return _one_mode(k, grid)
     k, rotation = _in_y_axes(k)
@@ -489,11 +488,12 @@ def _certify_tail(k: GaussianKernel, grid: GridSpec) -> float:
     Reads the exact row and column maxima of -Im phi on the grid's nodes; top
     adds the scale log|amplitude| + n log h to their peak, the log-modulus a
     build exponentiates.  Refuses a kernel whose top is below the smallest
-    float or not below log(float max), NaN included, and one whose boundary
-    tail exceeds sqrt(_EPS_TAIL) of the peak on edge rows or edge columns.
+    float (amplitude 0 too) or not below log(float max), NaN included, and one
+    whose boundary tail exceeds sqrt(_EPS_TAIL) of the peak on edge rows or columns.
     """
     rows, cols = _log_maxima(k, grid)
-    log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
+    with np.errstate(divide="ignore"):  # amplitude 0 gives top = -inf, which refuses below
+        log_scale = np.log(abs(k.amplitude)) + grid.n * np.log(grid.h)
     peak = float(rows.max())
     top = peak + log_scale
     if top < _LOG_TINY:

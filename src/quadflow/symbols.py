@@ -116,6 +116,7 @@ def symbol_transform(sym: GaussianSymbol) -> np.ndarray:
     return -1j * _j_times(sym.g)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result past the float range is refused by _trusted
 def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
     """Sharp (Moyal) product of two Gaussian symbols, closed form.
 
@@ -136,6 +137,7 @@ def weyl_sharp(a: GaussianSymbol, b: GaussianSymbol) -> GaussianSymbol:
     return GaussianSymbol._trusted(c, (g + g.T) / 2.0, l)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def two_sided_shift(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     """Symbol of (shift by v) . a^w . (shift by v)^{-1}, i.e. a(z - v)."""
     v = shift_vector(v, a.n)
@@ -153,6 +155,7 @@ def shift_right(v: np.ndarray, a: GaussianSymbol) -> GaussianSymbol:
     return _shifted(v, a, left=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _shifted(v: np.ndarray, a: GaussianSymbol, left: bool) -> GaussianSymbol:
     """a(z - v/2) exp(-+i sigma(z, v)), the minus sign for a shift on the left."""
     v = shift_vector(v, a.n)

@@ -59,3 +59,38 @@ def test_summary_of_one_pair():
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("3401-3404") == [3401, 3402, 3403, 3404]
     assert bench_pairs.parse_seeds("7,9-10") == [7, 9, 10]
+
+
+def failed_run(code=1):
+    return bench_pairs.read_run(code, "", "Traceback (most recent call last):\n" + "  line\n" * 8 + "MemoryError\n")
+
+
+def test_a_failed_run_keeps_its_exit_code_and_stderr_tail():
+    run = failed_run(137)
+    assert run["exit_code"] == 137 and len(run["stderr_tail"]) == bench_pairs.STDERR_TAIL_LINES
+    assert run["stderr_tail"][-1] == "MemoryError"
+    assert bench_pairs.read_run(0, run_output(100.0, 2.0), "")["metrics"]["items_per_s"] == 100.0
+
+
+def test_failed_runs_are_left_out_of_the_medians_and_counted():
+    ok = lambda rate, failed=0: bench_pairs.read_run(0, run_output(rate, 2.0, failed=failed), "")
+    incorrect = ok(50.0)
+    incorrect["correct"] = False
+    pairs = [{"parent": ok(100.0, failed=2), "change": ok(110.0)},
+             {"parent": failed_run(), "change": ok(500.0)},
+             {"parent": ok(120.0), "change": failed_run(2)},
+             {"parent": ok(80.0, failed=1), "change": incorrect}]
+    rate = bench_pairs.summarize(pairs, {"items_per_s": "higher"})["items_per_s"]
+    assert rate["change_wins"] == "1/2"  # the two pairs with a failed run are not compared
+    assert rate["parent_median"] == 90.0 and rate["change_median"] == 80.0
+    assert bench_pairs.failures(pairs) == {
+        "pairs_left_out": 2,
+        "parent": {"runs_failed": 1, "runs_incorrect": 0, "items_failed": 3, "items_attempted": 300},
+        "change": {"runs_failed": 1, "runs_incorrect": 1, "items_failed": 0, "items_attempted": 300},
+    }
+
+
+def test_summary_of_pairs_that_all_failed_is_empty():
+    pairs = [{"parent": failed_run(), "change": failed_run()}]
+    assert bench_pairs.summarize(pairs, {"items_per_s": "higher"}) == {}
+    assert bench_pairs.failures(pairs)["pairs_left_out"] == 1

@@ -100,7 +100,7 @@ def test_norm_output_deterministic(tmp_path, capsys):
     (["check", "rotation.json"], 2),  # a failed certificate still reports
     (["compose", "heat.json", "heat.json"], 0),
     (["kernel", "heat.json"], 0),
-    (["kernel", "heat_kernel.json", "--direction", "from-kernel"], 0),
+    (["kernel", "heat_kernel.json"], 0),
     (["contour", "--theta", "0.3", "--t1", "0:2:3", "--t2=-1:-0.4:2"], 0),
     (["centers", "--theta", "0.3", "--t2=-0.8", "--t1=-3:3:5"], 0),
 ], ids=["norm", "check", "check-failed", "compose", "to-kernel", "from-kernel", "contour", "centers"])
@@ -179,6 +179,26 @@ def test_compose_class_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "composition failure" in err
 
 
+def test_compose_runs_one_certificate_and_exits_3_when_it_fails(tmp_path, capsys, monkeypatch):
+    # the call certifies each input spec and then the composite once, through the spec it returns;
+    # failing that third certificate (rounding could, the class is closed under products) exits 3
+    from quadflow import positivity
+
+    verdicts, calls = positivity.positivity_verdicts, []
+
+    def third_fails(m):
+        margins, strict, boundary = verdicts(m)
+        calls.append(margins)
+        return margins, strict & (len(calls) < 3), boundary
+
+    monkeypatch.setattr("quadflow.positivity.positivity_verdicts", third_fails)
+    spec = write_spec(tmp_path, HEAT)
+    rc, out, err = run(capsys, ["compose", spec, spec])
+    assert len(calls) == 3 and rc == 3 and out == ""
+    assert err == ("composition failure: composed flow is not strictly positive: "
+                   "positivity margin 9.816844e-01 (not strict)\n")
+
+
 def test_kernel_to_kernel_heat(tmp_path, capsys):
     rc, out, _ = run(capsys, ["kernel", write_spec(tmp_path, HEAT)])
     assert rc == 0
@@ -195,7 +215,7 @@ def test_kernel_roundtrip_through_files(tmp_path, capsys):
     kern_file = tmp_path / "kern.json"
     assert main(["kernel", spec, "-o", str(kern_file)]) == 0
     capsys.readouterr()
-    rc, out, _ = run(capsys, ["kernel", str(kern_file), "--direction", "from-kernel"])
+    rc, out, _ = run(capsys, ["kernel", str(kern_file)])
     assert rc == 0
     rep = json.loads(out)
     assert np.allclose(rep["hessian"]["re"], np.zeros((2, 2)), atol=1e-9)
@@ -215,9 +235,26 @@ def test_kernel_formal_rejects_shift(tmp_path, capsys):
 def test_kernel_from_kernel_refuses_formal(tmp_path, capsys):
     kern_file = tmp_path / "kern.json"
     assert main(["kernel", write_spec(tmp_path, HEAT), "-o", str(kern_file)]) == 0
-    rc, out, err = run(capsys, ["kernel", str(kern_file), "--direction", "from-kernel", "--formal"])
+    rc, out, err = run(capsys, ["kernel", str(kern_file), "--formal"])
     assert rc == 4 and out == ""
-    assert "input error: --formal" in err
+    assert err == "input error: --formal applies to a spec file (one with a 'hessian' entry) only\n"
+
+
+def test_kernel_reads_the_direction_from_the_file(tmp_path, capsys):
+    # a file with a 'hessian' entry is a spec and goes to its kernel; any other is read as a kernel;
+    # no flag says which: --direction is a usage error
+    spec = write_spec(tmp_path, HEAT)
+    kern_file = tmp_path / "kern.json"
+    assert main(["kernel", spec, "-o", str(kern_file)]) == 0
+    assert "hessian" not in json.loads(kern_file.read_text())
+    rc, out, _ = run(capsys, ["kernel", str(kern_file)])
+    assert rc == 0 and set(json.loads(out)) == {"hessian", "v", "c", "margin"}
+    for argv in (["kernel", spec, "--direction", "to-kernel"],
+                 ["kernel", str(kern_file), "--direction", "from-kernel"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 4 and out == "" and "unrecognized arguments: --direction" in err
+    rc, out, _ = run(capsys, ["kernel", "--help"])
+    assert rc == 0 and "--direction" not in out
 
 
 def test_kernel_from_indefinite_phase_exits_4(tmp_path, capsys):
@@ -230,7 +267,7 @@ def test_kernel_from_indefinite_phase_exits_4(tmp_path, capsys):
         "lx": {"re": [0.0], "im": [0.0]},
         "ly": {"re": [0.0], "im": [0.0]},
     }
-    rc, _, err = run(capsys, ["kernel", write_spec(tmp_path, payload), "--direction", "from-kernel"])
+    rc, _, err = run(capsys, ["kernel", write_spec(tmp_path, payload)])
     assert rc == 4
     assert "degenerate" in err
 
@@ -247,7 +284,7 @@ def test_two_mode_kernel_round_trip(tmp_path, capsys):
     # the package builds the kernel without the symmetry check, so it must keep pxx and pyy exactly symmetric
     for block in ("pxx", "pyy"):
         assert np.array_equal(cplx(kern[block]), cplx(kern[block]).T)
-    rc, out, _ = run(capsys, ["kernel", write_spec(tmp_path, kern, "kernel.json"), "--direction", "from-kernel"])
+    rc, out, _ = run(capsys, ["kernel", write_spec(tmp_path, kern, "kernel.json")])
     assert rc == 0
     back = json.loads(out)
     for key in ("hessian", "v"):
@@ -461,7 +498,7 @@ def test_input_error_paths_exit_4(tmp_path, capsys):
                   "pyy": {"re": [[1]]}, "lx": {"re": [0]}, "ly": {"re": [0]}}
     for payload in (5, ["hessian"], {"hessian": {"re": {"a": 1}}}, scalar_pxx):
         path = write_spec(tmp_path, payload, "malformed.json")
-        for argv in (["norm", path], ["kernel", path, "--direction", "from-kernel"]):
+        for argv in (["norm", path], ["kernel", path]):
             rc, out, err = run(capsys, argv)
             assert rc == 4 and out == "" and err.startswith("input error:")
     non_finite = (
@@ -543,9 +580,15 @@ def test_overflowed_flow_writes_one_stderr_line(tmp_path):
 
 
 def test_grid_without_verify_exits_4(tmp_path, capsys):
-    rc, out, err = run(capsys, ["norm", write_spec(tmp_path, HEAT), "--grid", "abc"])
+    # a grid can only mean "verify on it": alone, a well-formed one verifies and a malformed one exits 4
+    spec = write_spec(tmp_path, HEAT)
+    rc, out, err = run(capsys, ["norm", spec, "--grid", "abc"])
     assert rc == 4 and out == ""
-    assert "input error: --grid needs --verify" in err
+    assert err == "input error: --grid must be L,N\n"
+    rc, alone, _ = run(capsys, ["norm", spec, "--grid", "8,200"])
+    rc_both, both, _ = run(capsys, ["norm", spec, "--verify", "--grid", "8,200"])
+    assert rc == rc_both == 0 and alone == both
+    assert json.loads(alone)["oracle"]["points"] == 200
 
 
 def test_nonfinite_grid_width_exits_4(tmp_path, capsys):
@@ -596,7 +639,7 @@ def test_kernel_whose_phase_norm_squared_overflows_exits_4_without_a_warning(tmp
                "lx": {"re": [0.0], "im": [0.0]}, "ly": {"re": [0.0], "im": [0.0]}}
     src = os.path.dirname(os.path.dirname(quadflow.__file__))
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "kernel",
-                          write_spec(tmp_path, payload), "--direction", "from-kernel"],
+                          write_spec(tmp_path, payload)],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert out.returncode == 4 and out.stdout == "" and out.stderr == message
 
@@ -616,7 +659,7 @@ C_OVERFLOWS = "error: the scalar factor c overflows a float: the rebuilt kernel 
 @pytest.mark.parametrize("lx_imag", [60.0, 1e20])
 def test_kernel_whose_factor_overflows_exits_4(tmp_path, capsys, lx_imag):
     spec = write_spec(tmp_path, shifted_kernel_payload(lx_imag))
-    rc, out, err = run(capsys, ["kernel", spec, "--direction", "from-kernel"])
+    rc, out, err = run(capsys, ["kernel", spec])
     assert rc == 4 and out == "" and err == C_OVERFLOWS
 
 
@@ -625,9 +668,20 @@ def test_kernel_whose_factor_overflows_exits_4_without_a_warning(tmp_path, lx_im
     spec = write_spec(tmp_path, shifted_kernel_payload(lx_imag))
     src = os.path.dirname(os.path.dirname(quadflow.__file__))
     out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "kernel",
-                          spec, "--direction", "from-kernel"],
+                          spec],
                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert out.returncode == 4 and out.stdout == "" and out.stderr == C_OVERFLOWS
+
+
+def test_norm_of_a_shift_whose_centers_overflow_exits_4_without_a_warning(tmp_path):
+    # Im v = 1.7e308 overflows the right-hand side of the centre solves; the non-finite centres are
+    # refused with one stderr line, also under -W error::RuntimeWarning
+    spec = write_spec(tmp_path, {"hessian": {"re": [[0, 0], [0, 0]], "im": [[-2, 0], [0, -2]]},
+                                 "v": {"re": [0, 0], "im": [0, 1.7e308]}})
+    src = os.path.dirname(os.path.dirname(quadflow.__file__))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "quadflow.cli", "norm", spec],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert out.returncode == 4 and out.stdout == "" and out.stderr == "error: shift centers are not finite\n"
 
 
 def test_grid_above_the_cap_exits_4_before_discretizing(tmp_path, capsys, monkeypatch):

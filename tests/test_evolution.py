@@ -23,8 +23,10 @@ from quadflow import (
     norm_shifted,
     real_log_exists,
     standard_j,
+    strict_positivity,
     symplectic_form,
 )
+from quadflow import positivity
 from quadflow.models import heat_generator, q_harmonic, q_theta
 from quadflow.symplectic import expm
 
@@ -267,7 +269,47 @@ def test_center_path_fails_overflowed_members_alone(s):
             assert sample.a2.tobytes() == ref.a2.tobytes()
 
 
+def test_shift_whose_centers_overflow_fails_alone_without_a_warning():
+    # Im v = 1.7e308 overflows the right-hand side of the centre solves of the heat flow at s = 2:
+    # decompose refuses the centres, and center_path fails that member alone, with no RuntimeWarning
+    # (an error under pytest)
+    huge = (1.0, QuadraticForm(-2j * np.eye(2)), np.array([0.0, 1.7e308j]))
+    with pytest.raises(QuadflowError, match="^shift centers are not finite$"):
+        decompose(EvolutionSpec(huge[1], huge[2]))
+    ordinary = (0.0, heat_generator(1.0), np.array([0.3 + 0.2j, -0.1 + 0.4j]))
+    solo, = center_path([ordinary])
+    first, second = center_path([ordinary, huge])
+    assert solo.ok and first.ok and not second.ok and second.a1 is None and second.a2 is None
+    assert first.a1.tobytes() == solo.a1.tobytes() and first.a2.tobytes() == solo.a2.tobytes()
+
+
+@pytest.mark.parametrize("hess, message", [
+    # one mode: conj(K)^{-1} K has the real eigenvalues -0.349 and -2.86
+    ([[1 - 0.7j, 0.6 + 0.5j], [0.6 + 0.5j, -1.3 + 2j]], "contraction rates must be positive"),
+    # two modes: its eigenvalues -0.022 +- 0.182i pair with their inverses, but are not real
+    ([[0.4 + 0.6j, 1.2 + 0.4j, -0.4 + 0.7j, 0.2 - 0.2j], [1.2 + 0.4j, -1 - 0.5j, 1.2 - 0.2j, 0.5 - 0.3j],
+      [-0.4 + 0.7j, 1.2 - 0.2j, -0.2 + 0.1j, -1 + 0.9j], [0.2 - 0.2j, 0.5 - 0.3j, -1 + 0.9j, 0.5 + 0.4j]],
+     "contraction rates are not numerically real"),
+])
+def test_eigenvalue_pairing_refuses_rates_outside_the_open_unit_interval(hess, message):
+    # flows that are not strictly positive, which only a direct call can hand to the pairing
+    with pytest.raises(QuadflowError, match=f"^{message}$"):
+        eigenvalue_pairing(flow(QuadraticForm(np.array(hess))))
+
+
 # -- composition --------------------------------------------------------------
+
+
+def test_compose_certifies_the_composite_once(monkeypatch):
+    # strictly positive flows compose to one, Pi(K1 K2) = K2^* Pi(K1) K2 + Pi(K2); so the one
+    # certificate is the returned spec's, on the flow it stores, and its margin is that flow's
+    s1 = EvolutionSpec(perturbed_heat(0.8, 51), np.array([0.2 + 0.1j, -0.4 + 0.3j]))
+    s2 = EvolutionSpec(perturbed_heat(1.1, 52), np.array([-0.1 + 0.2j, 0.3 + 0.1j]))
+    verdicts, seen = positivity.positivity_verdicts, []
+    monkeypatch.setattr(positivity, "positivity_verdicts", lambda m: seen.append(m.copy()) or verdicts(m))
+    result = compose_evolutions(s1, s2)
+    assert len(seen) == 1 and np.array_equal(seen[0], result.spec.transform.matrix[None])
+    assert result.spec.report == strict_positivity(result.spec.transform)
 
 
 def test_compose_heat_semigroup():

@@ -418,6 +418,23 @@ def test_discretize_refuses_a_kernel_that_vanishes_identically(layout):
             discretize(zero, grid)
 
 
+def test_factored_build_refuses_factors_whose_product_overflows():
+    # the x factor takes the minimum of Im phi over y on the real line, not on the nodes, so its top
+    # lies above the certified grid peak (by 1e-3 to 1e-2 here); a peak 1e-4 below log(float max)
+    # passes the tail certificate, and the factors' tops then add past it
+    k = random_kernel(np.random.default_rng(16), 2)
+    grid = GridSpec(2, auto_grid(k).half_width, 64)
+    top = oracle._certify_tail(oracle._in_y_axes(k)[0], grid)
+    for below, refused in ((1e-4, True), (0.1, False)):
+        lift = np.log(np.finfo(float).max) - top - below
+        near = GaussianKernel(k.amplitude, k.pxx, k.pxy, k.pyy, k.lx, k.ly, k.c0 - 1j * lift)
+        if refused:
+            with pytest.raises(GridError, match="^grid matrix factors overflow$"):
+                discretize(near, grid)
+        else:
+            assert isinstance(discretize(near, grid), FactoredGridMatrix)
+
+
 def test_operator_norm_of_entries_whose_squares_overflow():
     # the entries reach 1e159, so the plain sum of squares overflows; the norm is
     # 1e160 times that of the same kernel at amplitude 1, with no RuntimeWarning

@@ -91,6 +91,13 @@ def test_rotation_symbol_is_oscillatory():
     assert np.allclose(sym.g, -1j * np.tan(0.5) * np.eye(2), atol=1e-12)
 
 
+def test_mehler_symbol_refuses_a_vanishing_cosh_factor():
+    # H_q of pi I has eigenvalues +-i pi, so cosh(lambda/2) = cos(pi/2) = 0 and c = 1/cosh has no value;
+    # formal quantization, which checks no positivity, asks for the symbol first and gets the refusal
+    with pytest.raises(SymbolConvergenceError, match="^cosh factor vanishes; no closed-form symbol$"):
+        quantize(mehler_symbol(QuadraticForm(np.pi * np.eye(2))), formal=True)
+
+
 def test_mehler_formula_runs_once_per_form(monkeypatch):
     # the symbol is stored on its (immutable) form: repeated calls, and the
     # kernel of a spec on the same form, reuse it; another form computes its own

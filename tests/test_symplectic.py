@@ -374,6 +374,19 @@ def test_log_of_heat_flow(s):
     assert np.linalg.norm(q.hess + 1j * s * np.eye(2)) <= 1e-10 * np.linalg.norm(s * np.eye(2))
 
 
+@pytest.mark.parametrize("s", np.arange(0.5, 30.25, 0.5))
+def test_log_of_heat_flow_meets_its_round_trip_bound_or_refuses(s):
+    # past s = 8 the heat flow's logarithm loses the Hamiltonian class or its round trip to
+    # rounding, and canonical_log refuses it; a logarithm it returns always meets its own bound
+    k = flow(heat_generator(s))
+    try:
+        q = canonical_log(k)
+    except QuadflowError:
+        return
+    resid = np.linalg.norm(q.transform.matrix - k.matrix)
+    assert resid <= TOLERANCES["log"] * (1.0 + np.linalg.norm(k.matrix))
+
+
 def test_log_rejects_spectrum_on_negative_axis():
     # rotation by exactly pi: both eigenvalue angles sit on the negative real
     # axis, the cut of the principal logarithm

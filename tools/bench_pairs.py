@@ -13,8 +13,13 @@ The output (standard output, or OUT.json) holds each pair's end-to-end metrics a
 counts and, per workload and metric, both sides' median and quartiles (inclusive method),
 the change's wins (a pair where the change reads better, in the direction BENCHMARK.json
 gives; ties count for neither), the median change as a ratio of the medians less one, and the
-parent's quartile spread.  It records both trees' git sha (and whether the tree has
-uncommitted changes), nproc, the Python and NumPy versions and PYTHONDONTWRITEBYTECODE.
+parent's quartile spread.  A run that exits non-zero keeps its exit code and the tail of its
+standard error in its pair, and the runs go on; such a pair is left out of the medians and
+counted.  Per workload and side, the output counts the runs that failed, the runs that read
+"correct": false, and the summed failed and attempted items.  It records both trees' git sha
+(and whether the tree has uncommitted changes), nproc, the Python and NumPy versions and
+PYTHONDONTWRITEBYTECODE.  OUT.json is rewritten after each pair, so a run cut short keeps
+the pairs it finished.
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+STDERR_TAIL_LINES = 5
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -49,12 +55,22 @@ def parse_result(stdout: str) -> dict:
     }
 
 
+def read_run(code: int, stdout: str, stderr: str) -> dict:
+    """parse_result of a run that exited 0; otherwise its exit code and the tail of its standard error."""
+    if code != 0:
+        return {"exit_code": code, "stderr_tail": stderr.strip().splitlines()[-STDERR_TAIL_LINES:]}
+    return parse_result(stdout)
+
+
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: medians, quartiles, wins and median change of the pairs of one workload.
 
-    Each pair holds a "parent" and a "change" result of parse_result; better maps a
-    metric name to "higher" or "lower".
+    Each pair holds a "parent" and a "change" result of read_run; better maps a
+    metric name to "higher" or "lower".  A pair with a failed run is left out.
     """
+    pairs = [p for p in pairs if not any("exit_code" in p[side] for side in SIDES)]
+    if not pairs:
+        return {}
     out = {}
     for name, direction in better.items():
         sides = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -71,6 +87,19 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             parent_quartile_spread=q3 - q1,
         )
         out[name] = entry
+    return out
+
+
+def failures(pairs: list[dict]) -> dict:
+    """The pairs left out of the summary and, per side, its failed runs, runs that read
+    "correct": false, and the failed and attempted items summed over the runs that finished."""
+    out = {"pairs_left_out": sum(any("exit_code" in p[side] for side in SIDES) for p in pairs)}
+    for side in SIDES:
+        done = [p[side] for p in pairs if "exit_code" not in p[side]]
+        out[side] = {"runs_failed": len(pairs) - len(done),
+                     "runs_incorrect": sum(not run["correct"] for run in done),
+                     "items_failed": sum(run["failed"] for run in done),
+                     "items_attempted": sum(run["attempted"] for run in done)}
     return out
 
 
@@ -100,9 +129,7 @@ def run_one(tree: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True, check=False,
     )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
-    return parse_result(proc.stdout)
+    return read_run(proc.returncode, proc.stdout, proc.stderr)
 
 
 def main() -> int:
@@ -139,15 +166,17 @@ def main() -> int:
             order = SIDES[::-1] if i % 2 == 0 else SIDES
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_one(trees[side], workload, seed, seconds)
-                print(f"{workload} seed {seed} {side}: items_per_s "
-                      f"{pair[side]['metrics']['items_per_s']:.6g}", file=sys.stderr, flush=True)
+                run = pair[side] = run_one(trees[side], workload, seed, seconds)
+                shown = (f"exit code {run['exit_code']}" if "exit_code" in run
+                         else f"items_per_s {run['metrics']['items_per_s']:.6g}")
+                print(f"{workload} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
             pairs.append(pair)
-        report["workloads"][workload] = {"summary": summarize(pairs, better), "pairs": pairs}
-        if args.output:  # rewritten after each workload, so a run cut short keeps the finished ones
-            with open(args.output, "w") as fh:
-                json.dump(report, fh, indent=1)
-                fh.write("\n")
+            report["workloads"][workload] = {"summary": summarize(pairs, better), "failures": failures(pairs),
+                                             "pairs": pairs}
+            if args.output:  # rewritten after each pair, so a run cut short keeps the finished ones
+                with open(args.output, "w") as fh:
+                    json.dump(report, fh, indent=1)
+                    fh.write("\n")
     if not args.output:
         sys.stdout.write(json.dumps(report, indent=1) + "\n")
     return 0

@@ -120,8 +120,7 @@ for i, out in kernels:  # the old tree's kernels are the from-kernel inputs of b
     tiny = json.loads(out)  # and again scaled by e^{-40}, so the value at the origin is tiny
     tiny["c0"]["im"] += 40.0
     json.dump(tiny, open(f"{WORK}/z{i}.json", "w"))
-old2, new2 = run_both(WORK, [["kernel", f"{WORK}/{p}{i}.json", "--direction", "from-kernel"]
-                             for i, _ in kernels for p in "kz"], "b")
+old2, new2 = run_both(WORK, [["kernel", f"{WORK}/{p}{i}.json"] for i, _ in kernels for p in "kz"], "b")
 runs, differing, structural, moved = {}, 0, [], {}  # moved: (command, key) -> [runs, relative, absolute change]
 for (argv, rc0, out0), (_, rc1, out1) in zip(old + old2, new + new2):
     name = " ".join(argv[:1] + [a for a in argv if a.startswith("--") and a != "--grid" and "=" not in a])
